@@ -3,18 +3,20 @@
 //
 // The paper's middleware starts detecting the moment events arrive (§4.1);
 // the pre-streaming repository had to materialize the whole store first. This
-// bench measures the end-to-end cost of both modes on the real threaded
-// runtime (wall time from "client starts sending" to "all complex events
+// bench measures the end-to-end cost of both modes on the blocking runtime
+// entry points (wall time from "client starts sending" to "all complex events
 // emitted") for k ∈ {1,2,4,8} operator instances, and emits one JSON line per
-// row next to the table for scripts.
+// row next to the table for scripts. Every run's output is byte-compared with
+// the sequential engine; a mismatch fails the bench (non-zero exit).
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "bench_workloads.hpp"
+#include "harness/oracle.hpp"
 #include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "queries/paper_queries.hpp"
+#include "sequential/seq_engine.hpp"
 #include "spectre/runtime.hpp"
 
 using namespace spectre;
@@ -68,8 +70,24 @@ int main() {
     const auto query = queries::make_q1(vocab, queries::Q1Params{.q = q_size, .ws = ws});
     const auto cq = detect::CompiledQuery::compile(query);
 
-    harness::Table table({"mode", "k", "throughput (candlestick)", "overlap gain"});
+    // Inputs and their sequential ground truth are the same for every k.
+    std::vector<std::vector<event::Event>> inputs;
+    std::vector<std::vector<event::ComplexEvent>> expected;
+    for (const auto seed : seeds) {
+        data::NyseSynthConfig gen;
+        gen.events = events_n;
+        gen.symbols = 200;
+        gen.up_prob = 0.55;
+        gen.seed = seed;
+        inputs.push_back(data::generate_nyse(vocab, gen));
+        event::EventStore store;
+        for (const auto& e : inputs.back()) store.append(e);
+        expected.push_back(sequential::SequentialEngine(&cq).run(store).complex_events);
+    }
+
+    harness::Table table({"mode", "k", "throughput (candlestick)", "overlap gain", "parity"});
     std::vector<harness::JsonLine> json_rows;
+    bool all_parity_ok = true;
 
     for (const int k : {1, 2, 4, 8}) {
         core::RuntimeConfig cfg;
@@ -80,20 +98,21 @@ int main() {
         obs::Registry obs_registry;
         const obs::ShardPtr obs_shard = obs_registry.make_shard();
 
-        std::vector<double> batch_eps, stream_eps, decode_secs, feed_secs;
-        std::vector<double> splitter_sleeps, instance_sleeps, wasted_events;
-        for (const auto seed : seeds) {
-            data::NyseSynthConfig gen;
-            gen.events = events_n;
-            gen.symbols = 200;
-            gen.up_prob = 0.55;
-            gen.seed = seed;
-            const auto events = data::generate_nyse(vocab, gen);
+        std::vector<double> batch_eps, stream_eps, decode_secs, wasted_events;
+        bool batch_ok = true, stream_ok = true;
+        const auto check = [&](const std::vector<event::ComplexEvent>& want,
+                               const std::vector<event::ComplexEvent>& got, const char* mode,
+                               std::uint64_t seed) {
+            if (harness::results_identical(want, got)) return true;
+            std::fprintf(stderr, "PARITY BREAK: %s k=%d seed=%llu\n", mode, k,
+                         static_cast<unsigned long long>(seed));
+            return false;
+        };
+        for (std::size_t s = 0; s < inputs.size(); ++s) {
+            const auto& events = inputs[s];
 
             // Materialize-then-process: the old pipeline shape — drain the
-            // whole stream into the store, then start the engines. The decode
-            // phase runs alone here; its wall time is the feeder-stall
-            // baseline the streaming feeder is compared against.
+            // whole stream into the store, then start the engine.
             {
                 const auto t0 = std::chrono::steady_clock::now();
                 event::EventStore store;
@@ -101,12 +120,13 @@ int main() {
                 store.append_all(src);
                 decode_secs.push_back(seconds_since(t0));
                 core::SpectreRuntime rt(&store, &cq, cfg, model_for(cq));
-                (void)rt.run();
+                const auto rr = rt.run();
                 batch_eps.push_back(static_cast<double>(events.size()) / seconds_since(t0));
+                batch_ok &= check(expected[s], rr.output, "materialize", seeds[s]);
             }
 
-            // Ingest-while-detect: the feeder drains the same stream into the
-            // store while the splitter and instances are already running.
+            // Ingest-while-detect: batches of arrivals alternate with
+            // detection over the advancing frontier.
             {
                 const auto t0 = std::chrono::steady_clock::now();
                 event::EventStore store;
@@ -115,50 +135,38 @@ int main() {
                 if (obs::enabled()) rt.bind_obs(obs_shard.get());
                 const auto rr = rt.run(src);
                 stream_eps.push_back(static_cast<double>(events.size()) / seconds_since(t0));
-                feed_secs.push_back(rr.feed_seconds);
-                splitter_sleeps.push_back(static_cast<double>(rr.splitter_idle_sleeps));
-                instance_sleeps.push_back(static_cast<double>(rr.instance_idle_sleeps));
                 wasted_events.push_back(
                     static_cast<double>(rr.sched.speculation_wasted_events));
+                stream_ok &= check(expected[s], rr.output, "ingest", seeds[s]);
             }
         }
+        all_parity_ok = all_parity_ok && batch_ok && stream_ok;
 
         const double batch_med = util::percentile(batch_eps, 50);
         const double stream_med = util::percentile(stream_eps, 50);
         const double gain = batch_med > 0 ? stream_med / batch_med : 0.0;
-        const double decode_med = util::percentile(decode_secs, 50);
-        const double feed_med = util::percentile(feed_secs, 50);
-        // Feeder stall factor: how much longer the feeder took next to a
-        // running engine than decoding alone. ≈1 = detection overlapped for
-        // free; ≫1 = detection spin starved the feeder (the pre-fix failure
-        // mode at k ≥ 4 on few cores, DESIGN.md §6).
-        const double feed_stall = decode_med > 0 ? feed_med / decode_med : 0.0;
 
         table.row({"materialize_then_process", std::to_string(k),
-                   harness::fmt_candle(batch_eps), "1.0x"});
+                   harness::fmt_candle(batch_eps), "1.0x", batch_ok ? "ok" : "BROKEN"});
         table.row({"ingest_while_detect", std::to_string(k),
-                   harness::fmt_candle(stream_eps),
-                   harness::fmt_double(gain, 2) + "x (feed stall " +
-                       harness::fmt_double(feed_stall, 2) + "x)"});
+                   harness::fmt_candle(stream_eps), harness::fmt_double(gain, 2) + "x",
+                   stream_ok ? "ok" : "BROKEN"});
 
         json_rows.emplace_back(harness::JsonLine("E-stream")
                                    .field("mode", "materialize_then_process")
                                    .field("k", k)
                                    .field("events", events_n)
                                    .field("eps_p50", batch_med)
-                                   .field("decode_seconds_p50", decode_med));
+                                   .field("decode_seconds_p50",
+                                          util::percentile(decode_secs, 50))
+                                   .field("parity_ok", batch_ok ? 1 : 0));
         json_rows.emplace_back(harness::JsonLine("E-stream")
                                    .field("mode", "ingest_while_detect")
                                    .field("k", k)
                                    .field("events", events_n)
                                    .field("eps_p50", stream_med)
                                    .field("overlap_gain", gain)
-                                   .field("feed_seconds_p50", feed_med)
-                                   .field("feed_stall", feed_stall)
-                                   .field("splitter_idle_sleeps_p50",
-                                          util::percentile(splitter_sleeps, 50))
-                                   .field("instance_idle_sleeps_p50",
-                                          util::percentile(instance_sleeps, 50))
+                                   .field("parity_ok", stream_ok ? 1 : 0)
                                    .field("speculation_wasted_events_p50",
                                           util::percentile(wasted_events, 50))
                                    // Registry histogram (§12), nanoseconds; 0
@@ -173,13 +181,10 @@ int main() {
     std::printf("\n");
     for (const auto& row : json_rows) row.print();
     std::printf(
-        "\nexpected shape: ingest_while_detect >= 1.0x on multicore — detection\n"
-        "overlaps the ingestion (decode) time instead of waiting for the full\n"
-        "store. On a single core the modes tie (same total work, no overlap\n"
-        "capacity); the streaming mode's win there is latency, not throughput:\n"
-        "early windows retire while the tail of the stream is still arriving.\n"
-        "feed stall ≈ 1.0x means the feeder decoded at full speed next to the\n"
-        "engine; values well above 1 with few idle sleeps would mean detection\n"
-        "spin is starving the feeder again (DESIGN.md §6 contention fix).\n");
-    return 0;
+        "\nexpected shape: overlap gain ≈ 1.0x — both modes decode and detect\n"
+        "on the calling thread, so they do the same work; the streaming mode's\n"
+        "win is latency, not throughput: early windows retire while the tail of\n"
+        "the stream is still arriving. parity must read ok in every row\n"
+        "(byte-identical to sequential).\n");
+    return all_parity_ok ? 0 : 1;
 }

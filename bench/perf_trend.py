@@ -44,9 +44,7 @@ EXTRA_METRICS = ["overlap_gain"]
 # Everything measured rather than configured: excluded from row identity.
 NON_IDENTITY = {
     "eps", "eps_p50", "eps_tree", "eps_compiled", "speedup", "speedup_vs_s1",
-    "overlap_gain", "feed_seconds_p50", "feed_stall", "decode_seconds_p50",
-    "splitter_idle_sleeps_p50", "instance_idle_sleeps_p50",
-    "speculation_wasted_events_p50",
+    "overlap_gain", "decode_seconds_p50", "speculation_wasted_events_p50",
     "first_result_ms_p50", "results", "quanta", "parks_input", "parks_egress",
     "sched_steps", "sched_cycles", "sched_cycles_skipped", "sched_batches",
     "sched_batch_events", "sched_ready_depth_max", "sched_ready_depth_p50",

@@ -1,5 +1,5 @@
 // Quickstart: define a query in the text language, stream synthetic quotes
-// through the parallel SPECTRE runtime, and print the detected complex
+// through the speculative SPECTRE runtime, and print the detected complex
 // events.
 //
 //   $ ./quickstart [instances]
@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
     event::EventStore store;
     data::generate_nyse(vocab, cfg, store);
 
-    // 3. Run the speculative parallel engine (real threads).
+    // 3. Run the speculative engine: k operator instances stepped
+    //    cooperatively on this thread (DESIGN.md §11).
     const auto compiled = detect::CompiledQuery::compile(query);
     core::RuntimeConfig rt_cfg;
     rt_cfg.splitter.instances = instances;

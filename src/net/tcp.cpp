@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -148,6 +149,12 @@ TcpClient::TcpClient(const std::string& host, std::uint16_t port, int rcvbuf) {
     if (rcvbuf > 0 &&
         ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)) < 0)
         fail("setsockopt(SO_RCVBUF)");
+    // Clients send small frames (one quote, one control frame) and wait on
+    // the replies; Nagle would hold each small write back until the previous
+    // one is ACKed, which the peer's delayed ACK stretches to milliseconds.
+    const int nodelay = 1;
+    if (::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay)) < 0)
+        fail("setsockopt(TCP_NODELAY)");
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);

@@ -8,7 +8,7 @@
 //               the client is still sending (ingest-while-detect, DESIGN.md
 //               §6). Feed it to SpectreRuntime::run(EventStream&) or
 //               SequentialEngine::run_stream().
-//   TcpClient — connects and sends events.
+//   TcpClient — connects (TCP_NODELAY) and sends events.
 //
 // Blocking one-connection design: the receive path decodes frames
 // incrementally from the socket buffer; receive_into remains as the batch

@@ -444,7 +444,7 @@ void ShardedEngine::drain_lane_quiescent(KeyLane& lane) {
         return;
     }
     // Cooperative SPECTRE: step() now reports quiescence explicitly — the
-    // scheduling loop has driven the dependency graph to a fixed point for
+    // scheduling loop has driven the scheduler to a fixed point for
     // the current frontier, with every buffered update drained and every
     // eligible retirement emitted (under the current trigger tag).
     for (;;) {

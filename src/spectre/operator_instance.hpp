@@ -11,10 +11,11 @@
 // trailing window whose extent reaches past a completed input finishes at
 // end-of-stream.
 //
-// The class is runtime-agnostic: the threaded runtime calls run_batch() from
-// a dedicated thread, the simulated runtime calls it inline under a virtual
-// clock. All cross-thread communication goes through the assignment slot
-// (mutex), the store's frontier, and the splitter's update queue.
+// The class is runtime-agnostic: SpectreRuntime's scheduler calls run_batch()
+// inline on whichever thread steps the runtime, the simulated runtime calls
+// it under a virtual clock. All communication with the splitter goes through
+// the assignment slot (mutex), the store's frontier (which another thread may
+// advance), and the splitter's update queue.
 #pragma once
 
 #include <atomic>
@@ -41,9 +42,9 @@ struct InstanceStats {
 };
 
 // What one run_batch() accomplished and — when it stopped early — why. The
-// cooperative scheduler (sched_graph.hpp) files the instance under the
-// matching dependency: Stalled waits on the frontier sentinel at `wait_seq`;
-// everything else that yields no runnable work waits on the splitter.
+// scheduler (instance_scheduler.hpp) files the instance under the matching
+// state: Stalled waits on the frontier at `wait_seq`; every other outcome
+// without runnable work waits on the splitter.
 struct BatchResult {
     enum class Outcome : std::uint8_t {
         Progress,      // budget exhausted mid-window; more work immediately

@@ -1,9 +1,6 @@
 #include "spectre/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "util/assert.hpp"
 
@@ -24,70 +21,6 @@ SpectreRuntime::SpectreRuntime(event::EventStore* store, const detect::CompiledQ
     mutable_store_ = store;
 }
 
-RunResult SpectreRuntime::run_threads() {
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> instance_idle_sleeps{0};
-    std::uint64_t splitter_idle_sleeps = 0;
-    std::vector<std::thread> workers;
-    workers.reserve(splitter_.instances().size());
-    const auto backoff = std::chrono::microseconds(config_.idle_backoff_us);
-
-    const auto t0 = std::chrono::steady_clock::now();
-
-    for (auto& inst : splitter_.instances()) {
-        workers.emplace_back([&, inst = inst.get(), batch = config_.batch_events] {
-            int idle_streak = 0;
-            while (!stop.load(std::memory_order_acquire)) {
-                if (inst->run_batch(batch).advanced == 0) {
-                    // Idle: no assignment, version busy elsewhere, or stalled
-                    // at the ingestion frontier. While the input is still
-                    // arriving, a persistent spinner would steal the CPU the
-                    // feeder's decode needs (the §6 contention fix) — sleep;
-                    // otherwise just yield as before.
-                    if (config_.idle_backoff_us > 0 && ++idle_streak >= 2 &&
-                        !splitter_.input_complete()) {
-                        instance_idle_sleeps.fetch_add(1, std::memory_order_relaxed);
-                        std::this_thread::sleep_for(backoff);
-                    } else {
-                        std::this_thread::yield();
-                    }
-                } else {
-                    idle_streak = 0;
-                }
-            }
-        });
-    }
-
-    while (splitter_.run_cycle()) {
-        // Splitter runs its maintenance/scheduling loop continuously, as in
-        // the paper's deployment (it owns a dedicated core there). On shared
-        // cores a no-progress cycle during live ingestion backs off instead
-        // of spinning against the feeder (§6).
-        if (config_.idle_backoff_us > 0 && !splitter_.last_cycle_progressed() &&
-            !splitter_.input_complete()) {
-            ++splitter_idle_sleeps;
-            std::this_thread::sleep_for(backoff);
-        }
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-
-    const auto t1 = std::chrono::steady_clock::now();
-
-    RunResult result;
-    result.output = splitter_.take_output();
-    result.metrics = splitter_.metrics();
-    for (auto& inst : splitter_.instances()) result.instance_stats.push_back(inst->stats());
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-    result.throughput_eps =
-        result.wall_seconds > 0 ? static_cast<double>(store_->size()) / result.wall_seconds
-                                : 0.0;
-    result.splitter_idle_sleeps = splitter_idle_sleeps;
-    result.instance_idle_sleeps = instance_idle_sleeps.load(std::memory_order_relaxed);
-    result.sched = sched_stats();
-    return result;
-}
-
 SpectreRuntime::StepProgress SpectreRuntime::step() {
     StepProgress p;
     if (splitter_.done()) {
@@ -100,7 +33,7 @@ SpectreRuntime::StepProgress SpectreRuntime::step() {
     const std::size_t budget =
         config_.quantum_budget > 0 ? config_.quantum_budget : config_.batch_events;
     bool cycled = false;
-    // Dependency-graph scheduling loop (DESIGN.md §11): cycle only when the
+    // Ready-instance scheduling loop (DESIGN.md §11): cycle only when the
     // splitter's dirty predicate fires, then drain the ready queue. Exits on
     // budget exhaustion, completion, or a fixed point (quiescence).
     for (;;) {
@@ -115,7 +48,7 @@ SpectreRuntime::StepProgress SpectreRuntime::step() {
             if (splitter_.done()) {
                 p.done = true;
                 p.quiescent = true;
-                sched_.retire_all();  // lazy retirement: graph frees its edges
+                sched_.retire_all();
                 break;
             }
             // Assignments may have moved anywhere (top-k reshuffle, rollback
@@ -163,7 +96,7 @@ SpectreRuntime::StepProgress SpectreRuntime::step() {
                 sched_.mark_waiting_assignment(idx);
                 break;
         }
-        if (p.events_processed >= budget) break;  // quantum spent — yield
+        if (p.events_processed >= budget) break;  // quantum spent — return
     }
     if (!cycled) ++sched_stats_.cycles_skipped;
     return p;
@@ -177,9 +110,25 @@ SchedStats SpectreRuntime::sched_stats() const {
     return s;
 }
 
+RunResult SpectreRuntime::finish(std::chrono::steady_clock::time_point t0) {
+    while (!step().done) {
+    }
+    RunResult result;
+    result.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    result.output = splitter_.take_output();
+    result.metrics = splitter_.metrics();
+    for (auto& inst : splitter_.instances()) result.instance_stats.push_back(inst->stats());
+    result.throughput_eps =
+        result.wall_seconds > 0 ? static_cast<double>(store_->size()) / result.wall_seconds
+                                : 0.0;
+    result.sched = sched_stats();
+    return result;
+}
+
 RunResult SpectreRuntime::run() {
     splitter_.mark_input_complete();
-    return run_threads();
+    return finish(std::chrono::steady_clock::now());
 }
 
 RunResult SpectreRuntime::run(event::EventStream& live) {
@@ -187,29 +136,28 @@ RunResult SpectreRuntime::run(event::EventStream& live) {
                     "streaming run needs the mutable-store constructor");
     SPECTRE_REQUIRE(!splitter_.input_complete() && !mutable_store_->closed(),
                     "streaming run needs an open store");
-    // Feeder thread: the paper's ingestion path — events are appended to the
-    // shared store as they arrive; detection is already running against the
-    // advancing frontier. A source failure (e.g. a reset TCP connection) must
-    // still close the store — otherwise the detection loop would wait for a
-    // frontier that never completes — and then surface to the caller.
-    std::exception_ptr feed_error;
-    double feed_seconds = 0.0;
-    std::thread feeder([this, &live, &feed_error, &feed_seconds] {
-        const auto f0 = std::chrono::steady_clock::now();
-        try {
-            while (auto e = live.next()) mutable_store_->append(*e);
-        } catch (...) {
-            feed_error = std::current_exception();
+    const auto t0 = std::chrono::steady_clock::now();
+    // The sequential engine's run_stream shape (DESIGN.md §6): append a batch
+    // of arrivals, then detect over the new frontier until nothing is
+    // runnable. A source failure (e.g. a reset TCP connection) still closes
+    // the store, so readers of it see a final frontier, and then surfaces.
+    try {
+        for (bool open = true; open;) {
+            for (std::size_t n = 0; n < config_.batch_events && open; ++n) {
+                if (auto e = live.next())
+                    mutable_store_->append(*e);
+                else
+                    open = false;
+            }
+            while (!step().quiescent) {
+            }
         }
+    } catch (...) {
         mutable_store_->close();
-        feed_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
-    });
-    RunResult result = run_threads();
-    feeder.join();
-    if (feed_error) std::rethrow_exception(feed_error);
-    result.feed_seconds = feed_seconds;
-    return result;
+        throw;
+    }
+    mutable_store_->close();
+    return finish(t0);
 }
 
 }  // namespace spectre::core

@@ -1,19 +1,20 @@
-// SpectreRuntime: the real-thread deployment of SPECTRE (§2.2: one thread
-// pinned to the splitter, k threads pinned to operator instances, all over
-// shared memory).
+// SpectreRuntime: the speculative SPECTRE engine over one store (§2.2: a
+// splitter plus k operator instances over shared memory). The paper pins
+// each to its own core; here one scheduler (DESIGN.md §11) drives them all
+// cooperatively, and every entry point is a loop over step().
 //
 // Three entry points:
 //   * run() — batch replay over an already-materialized store;
-//   * run(EventStream&) — ingest-while-detect (§4.1's deployment shape): a
-//     feeder thread drains the stream into the store while the splitter and
-//     operator instances are already detecting over the growing frontier;
-//     terminates at end-of-stream + quiescence;
-//   * step() — cooperative single-thread driving (DESIGN.md §9): no threads
-//     are spawned; each call runs one splitter maintenance/scheduling cycle
-//     plus one bounded batch on every operator instance, inline. A worker
-//     pool multiplexing many sessions calls step() in quanta, appending
-//     arrivals to the store itself between calls, and parks the session when
-//     a step reports no progress on an open store.
+//   * run(EventStream&) — ingest-while-detect (§4.1's deployment shape): pulls
+//     arrivals into the store in batches and steps the detection to
+//     quiescence over each new frontier; terminates at end-of-stream once
+//     every window retired;
+//   * step() — cooperative driving (DESIGN.md §9): runs splitter cycles and
+//     bounded operator-instance batches inline until the quantum budget is
+//     spent or nothing is runnable. A worker pool multiplexing many sessions
+//     calls step() in quanta, appending arrivals to the store itself between
+//     calls, and parks the session when a step reports quiescence on an open
+//     store.
 //
 // The blocking entry points return the emitted complex events; all three are
 // byte-identical, including order, to the sequential engine's output (the
@@ -21,10 +22,11 @@
 // appends never changes the output.
 #pragma once
 
+#include <chrono>
 #include <memory>
 
 #include "obs/metrics.hpp"
-#include "spectre/sched_graph.hpp"
+#include "spectre/instance_scheduler.hpp"
 #include "spectre/splitter.hpp"
 
 namespace spectre::core {
@@ -32,7 +34,8 @@ namespace spectre::core {
 struct RuntimeConfig {
     SplitterConfig splitter{};
     // Events an instance processes per batch before re-checking its
-    // assignment and the stop flag.
+    // assignment; also the arrivals run(EventStream&) pulls between
+    // detection passes.
     std::size_t batch_events = 256;
     // Per-step work bound for the cooperative scheduler (DESIGN.md §11):
     // step() returns once it has advanced this many window positions, so a
@@ -40,18 +43,10 @@ struct RuntimeConfig {
     // co-scheduled sessions are never starved by one speculative session.
     // 0 falls back to batch_events.
     std::size_t quantum_budget = 1024;
-    // Streaming-mode contention fix (DESIGN.md §6): while the input is still
-    // arriving, an idle spinner (a splitter cycle that made no progress, an
-    // instance batch that processed no events) sleeps this long instead of
-    // burning the core the feeder thread needs for decode. 0 restores the
-    // pure spin. Batch replay (input complete up front) never backs off.
-    std::size_t idle_backoff_us = 50;
 };
 
 // Observability of the ready-instance scheduler (DESIGN.md §11): what the
-// dependency-graph step loop actually did. Populated by step()-driven runs;
-// threaded runs fill only the speculation-waste field (their instances spin
-// freely, there is no ready queue to measure).
+// step loop actually did.
 struct SchedStats {
     std::uint64_t steps = 0;           // step() calls
     std::uint64_t cycles = 0;          // splitter cycles the dirty gate ran
@@ -93,15 +88,6 @@ struct RunResult {
     std::vector<InstanceStats> instance_stats;
     double wall_seconds = 0.0;
     double throughput_eps = 0.0;  // source events per (real) second
-    // Feeder-stall observability (DESIGN.md §6): how long the feeder thread
-    // needed to drain the source (0 in batch mode — there is no feeder), and
-    // how often the detection threads backed off while starved for arrivals.
-    // feed_seconds ≈ wall_seconds with many idle sleeps = the detection side
-    // was waiting on ingest; feed_seconds ≫ the materialize-mode decode time
-    // with few sleeps = the feeder was starved of CPU by detection spin.
-    double feed_seconds = 0.0;
-    std::uint64_t splitter_idle_sleeps = 0;
-    std::uint64_t instance_idle_sleeps = 0;
     SchedStats sched;  // ready-instance scheduler observability
 };
 
@@ -111,14 +97,14 @@ public:
     SpectreRuntime(const event::EventStore* store, const detect::CompiledQuery* cq,
                    RuntimeConfig config, std::unique_ptr<model::CompletionModel> model);
 
-    // Streaming-capable runtime: `store` is the ingestion sink the feeder
-    // thread appends into during run(EventStream&). Batch run() works too.
+    // Streaming-capable runtime: `store` is the ingestion sink
+    // run(EventStream&) appends into. Batch run() works too.
     SpectreRuntime(event::EventStore* store, const detect::CompiledQuery* cq,
                    RuntimeConfig config, std::unique_ptr<model::CompletionModel> model);
 
     // Streaming result egress (DESIGN.md §8): emit each complex event the
     // moment its window retires instead of collecting into RunResult.output.
-    // The sink runs on the splitter thread, in window order — byte-identical
+    // The sink runs on the stepping thread, in window order — byte-identical
     // to the collect-all vector. Install before run().
     void set_result_sink(event::ResultSink sink) {
         splitter_.set_result_sink(std::move(sink));
@@ -127,15 +113,17 @@ public:
     // Batch replay: treats the store's current contents as the whole input.
     RunResult run();
 
-    // Ingest-while-detect: consumes `live` into the store concurrently with
-    // detection; returns after end-of-stream once all windows retired.
+    // Ingest-while-detect: alternates pulling up to config.batch_events
+    // arrivals from `live` into the store with stepping detection to
+    // quiescence; returns after end-of-stream once all windows retired. A
+    // source exception closes the store and propagates.
     RunResult run(event::EventStream& live);
 
     // --- cooperative stepping (worker pool, DESIGN.md §9/§11) ---------------
 
     // What one step() accomplished; the pool's park decision hinges on
-    // `quiescent`: a quiescent step has driven the dependency graph to a
-    // fixed point for the current frontier — no instance is ready, no
+    // `quiescent`: a quiescent step has driven the scheduler to a fixed
+    // point for the current frontier — no instance is ready, no
     // splitter cycle could make progress — so nothing changes until the
     // store grows or closes. (quiescent may hold even when events were
     // processed: the step did work and then ran dry before its budget.)
@@ -145,17 +133,17 @@ public:
         bool quiescent = false;  // fixed point at the current frontier
     };
 
-    // Dependency-graph scheduling loop (DESIGN.md §11), inline on the calling
+    // Ready-instance scheduling loop (DESIGN.md §11), inline on the calling
     // thread: runs the splitter cycle only when its dirty predicate says the
     // tree changed, then drains the ready queue in bounded batches until the
-    // quantum budget (config.quantum_budget) is spent or the graph reaches a
-    // fixed point. Input completeness is derived from EventStore::close() (or
+    // quantum budget (config.quantum_budget) is spent or nothing is
+    // runnable. Input completeness is derived from EventStore::close() (or
     // mark via splitter). Callers must not mix step() with the blocking
-    // run()/run(EventStream&) entry points.
+    // run()/run(EventStream&) entry points, which drive it themselves.
     StepProgress step();
 
     // Scheduler observability (current totals; valid during and after a
-    // step()-driven run — threaded runs only fill the speculation waste).
+    // run).
     SchedStats sched_stats() const;
 
     // Live splitter metrics (same caveats as sched_stats: read from the
@@ -164,13 +152,16 @@ public:
         return splitter_.metrics();
     }
 
-    // Metrics plane (DESIGN.md §12): when bound, step() records each splitter
-    // cycle's duration into the shard's splitter_cycle_ns histogram. The
-    // shard must outlive the runtime; nullptr (the default) costs one branch.
+    // Metrics plane (DESIGN.md §12): when bound, every entry point records
+    // each splitter cycle's duration into the shard's splitter_cycle_ns
+    // histogram. The shard must outlive the runtime; nullptr (the default)
+    // costs one branch.
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
 
 private:
-    RunResult run_threads();
+    // Steps a store that will not grow to completion and reports the run
+    // that started at `t0`.
+    RunResult finish(std::chrono::steady_clock::time_point t0);
 
     const event::EventStore* store_;
     event::EventStore* mutable_store_ = nullptr;  // set by the streaming ctor

@@ -399,17 +399,12 @@ bool Splitter::run_cycle() {
     if (done_) return false;
     ++metrics_.cycles;
 
-    const std::uint64_t work_before = metrics_.updates_applied + metrics_.windows_opened +
-                                      metrics_.windows_retired + windows_.size();
     apply_updates();
     retire_finished_roots();
     discover_windows();
     open_windows();
     model_->refresh();
     schedule();
-    last_cycle_progressed_ = metrics_.updates_applied + metrics_.windows_opened +
-                                 metrics_.windows_retired + windows_.size() !=
-                             work_before;
 
     metrics_.max_tree_versions =
         std::max(metrics_.max_tree_versions, tree_.stats().max_versions);

@@ -112,16 +112,8 @@ public:
     // end-of-stream latch to take, arrivals the window discovery has not
     // polled yet, or discovered windows with open capacity. When it returns
     // false, a cycle would be a no-op walk: the step scheduler skips it and
-    // runs ready instances instead. The threaded runtime keeps cycling
-    // unconditionally (the splitter owns a core in the paper's deployment).
+    // runs ready instances instead.
     bool needs_cycle() const;
-
-    // True if the last run_cycle applied updates, discovered, opened or
-    // retired windows. A no-progress cycle at an unchanged frontier means the
-    // splitter is waiting on arrivals or on instance batches — the streaming
-    // driver backs off instead of spinning a core the feeder needs
-    // (DESIGN.md §6).
-    bool last_cycle_progressed() const noexcept { return last_cycle_progressed_; }
 
     // Declares the store's current contents to be the whole input. Batch
     // runtimes call this before their first cycle (the store was materialized
@@ -202,7 +194,6 @@ private:
     // ranges (operator instances stripe below 2^20 per instance).
     std::uint64_t next_clone_cg_id_ = 1ull << 40;
     bool done_ = false;
-    bool last_cycle_progressed_ = true;
     SplitterMetrics metrics_;
 };
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -340,6 +342,15 @@ TEST(Tcp, CleanDisconnectAtFrameBoundaryEndsStream) {
     EXPECT_TRUE(stream.next().has_value());
     EXPECT_EQ(stream.next(), std::nullopt);  // clean end-of-stream
     client.join();
+}
+
+TEST(Tcp, ClientDisablesNagle) {
+    TcpSource source(0);
+    TcpClient c("127.0.0.1", source.port());
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(c.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1);
 }
 
 TEST(Tcp, LoopbackStreamDeliversAllEvents) {

@@ -1,15 +1,15 @@
-// Randomized differentials for the dependency-graph instance scheduler
-// (DESIGN.md §11), plus direct structural tests of the graph itself.
+// Randomized differentials for the ready-instance scheduler (DESIGN.md §11),
+// plus direct structural tests of the scheduler itself.
 //
-// The scheduler replaced step()'s round-robin with a ready-queue over an
-// intrusive dependency graph; its correctness contract is unchanged: for
+// The scheduler replaced step()'s round-robin with a ready queue over
+// per-instance wait states; its correctness contract is unchanged: for
 // every query shape, stream, instance count and *schedule* — i.e. however
 // step() calls interleave with store appends, whatever the quantum budget —
 // the output must stay byte-identical to the sequential engine (§2.3). The
-// randomized suite below perturbs exactly those axes. The graph-invariant
-// suite drives InstanceScheduler directly: no ready instance ever waits, a
-// waiting instance always holds exactly one sentinel edge, retirement frees
-// every node, and re-classifying a queued instance pulls it out of the queue.
+// randomized suite below perturbs exactly those axes. The scheduler suite
+// drives InstanceScheduler directly: no ready instance ever waits, stalled
+// instances wake in stall order, retirement empties every list, and
+// re-classifying a queued instance pulls it out of the queue.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,7 +19,7 @@
 #include "model/markov_model.hpp"
 #include "sequential/seq_engine.hpp"
 #include "spectre/runtime.hpp"
-#include "spectre/sched_graph.hpp"
+#include "spectre/instance_scheduler.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -106,7 +106,7 @@ query::Query make_shape(TestEnv& env, int shape) {
 // appends arrive in random-sized chunks, a random number of step() calls
 // runs between chunks, and the quantum budget itself is drawn per combo.
 // Safeguard: a run that exceeds a generous step bound fails loudly instead
-// of hanging the suite (the graph's termination argument, §11).
+// of hanging the suite (the scheduler's termination argument, §11).
 std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
                                              const std::vector<event::Event>& events,
                                              int instances, std::uint64_t schedule_seed,
@@ -239,15 +239,15 @@ TEST(SchedDifferential, ConcurrentProducerWithSteppedConsumer) {
 }
 
 // ---------------------------------------------------------------------------
-// Graph invariants, driven directly.
+// Scheduler invariants, driven directly.
 // ---------------------------------------------------------------------------
 
-TEST(SchedGraph, ReadyInstanceNeverWaits) {
+TEST(SchedQueue, ReadyInstanceNeverWaits) {
     core::InstanceScheduler sched(4);
     sched.check_invariants();  // everyone starts waiting on the splitter
     EXPECT_EQ(sched.pop_ready(), -1);
 
-    // A cycle hands 0 and 2 work; they are popped dependency-free, FIFO.
+    // A cycle hands 0 and 2 work; they are popped FIFO.
     sched.requeue_after_cycle([](int i) { return i == 0 || i == 2; });
     sched.check_invariants();
     EXPECT_EQ(sched.ready_depth(), 2u);
@@ -275,10 +275,10 @@ TEST(SchedGraph, ReadyInstanceNeverWaits) {
     sched.check_invariants();
 }
 
-TEST(SchedGraph, RequeueReclassifiesQueuedInstances) {
+TEST(SchedQueue, RequeueReclassifiesQueuedInstances) {
     // Regression: an instance already *in* the ready queue loses its slot
-    // when a cycle decides it has no work — a queued node must never hold a
-    // dependency edge.
+    // when a cycle decides it has no work — a queued instance must never be
+    // waiting.
     core::InstanceScheduler sched(3);
     sched.requeue_after_cycle([](int) { return true; });
     EXPECT_EQ(sched.ready_depth(), 3u);
@@ -291,7 +291,7 @@ TEST(SchedGraph, RequeueReclassifiesQueuedInstances) {
     sched.check_invariants();
 }
 
-TEST(SchedGraph, StalledInstancesWakeInFifoOrderPastTheirSeqs) {
+TEST(SchedQueue, StalledInstancesWakeInFifoOrderPastTheirSeqs) {
     core::InstanceScheduler sched(4);
     sched.requeue_after_cycle([](int) { return true; });
     while (sched.pop_ready() >= 0) {
@@ -316,7 +316,7 @@ TEST(SchedGraph, StalledInstancesWakeInFifoOrderPastTheirSeqs) {
     sched.check_invariants();
 }
 
-TEST(SchedGraph, RetireAllFreesEveryEdgeAndEmptiesTheQueue) {
+TEST(SchedQueue, RetireAllEmptiesTheQueueAndTheWaitList) {
     core::InstanceScheduler sched(5);
     sched.requeue_after_cycle([](int i) { return i % 2 == 0; });
     sched.mark_stalled(1, 42);
@@ -325,15 +325,15 @@ TEST(SchedGraph, RetireAllFreesEveryEdgeAndEmptiesTheQueue) {
     sched.check_invariants();
     EXPECT_EQ(sched.ready_depth(), 0u);
     EXPECT_EQ(sched.pop_ready(), -1);
-    // Retirement is terminal for edges but not for reuse: a later cycle can
-    // still requeue (the runtime never does after done, but the graph allows
-    // it and the invariants must hold either way).
+    // Retirement is not terminal for reuse: a later cycle can still requeue
+    // (the runtime never does after done, but the scheduler allows it and
+    // the invariants must hold either way).
     sched.requeue_after_cycle([](int) { return true; });
     sched.check_invariants();
     EXPECT_EQ(sched.ready_depth(), 5u);
 }
 
-TEST(SchedGraph, ReadyDepthStatsTrackPops) {
+TEST(SchedQueue, ReadyDepthStatsTrackPops) {
     core::InstanceScheduler sched(4);
     sched.requeue_after_cycle([](int) { return true; });
     EXPECT_EQ(sched.pop_ready(), 0);  // depth 4 at pop

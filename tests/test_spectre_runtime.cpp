@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "model/fixed_model.hpp"
+#include "obs/metrics.hpp"
 #include "model/markov_model.hpp"
 #include "spectre/runtime.hpp"
 #include "spectre/sim_runtime.hpp"
@@ -290,10 +291,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceSweep,
                                             ::testing::Values(120, 350)));
 
 // ---------------------------------------------------------------------------
-// Threaded runtime: real threads, same equivalence guarantee.
+// Blocking run(): the step() scheduler driven to completion, same
+// equivalence guarantee.
 // ---------------------------------------------------------------------------
 
-TEST(SpectreThreaded, MatchesSequentialWithConsumption) {
+TEST(SpectreBlockingRun, MatchesSequentialWithConsumption) {
     TestEnv env;
     auto q = query::QueryBuilder(env.schema)
                  .single("A", env.is('A'))
@@ -311,11 +313,11 @@ TEST(SpectreThreaded, MatchesSequentialWithConsumption) {
     cfg.batch_events = 32;
     core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
     const auto result = rt.run();
-    expect_same_output(expected.complex_events, result.output, "threaded");
+    expect_same_output(expected.complex_events, result.output, "blocking run");
     EXPECT_GT(result.throughput_eps, 0.0);
 }
 
-TEST(SpectreThreaded, RepeatedRunsAreStable) {
+TEST(SpectreBlockingRun, RepeatedRunsAreStable) {
     TestEnv env;
     auto q = query::QueryBuilder(env.schema)
                  .single("A", env.is('A'))
@@ -365,6 +367,29 @@ TEST(SpectreMetrics, CountsGroupsWindowsAndTreeSize) {
     std::uint64_t processed = 0;
     for (const auto& s : result.instance_stats) processed += s.events_processed;
     EXPECT_GT(processed, 0u);
+}
+
+TEST(SpectreMetrics, BlockingRunObservesEverySplitterCycle) {
+    if (!obs::enabled()) GTEST_SKIP() << "SPECTRE_OBS_OFF=1 disables the clock reads";
+    TestEnv env;
+    auto q = query::QueryBuilder(env.schema)
+                 .single("A", env.is('A'))
+                 .single("B", env.is('B'))
+                 .window(query::WindowSpec::sliding_count(20, 5))
+                 .consume_all()
+                 .build();
+    const auto cq = detect::CompiledQuery::compile(q);
+    const auto store = random_store(env, 300, 402);
+    core::RuntimeConfig cfg;
+    cfg.splitter.instances = 3;
+    core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
+    obs::Registry registry;
+    const obs::ShardPtr shard = registry.make_shard();
+    rt.bind_obs(shard.get());
+    const auto result = rt.run();
+    const auto samples = shard->hist_count(obs::Series{obs::sid::kSplitterCycleNs});
+    EXPECT_GT(samples, 0u);
+    EXPECT_EQ(samples, result.sched.cycles);
 }
 
 TEST(SimRuntimeTest, ContentionFactorModelsHyperThreading) {

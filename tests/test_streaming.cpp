@@ -192,6 +192,39 @@ TEST(StreamingSpectre, EmptyLiveStream) {
     EXPECT_TRUE(store.closed());
 }
 
+TEST(StreamingSpectre, SourceFailureClosesStoreAndPropagates) {
+    TestEnv env;
+    auto q = query::QueryBuilder(env.schema)
+                 .single("A", env.is('A'))
+                 .single("B", env.is('B'))
+                 .window(query::WindowSpec::sliding_count(10, 5))
+                 .consume_all()
+                 .build();
+    const auto cq = detect::CompiledQuery::compile(q);
+    // Yields a few events, then fails like a reset connection.
+    class FailingStream final : public event::EventStream {
+    public:
+        explicit FailingStream(std::vector<event::Event> events) : events_(std::move(events)) {}
+        std::optional<event::Event> next() override {
+            if (pos_ == events_.size()) throw std::runtime_error("connection reset");
+            return events_[pos_++];
+        }
+
+    private:
+        std::vector<event::Event> events_;
+        std::size_t pos_ = 0;
+    };
+    FailingStream live(random_events(env, 40, 91));
+    event::EventStore store;
+    core::RuntimeConfig cfg;
+    cfg.splitter.instances = 2;
+    cfg.batch_events = 16;
+    core::SpectreRuntime rt(&store, &cq, cfg, make_markov(cq));
+    EXPECT_THROW(rt.run(live), std::runtime_error);
+    EXPECT_TRUE(store.closed());
+    EXPECT_EQ(store.size(), 40u);
+}
+
 TEST(StreamingSpectre, StreamingRunRequiresMutableStore) {
     TestEnv env;
     auto q = query::QueryBuilder(env.schema)
