@@ -60,12 +60,17 @@ int sys_io_uring_register(int fd, unsigned opcode, void* arg, unsigned nr_args) 
     return static_cast<int>(::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
 }
 
-// user_data encoding: low byte = op kind, rest = fd.
+// user_data encoding: low byte = op kind, next 32 bits = fd, top 24 bits =
+// the fd's registration generation. A closed fd's number is reused by the
+// next socket while ops of the old registration are still in flight; the
+// generation is what tells their completions apart from the new one's.
 enum Ud : std::uint64_t { kUdRecv = 1, kUdPollRead = 2, kUdPollWrite = 3, kUdWake = 4, kUdCancel = 5 };
+constexpr std::uint32_t kGenMask = (std::uint32_t{1} << 24) - 1;
 
-std::uint64_t ud_make(Ud kind, int fd) {
+std::uint64_t ud_make(Ud kind, int fd, std::uint32_t gen) {
     return static_cast<std::uint64_t>(kind) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(fd)) << 8);
+           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(fd)) << 8) |
+           (static_cast<std::uint64_t>(gen & kGenMask) << 40);
 }
 
 class UringBackend final : public IoBackend {
@@ -109,6 +114,7 @@ public:
         auto [it, inserted] = fds_.try_emplace(fd);
         if (!inserted) return false;
         FdState& st = it->second;
+        st.gen = ++next_gen_ & kGenMask;
         st.tag = tag;
         st.interest = interest;
         st.stream = (interest & kStream) != 0;
@@ -135,9 +141,9 @@ public:
         auto it = fds_.find(fd);
         if (it == fds_.end()) return;
         FdState& st = it->second;
-        if (st.recv_armed && !st.cancel_pending) submit_cancel(ud_make(kUdRecv, fd), fd);
-        if (st.rpoll_armed) submit_cancel(ud_make(kUdPollRead, fd), fd);
-        if (st.wpoll_armed) submit_cancel(ud_make(kUdPollWrite, fd), fd);
+        if (st.recv_armed && !st.cancel_pending) submit_cancel(kUdRecv, fd, st.gen);
+        if (st.rpoll_armed) submit_cancel(kUdPollRead, fd, st.gen);
+        if (st.wpoll_armed) submit_cancel(kUdPollWrite, fd, st.gen);
         if (st.cur_bid >= 0) recycle_buffer(static_cast<std::uint16_t>(st.cur_bid));
         for (const Seg& s : st.segs) recycle_buffer(s.bid);
         fds_.erase(it);
@@ -207,6 +213,7 @@ private:
 
     struct FdState {
         std::uint64_t tag = 0;
+        std::uint32_t gen = 0;  // registration generation (user_data top bits)
         std::uint32_t interest = 0;
         bool stream = false;
         bool recv_armed = false;
@@ -352,30 +359,30 @@ private:
         }
     }
 
-    void submit_recv_multishot(int fd) {
+    void submit_recv_multishot(int fd, std::uint32_t gen) {
         struct io_uring_sqe* sqe = get_sqe();
         sqe->opcode = IORING_OP_RECV;
         sqe->fd = fd;
         sqe->ioprio = IORING_RECV_MULTISHOT;
         sqe->flags = IOSQE_BUFFER_SELECT;
         sqe->buf_group = kBufGroup;
-        sqe->user_data = ud_make(kUdRecv, fd);
+        sqe->user_data = ud_make(kUdRecv, fd, gen);
     }
 
-    void submit_poll(int fd, Ud kind, std::uint32_t poll_mask) {
+    void submit_poll(int fd, Ud kind, std::uint32_t poll_mask, std::uint32_t gen) {
         struct io_uring_sqe* sqe = get_sqe();
         sqe->opcode = IORING_OP_POLL_ADD;
         sqe->fd = fd;
         sqe->poll32_events = poll_mask;  // little-endian host: no word swap
-        sqe->user_data = ud_make(kind, fd);
+        sqe->user_data = ud_make(kind, fd, gen);
     }
 
-    void submit_cancel(std::uint64_t target_ud, int fd) {
+    void submit_cancel(Ud target, int fd, std::uint32_t gen) {
         struct io_uring_sqe* sqe = get_sqe();
         sqe->opcode = IORING_OP_ASYNC_CANCEL;
         sqe->fd = -1;
-        sqe->addr = target_ud;
-        sqe->user_data = ud_make(kUdCancel, fd);
+        sqe->addr = ud_make(target, fd, gen);
+        sqe->user_data = ud_make(kUdCancel, fd, gen);
     }
 
     // --- interest reconciliation (the level-trigger emulation) -------------
@@ -394,7 +401,7 @@ private:
 
     void reconcile() {
         if (!wake_armed_) {
-            submit_poll(wake_fd_, kUdWake, POLLIN);
+            submit_poll(wake_fd_, kUdWake, POLLIN, 0);
             wake_armed_ = true;
         }
         for (std::size_t i = 0; i < dirty_.size(); ++i) {  // may grow via flush→process
@@ -409,19 +416,19 @@ private:
                     if (outstanding_bufs_ >= kBufCount) {
                         buf_starved_ = true;  // re-marked dirty on recycle
                     } else {
-                        submit_recv_multishot(fd);
+                        submit_recv_multishot(fd, st.gen);
                         st.recv_armed = true;
                     }
                 } else if (!want && st.recv_armed && !st.cancel_pending) {
-                    submit_cancel(ud_make(kUdRecv, fd), fd);
+                    submit_cancel(kUdRecv, fd, st.gen);
                     st.cancel_pending = true;
                 }
             } else if ((st.interest & kRead) && !st.rpoll_armed) {
-                submit_poll(fd, kUdPollRead, POLLIN);
+                submit_poll(fd, kUdPollRead, POLLIN, st.gen);
                 st.rpoll_armed = true;
             }
             if ((st.interest & kWrite) && !st.wpoll_armed) {
-                submit_poll(fd, kUdPollWrite, POLLOUT);
+                submit_poll(fd, kUdPollWrite, POLLOUT, st.gen);
                 st.wpoll_armed = true;
             }
         }
@@ -443,7 +450,8 @@ private:
 
     void handle_cqe(const struct io_uring_cqe* cqe) {
         const auto kind = static_cast<Ud>(cqe->user_data & 0xff);
-        const int fd = static_cast<int>(cqe->user_data >> 8);
+        const int fd = static_cast<int>(static_cast<std::uint32_t>(cqe->user_data >> 8));
+        const auto gen = static_cast<std::uint32_t>(cqe->user_data >> 40);
         if (kind == kUdWake) {
             wake_armed_ = false;
             std::uint64_t token = 0;
@@ -452,12 +460,13 @@ private:
             if (cqe->res > 0) wake_signalled_ = true;
             return;
         }
+        auto it = fds_.find(fd);
+        if (it != fds_.end() && it->second.gen != gen) it = fds_.end();  // old registration
         if (kind == kUdCancel) {
             // A cancel that found nothing (-ENOENT) means the target op
             // already reached a terminal CQE; clear the latch so reconcile
             // can re-arm.
             if (cqe->res < 0) {
-                auto it = fds_.find(fd);
                 if (it != fds_.end()) {
                     it->second.cancel_pending = false;
                     mark_dirty(fd, it->second);
@@ -465,13 +474,12 @@ private:
             }
             return;
         }
-        auto it = fds_.find(fd);
         if (kind == kUdRecv) {
             const bool has_buf = (cqe->flags & IORING_CQE_F_BUFFER) != 0;
             const auto bid =
                 static_cast<std::uint16_t>(cqe->flags >> IORING_CQE_BUFFER_SHIFT);
             if (has_buf) ++outstanding_bufs_;
-            if (it == fds_.end()) {  // fd was del()'d with this CQE in flight
+            if (it == fds_.end()) {  // registration del()'d with this CQE in flight
                 if (has_buf) recycle_buffer(bid);
                 return;
             }
@@ -576,6 +584,7 @@ private:
     bool wake_signalled_ = false;
 
     std::unordered_map<int, FdState> fds_;
+    std::uint32_t next_gen_ = 0;
     std::vector<int> dirty_;
     std::vector<int> evented_;
 };

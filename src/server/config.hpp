@@ -12,8 +12,10 @@
 //                             socket buffers, io backend).
 //   SessionLimits           → per-session engine shape; ServerSession turns
 //                             batch_events into core::RuntimeConfig
-//                             .batch_events and quantum_windows into
-//                             .quantum_budget for the SPECTRE runtime, so one
+//                             .batch_events and .quantum_budget for the
+//                             SPECTRE runtime (and into ShardedConfig
+//                             .batch_events); quantum_windows bounds the
+//                             sequential stepper's windows per step. One
 //                             builder chain reaches all three config structs.
 //   SessionLimits.reshard   → §13 elastic partitioning policy (default off).
 #pragma once

@@ -27,6 +27,7 @@
 // quantum it is in, which is bounded by construction.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,6 +54,34 @@ public:
 
     // Run one bounded quantum of engine work. Never blocks.
     virtual Quantum run_quantum() = 0;
+};
+
+// The park half of the no-lost-wakeup contract, one flag per reason a task
+// parks. The task publishes intent and then re-checks its wait condition; a
+// producer publishes work and then takes the flag before notifying. Either
+// the re-check sees the work or the producer sees the flag — never neither —
+// and the exchange hands each park exactly one wakeup. The wait condition
+// and the producer must also pass a common barrier (a mutex both take) when
+// a plain store-load pair would not order them.
+class ParkFlag {
+public:
+    // Task side: true when `still_waiting()` held after publishing intent —
+    // return Parked. False leaves the flag clear; keep working.
+    template <class Pred>
+    bool park_if(Pred&& still_waiting) {
+        parked_.store(true, std::memory_order_release);
+        if (still_waiting()) return true;
+        parked_.store(false, std::memory_order_relaxed);
+        return false;
+    }
+    // Producer side, after publishing work: runs `notify` iff the task parked.
+    template <class Notify>
+    void wake(Notify&& notify) {
+        if (parked_.exchange(false, std::memory_order_acq_rel)) notify();
+    }
+
+private:
+    std::atomic<bool> parked_{false};
 };
 
 struct PoolStats {

@@ -47,7 +47,7 @@ ServerSession::ServerSession(std::uint64_t id, int fd, SessionLimits limits,
       }) {}
 
 ServerSession::~ServerSession() {
-    // Callers guarantee no worker is inside run_quantum (the task finished,
+    // Callers guarantee no worker is inside a lane (every lane finished,
     // or the pool was stopped first).
     // Quiet hub detach (§15): drops the pin / marks the publisher gone. The
     // returned fail list is ignored — this path is server-stop teardown
@@ -240,14 +240,10 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
             if (std::get_if<net::ByeFrame>(&frame)) {
                 if (role_ == SessionRole::Subscriber) {
                     // Early unsubscribe: the client no longer wants results.
-                    // Latch the BYE (the engine's finish path must not send a
-                    // second one), reply with what was sent, abandon the task.
-                    if (!bye_sent_.exchange(true, std::memory_order_acq_rel)) {
-                        if (egress_append(net::SessionFrame{net::ByeFrame{
-                                results_sent_.load(std::memory_order_relaxed)}}) &&
-                            !outcome_counted_.exchange(true, std::memory_order_acq_rel))
-                            shard_->add(obs::Series{obs::sid::kSessionsCompleted}, 1);
-                    }
+                    // Reply with what was sent — the BYE seals egress, so a
+                    // lane mid-step appends nothing after it and the engine's
+                    // own finish finds the seal taken — then abandon the lane.
+                    seal_with_bye();
                     abort_requested_.store(true, std::memory_order_release);
                     hooks_.notify_task(id_);
                     egress_try_flush();
@@ -258,7 +254,7 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
                 if (role_ == SessionRole::Publisher) {
                     // No engine task exists: the stream is closed for every
                     // subscriber; acknowledge the publisher with BYE{0} now.
-                    egress_append(net::SessionFrame{net::ByeFrame{0}});
+                    seal_with_bye();
                     egress_try_flush();
                 }
                 state_ = State::Draining;
@@ -326,8 +322,7 @@ SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
         reshard_countdown_ = limits_.reshard.decide_every_events;
         apply_reshard_decision();
     }
-    if (shard_parked_input_[info.shard].exchange(false, std::memory_order_acq_rel))
-        hooks_.notify_task(shard_task_id(id_, info.shard));
+    wake_lane(info.shard, &Lane::on_input);
     if (info.queued >= limits_.ingest_queue_events) {
         shard_->add(obs::Series{obs::sid::kIngestPauses}, 1);
         return SessionStatus::Paused;
@@ -343,34 +338,24 @@ void ServerSession::publish_ingest(std::size_t& appended) {
     if (role_ == SessionRole::Publisher) {
         // §15 fan-out: one frontier publish wakes every parked subscriber
         // engine. Each wake passes the §9 barrier on that subscriber's own
-        // ingest mutex (see notify_shared_ingest) — per-subscriber, because
+        // ingest mutex (see wake_input_lanes) — per-subscriber, because
         // each parks independently at its own read frontier.
-        for (ServerSession* sub : hub_entry_->subscribers) sub->notify_shared_ingest();
+        for (ServerSession* sub : hub_entry_->subscribers) sub->wake_input_lanes();
         return;
     }
-    // §9 handshake barrier: the task publishes parked_on_input_ and then
-    // re-checks the frontier under this mutex; we publish the frontier and
-    // then exchange the flag, also passing through the mutex. The critical
-    // sections are totally ordered, so either the task's re-check sees the
-    // new frontier (it doesn't park) or our exchange sees the parked flag
-    // (we wake it) — a plain store-load pair would guarantee neither.
-    { const std::lock_guard<std::mutex> lock(ingest_mutex_); }
-    if (parked_on_input_.exchange(false, std::memory_order_acq_rel))
-        hooks_.notify_task(id_);
+    wake_input_lanes();
 }
 
-void ServerSession::notify_shared_ingest() {
-    // §9 barrier on THIS subscriber's mutex: the publisher published the
-    // shared frontier before calling here; passing through the mutex orders
-    // that publish against this task's park re-check (publish_ingest's
-    // argument, verbatim — the producer is just another session now).
+void ServerSession::wake_input_lanes() {
+    // The lane publishes its on_input flag and then re-checks the frontier
+    // under this mutex; the producer published first and takes the flag
+    // after passing the mutex. The critical sections are totally ordered —
+    // a plain store-load pair would guarantee neither side sees the other.
     { const std::lock_guard<std::mutex> lock(ingest_mutex_); }
-    if (parked_on_input_.exchange(false, std::memory_order_acq_rel))
-        hooks_.notify_task(id_);
+    wake_lanes(&Lane::on_input);
 }
 
-SessionStatus ServerSession::on_hello(net::HelloFrame&& hello,
-                                      const net::Hello2Frame* echo) {
+SessionStatus ServerSession::on_hello(net::HelloFrame&& hello, bool v2_echo) {
     if (hello.instances > static_cast<std::uint32_t>(limits_.max_instances))
         return fail("HELLO rejected: instances exceed server limit",
                     /*send_error=*/true);
@@ -392,19 +377,25 @@ SessionStatus ServerSession::on_hello(net::HelloFrame&& hello,
         return fail(std::string("HELLO rejected: ") + e.what(), /*send_error=*/true);
     }
     instances_ = hello.instances;
+    if (v2_echo) send_hello2_echo("standalone", {});
+    start_engine(store_, hello.shards);
+    return SessionStatus::Open;
+}
 
+void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards) {
     event::ResultSink sink = [this](event::ComplexEvent&& ce) {
-        const auto prev = results_sent_.fetch_add(1, std::memory_order_relaxed);
+        const auto prev = results_sent_.load(std::memory_order_relaxed);
+        if (!egress_append(net::SessionFrame{net::to_result_frame(ce)})) return;
         observe_result_latency(ce, prev);
-        if (egress_append(net::SessionFrame{net::to_result_frame(ce)}))
-            shard_->add(obs::Series{obs::sid::kResultsEmitted}, 1);
+        shard_->add(obs::Series{obs::sid::kResultsEmitted}, 1);
     };
+    std::uint32_t lanes = 1;
     if (cq_->query().partition.active()) {
         // Partitioned query (§10): per-key lanes behind a ShardedEngine, one
-        // cooperatively-scheduled pool task per shard. The session scales
-        // across the pool's workers without owning a single thread.
+        // session lane per shard. The session scales across the pool's
+        // workers without owning a single thread.
         shard::ShardedConfig cfg;
-        cfg.shards = std::max<std::uint32_t>(hello.shards, 1);
+        cfg.shards = lanes = std::max<std::uint32_t>(shards, 1);
         cfg.instances = instances_;
         cfg.batch_events = limits_.batch_events;
         // Elastic partitioning (§13): with an active policy the engine gets
@@ -418,12 +409,6 @@ SessionStatus ServerSession::on_hello(net::HelloFrame&& hello,
                                                           std::move(sink));
         if (obs::enabled()) sharded_->bind_obs(shard_.get());
         const std::uint32_t slots = sharded_->shards();  // capacity, >= cfg.shards
-        tasks_expected_.store(cfg.shards, std::memory_order_relaxed);
-        // Per-slot state is allocated at full capacity up front: growth must
-        // never reallocate arrays that worker threads are reading.
-        shard_parked_input_ = std::make_unique<std::atomic<bool>[]>(slots);
-        shard_parked_egress_ = std::make_unique<std::atomic<bool>[]>(slots);
-        shard_egress_stall_ = std::make_unique<std::uint64_t[]>(slots);
         // Per-shard-index lane series (§12): the server pre-registered these
         // names before any session shard existed, so add() only resolves ids.
         lane_series_.reserve(slots);
@@ -438,24 +423,10 @@ SessionStatus ServerSession::on_hello(net::HelloFrame&& hello,
                 registry_->add("lane_sched_wasted_events" + label, obs::Kind::Counter);
             lane_series_.push_back(ls);
         }
-        for (std::uint32_t s = 0; s < slots; ++s) {
-            shard_parked_input_[s].store(false, std::memory_order_relaxed);
-            shard_parked_egress_[s].store(false, std::memory_order_relaxed);
-            shard_egress_stall_[s] = 0;
-            auto task = std::make_unique<ShardSubTask>();
-            task->session = this;
-            task->shard = s;
-            shard_tasks_.push_back(std::move(task));
-        }
-        // Lane handoffs are deposited by source shard tasks on worker
-        // threads; the waker follows the §9 exchange-before-notify protocol.
-        // Set before any task can run. A waker for a slot whose task is not
-        // registered yet is a harmless no-op notify; the task's first
-        // scheduled quantum installs the mailbox.
-        sharded_->set_shard_waker([this](std::uint32_t s) {
-            if (shard_parked_input_[s].exchange(false, std::memory_order_acq_rel))
-                hooks_.notify_task(shard_task_id(id_, s));
-        });
+        // Lane handoffs are deposited by source lanes on worker threads. A
+        // slot whose lane is not registered yet never parked, so waking it
+        // is a no-op; its first scheduled quantum installs the mailbox.
+        sharded_->set_shard_waker([this](std::uint32_t s) { wake_lane(s, &Lane::on_input); });
         if (elastic && slots > 1 && obs::enabled()) {
             std::vector<obs::Series> peaks;
             peaks.reserve(slots);
@@ -464,19 +435,10 @@ SessionStatus ServerSession::on_hello(net::HelloFrame&& hello,
                 shard_.get(), std::move(peaks), limits_.reshard);
             reshard_countdown_ = limits_.reshard.decide_every_events;
         }
-        state_ = State::Streaming;
-        // The capability echo (if this was a v2 HELLO) must be buffered
-        // before the first task can run — RESULT bytes follow it.
-        if (echo) egress_append(net::SessionFrame{*echo});
-        task_registered_ = true;
-        for (std::uint32_t s = 0; s < cfg.shards; ++s)
-            hooks_.register_task(shard_task_id(id_, s), shard_tasks_[s].get());
-        return SessionStatus::Open;
-    }
-    if (instances_ == 0) {
+    } else if (instances_ == 0) {
         // k = 0 subscribes the sequential reference engine — the ground
         // truth the parallel runtime must match byte-for-byte.
-        stepper_ = std::make_unique<sequential::SeqStepper>(cq_.get(), &store_,
+        stepper_ = std::make_unique<sequential::SeqStepper>(cq_.get(), &store,
                                                             std::move(sink));
     } else {
         core::RuntimeConfig cfg;
@@ -487,18 +449,22 @@ SessionStatus ServerSession::on_hello(net::HelloFrame&& hello,
         // session's quantum stays comparable to a sequential one's.
         cfg.quantum_budget = limits_.batch_events;
         runtime_ = std::make_unique<core::SpectreRuntime>(
-            &store_, cq_.get(), cfg,
+            &store, cq_.get(), cfg,
             std::make_unique<model::MarkovModel>(cq_->min_length(),
                                                  model::MarkovParams{}));
         runtime_->set_result_sink(std::move(sink));
         if (obs::enabled()) runtime_->bind_obs(shard_.get());
     }
+    // Every slot's lane exists up front: growth (§13) must never reallocate
+    // what worker threads are reading.
+    const std::uint32_t slots = sharded_ ? sharded_->shards() : 1;
+    for (std::uint32_t s = 0; s < slots; ++s)
+        lanes_.push_back(std::make_unique<Lane>(this, s));
     state_ = State::Streaming;
-    if (echo) egress_append(net::SessionFrame{*echo});
     task_registered_ = true;
-    tasks_expected_.store(1, std::memory_order_relaxed);
-    hooks_.register_task(id_, this);  // schedules the first quantum
-    return SessionStatus::Open;
+    tasks_expected_.store(lanes, std::memory_order_relaxed);
+    for (std::uint32_t s = 0; s < lanes; ++s)  // schedules the first quanta
+        hooks_.register_task(shard_task_id(id_, s), lanes_[s].get());
 }
 
 // --- HELLO v2 (§15) ---------------------------------------------------------
@@ -554,12 +520,7 @@ SessionStatus ServerSession::on_hello2(net::Hello2Frame&& hello) {
         return fail("HELLO rejected: bad shards value", /*send_error=*/true);
     v1.instances = instances;
     v1.shards = shards;
-    net::Hello2Frame echo;
-    echo.set("proto", "2");
-    echo.set("role", "standalone");
-    echo.set("max_instances", std::to_string(limits_.max_instances));
-    echo.set("max_shards", std::to_string(limits_.max_shards));
-    return on_hello(std::move(v1), &echo);
+    return on_hello(std::move(v1), /*v2_echo=*/true);
 }
 
 SessionStatus ServerSession::on_hello2_publish(const net::Hello2Frame& hello,
@@ -646,33 +607,8 @@ SessionStatus ServerSession::on_hello2_subscribe(net::Hello2Frame&& hello,
     pin_cursor_ = cursor;
     instances_ = instances;
     hub_->subscribe(entry, this);
-
-    event::ResultSink sink = [this](event::ComplexEvent&& ce) {
-        const auto prev = results_sent_.fetch_add(1, std::memory_order_relaxed);
-        observe_result_latency(ce, prev);
-        if (egress_append(net::SessionFrame{net::to_result_frame(ce)}))
-            shard_->add(obs::Series{obs::sid::kResultsEmitted}, 1);
-    };
-    if (instances_ == 0) {
-        stepper_ = std::make_unique<sequential::SeqStepper>(cq_.get(), &hub_entry_->store,
-                                                            std::move(sink));
-    } else {
-        core::RuntimeConfig cfg;
-        cfg.splitter.instances = static_cast<int>(instances_);
-        cfg.batch_events = limits_.batch_events;
-        cfg.quantum_budget = limits_.batch_events;
-        runtime_ = std::make_unique<core::SpectreRuntime>(
-            &hub_entry_->store, cq_.get(), cfg,
-            std::make_unique<model::MarkovModel>(cq_->min_length(),
-                                                 model::MarkovParams{}));
-        runtime_->set_result_sink(std::move(sink));
-        if (obs::enabled()) runtime_->bind_obs(shard_.get());
-    }
-    state_ = State::Streaming;
     send_hello2_echo("subscribe", stream);
-    task_registered_ = true;
-    tasks_expected_.store(1, std::memory_order_relaxed);
-    hooks_.register_task(id_, this);  // schedules the first quantum
+    start_engine(hub_entry_->store, 0);
     return SessionStatus::Open;
 }
 
@@ -752,17 +688,11 @@ void ServerSession::close_ingestion(bool close_store) {
         ingest_closed_ = true;
     }
     if (sharded_) {
-        // §10: publish end-of-stream, then wake every parked shard for its
-        // EOS drain (a task parking concurrently re-checks shard_idle, which
-        // reads the closed flag — no lost wakeup either way).
+        // §10: publish end-of-stream; every parked lane wakes below for its
+        // EOS drain (a lane parking concurrently re-checks shard_parkable,
+        // which reads the closed flag — no lost wakeup either way).
         sharded_->close_input();
-        const auto span = tasks_expected_.load(std::memory_order_acquire);
-        for (std::uint32_t s = 0; s < span; ++s)
-            if (shard_parked_input_[s].exchange(false, std::memory_order_acq_rel))
-                hooks_.notify_task(shard_task_id(id_, s));
-        return;
-    }
-    if (close_store) {
+    } else if (close_store) {
         // Reactor dispatch paths only (BYE / clean EOF): the sole appender
         // closes its own store — the stepper's completion check needs the
         // final length. Abort paths leave it open (header contract).
@@ -775,12 +705,10 @@ void ServerSession::close_ingestion(bool close_store) {
             // §9 barrier — a concurrently-parking task re-checks closed()
             // under its own mutex, so the wakeup is never lost.
             for (ServerSession* sub : hub_entry_->subscribers)
-                sub->notify_shared_ingest();
-            return;
+                sub->wake_input_lanes();
         }
     }
-    if (parked_on_input_.exchange(false, std::memory_order_acq_rel))
-        hooks_.notify_task(id_);
+    wake_input_lanes();
 }
 
 void ServerSession::abort() {
@@ -788,15 +716,7 @@ void ServerSession::abort() {
     close_ingestion(/*close_store=*/false);
     abort_requested_.store(true, std::memory_order_release);
     ::shutdown(fd_, SHUT_RDWR);
-    if (task_registered_) {
-        if (sharded_) {
-            const auto span = tasks_expected_.load(std::memory_order_acquire);
-            for (std::uint32_t s = 0; s < span; ++s)
-                hooks_.notify_task(shard_task_id(id_, s));
-        }
-        else
-            hooks_.notify_task(id_);
-    }
+    wake_lanes(nullptr);
 }
 
 // --- shared ingest plane (§15) ----------------------------------------------
@@ -905,29 +825,33 @@ std::size_t ServerSession::accept_ingest() {
     const std::uint64_t n =
         std::min<std::uint64_t>(frontier - accepted, limits_.batch_events);
     if (n > 0) accepted_.store(accepted + n, std::memory_order_release);
-    // Below the low watermark: hand the reactor its read interest back
-    // (exactly once per pause — the exchange is the dedup).
-    if (frontier - (accepted + n) < limits_.ingest_queue_events / 2 &&
-        read_paused_.exchange(false, std::memory_order_acq_rel))
-        hooks_.post(id_, SessionCmd::ResumeRead);
+    resume_read_if_low();
     return static_cast<std::size_t>(n);
 }
 
-bool ServerSession::ingest_empty_and_open() {
+bool ServerSession::ingest_above_low() const {
+    // In-flight: events handed over that no lane has accepted yet.
+    const std::uint64_t in_flight =
+        sharded_ ? sharded_->queued_total()
+                 : ingest_target().size() - accepted_.load(std::memory_order_acquire);
+    return in_flight >= limits_.ingest_queue_events / 2;
+}
+
+void ServerSession::resume_read_if_low() {
+    if (!ingest_above_low() && read_paused_.exchange(false, std::memory_order_acq_rel))
+        hooks_.post(id_, SessionCmd::ResumeRead);
+}
+
+bool ServerSession::lane_parkable(std::uint32_t index) {
+    if (sharded_) return sharded_->shard_parkable(index);
     const event::EventStore& st = ingest_target();
     const std::lock_guard<std::mutex> lock(ingest_mutex_);
     // A subscriber's ingest_closed_ never flips — the publisher ends its
     // stream by closing the shared store instead, so the closed() check is
     // what lets a subscriber refuse to park once end-of-stream is published
-    // (the close path passes this same mutex via notify_shared_ingest).
+    // (the close path passes this same mutex via wake_input_lanes).
     return st.size() == accepted_.load(std::memory_order_relaxed) && !ingest_closed_ &&
            !st.closed();
-}
-
-bool ServerSession::ingest_above_low() const {
-    if (sharded_) return sharded_->queued_total() >= limits_.ingest_queue_events / 2;
-    return ingest_target().size() - accepted_.load(std::memory_order_acquire) >=
-           limits_.ingest_queue_events / 2;
 }
 
 // --- egress ring (§14) ------------------------------------------------------
@@ -943,12 +867,29 @@ void ServerSession::account_egress(std::size_t now_bytes) {
 bool ServerSession::egress_append(const net::SessionFrame& frame) {
     if (egress_dead_.load(std::memory_order_acquire)) return false;
     const std::lock_guard<std::mutex> lock(egress_mutex_);
-    if (egress_dead_.load(std::memory_order_relaxed)) return false;
+    if (egress_dead_.load(std::memory_order_relaxed) || egress_sealed_) return false;
     // §14: encode_frame writes directly into the ring's tail block — frame
     // bytes are produced exactly once, already in wire order.
     egress_.append(frame);
     account_egress(egress_.bytes());
+    if (std::holds_alternative<net::ResultFrame>(frame))
+        results_sent_.fetch_add(1, std::memory_order_relaxed);
     return true;
+}
+
+void ServerSession::seal_with_bye() {
+    {
+        const std::lock_guard<std::mutex> lock(egress_mutex_);
+        if (egress_dead_.load(std::memory_order_relaxed) || egress_sealed_) return;
+        egress_sealed_ = true;
+        egress_.append(net::SessionFrame{
+            net::ByeFrame{results_sent_.load(std::memory_order_relaxed)}});
+        account_egress(egress_.bytes());
+    }
+    // The sealing BYE is the completed outcome of a session with an engine
+    // (single-winner latch against a concurrent failure).
+    if (task_registered_ && !outcome_counted_.exchange(true, std::memory_order_acq_rel))
+        shard_->add(obs::Series{obs::sid::kSessionsCompleted}, 1);
 }
 
 bool ServerSession::egress_try_flush() {
@@ -1013,16 +954,7 @@ bool ServerSession::flush_egress() {
         if (state_ != State::Failed) fail("result write failed", /*send_error=*/false);
         return false;
     }
-    if (egress_has_credit()) {
-        if (sharded_) {
-            const auto span = tasks_expected_.load(std::memory_order_acquire);
-            for (std::uint32_t s = 0; s < span; ++s)
-                if (shard_parked_egress_[s].exchange(false, std::memory_order_acq_rel))
-                    hooks_.notify_task(shard_task_id(id_, s));
-        } else if (parked_on_egress_.exchange(false, std::memory_order_acq_rel)) {
-            hooks_.notify_task(id_);
-        }
-    }
+    if (egress_has_credit()) wake_lanes(&Lane::on_egress);
     return true;
 }
 
@@ -1034,62 +966,54 @@ void ServerSession::request_watch_write() {
 
 // --- pool worker side -------------------------------------------------------
 
-EngineTask::Quantum ServerSession::run_quantum() {
-    if (abort_requested_.load(std::memory_order_acquire)) {
-        // Dropped mid-flight (failure or server stop): abandon the engine.
-        // Cooperative stepping makes this trivial — no thread is inside it.
-        return Quantum::Done;
-    }
+void ServerSession::wake_lane(std::uint32_t s, ParkFlag Lane::*flag) {
+    const auto notify = [this, s] { hooks_.notify_task(shard_task_id(id_, s)); };
+    if (flag)
+        (lanes_[s].get()->*flag).wake(notify);
+    else
+        notify();
+}
+
+void ServerSession::wake_lanes(ParkFlag Lane::*flag) {
+    const auto span = tasks_expected_.load(std::memory_order_acquire);
+    for (std::uint32_t s = 0; s < span; ++s) wake_lane(s, flag);
+}
+
+ServerSession::Quantum ServerSession::run_lane(Lane& lane) {
+    // Dropped mid-flight (failure, server stop, early unsubscribe): abandon
+    // the engine. Cooperative stepping makes this trivial — no thread is
+    // inside it.
+    if (abort_requested_.load(std::memory_order_acquire)) return Quantum::Done;
+    Quantum exit = Quantum::MoreWork;  // quantum exhausted with work left: yield
     try {
-        note_stall_end(egress_stall_ns_);
-        for (std::size_t s = 0; s < limits_.quantum_steps; ++s) {
+        note_stall_end(lane.stall_ns);
+        for (std::size_t s = 0; s < limits_.quantum_steps && exit == Quantum::MoreWork; ++s) {
             if (abort_requested_.load(std::memory_order_acquire)) return Quantum::Done;
-            // Egress credit gate (§9): a slow result reader parks this
-            // session, never a worker.
+            // Egress credit gate (§9): the ring is shared by every lane of
+            // the session — a slow result reader parks each lane as it
+            // arrives here, never a worker.
             if (!egress_has_credit()) {
                 egress_try_flush();  // the socket may have drained meanwhile
-                if (!egress_has_credit()) {
-                    parked_on_egress_.store(true, std::memory_order_release);
-                    if (egress_has_credit()) {  // flushed concurrently — race lost
-                        parked_on_egress_.store(false, std::memory_order_relaxed);
-                    } else {
-                        shard_->add(obs::Series{obs::sid::kParksEgress}, 1);
-                        egress_stall_ns_ = obs::now_ns();
-                        request_watch_write();
-                        return Quantum::Parked;
-                    }
-                }
-            }
-            const std::size_t pulled = accept_ingest();
-            bool done = false;
-            bool quiescent = false;  // no further progress at this frontier
-            if (stepper_) {
-                const bool more = stepper_->drain(limits_.quantum_windows);
-                done = stepper_->finished();
-                quiescent = !more;
-            } else {
-                const auto p = runtime_->step();
-                done = p.done;
-                // step() reports quiescence explicitly: the scheduling loop
-                // reached a fixed point for the current frontier. With fresh
-                // appends the windows may not be discovered yet, so only an
-                // empty accept counts toward parking.
-                quiescent = pulled == 0 && p.quiescent;
-            }
-            if (done) return finish_engine();
-            if (quiescent) {
-                // Park on input starvation. Publish intent first, then
-                // re-check under the ingest mutex: a reactor publish between
-                // the check and the park flips the flag and re-queues us
-                // (no lost wakeup — see publish_ingest).
-                parked_on_input_.store(true, std::memory_order_release);
-                if (ingest_empty_and_open()) {
-                    shard_->add(obs::Series{obs::sid::kParksInput}, 1);
-                    egress_try_flush();
+                if (lane.on_egress.park_if([this] { return !egress_has_credit(); })) {
+                    shard_->add(obs::Series{obs::sid::kParksEgress}, 1);
+                    lane.stall_ns = obs::now_ns();
                     request_watch_write();
                     return Quantum::Parked;
                 }
-                parked_on_input_.store(false, std::memory_order_relaxed);
+            }
+            const LaneStep step = step_lane(lane.index);
+            if (step == LaneStep::AllDone) return finish_engine();
+            if (step == LaneStep::LaneDone) {
+                // This shard is drained; peers still run (and will merge any
+                // results it buffered).
+                exit = Quantum::Done;
+            } else if (step == LaneStep::Idle &&
+                       lane.on_input.park_if([&] { return lane_parkable(lane.index); })) {
+                // Parked on input starvation: a producer's publish between
+                // the idle step and the re-check took the flag instead and
+                // re-queued us (no lost wakeup — see publish_ingest).
+                shard_->add(obs::Series{obs::sid::kParksInput}, 1);
+                exit = Quantum::Parked;
             }
         }
     } catch (const std::exception& e) {
@@ -1097,16 +1021,39 @@ EngineTask::Quantum ServerSession::run_quantum() {
         // limit) fails this session only.
         return engine_failed(e.what());
     }
-    // Quantum exhausted with work left: yield the worker, rejoin the queue.
     egress_try_flush();
     request_watch_write();
-    return Quantum::MoreWork;
+    return exit;
+}
+
+ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
+    if (sharded_) {
+        const auto res = sharded_->step_shard(index, limits_.batch_events);
+        resume_read_if_low();
+        // all_finished: every result is already in the egress ring — the
+        // merge that set it emitted them.
+        if (res.all_finished) return LaneStep::AllDone;
+        if (res.shard_finished) return LaneStep::LaneDone;
+        return res.idle ? LaneStep::Idle : LaneStep::Busy;
+    }
+    const std::size_t pulled = accept_ingest();
+    if (stepper_) {
+        const bool more = stepper_->drain(limits_.quantum_windows);
+        if (stepper_->finished()) return LaneStep::AllDone;
+        return more ? LaneStep::Busy : LaneStep::Idle;
+    }
+    const auto p = runtime_->step();
+    if (p.done) return LaneStep::AllDone;
+    // step() reports quiescence explicitly: the scheduling loop reached a
+    // fixed point for the current frontier. With fresh appends the windows
+    // may not be discovered yet, so only an empty accept counts as idle.
+    return pulled == 0 && p.quiescent ? LaneStep::Idle : LaneStep::Busy;
 }
 
 void ServerSession::flush_sched_stats() {
-    // Safe call sites only (header contract): the worker owning the final
-    // quantum, the BYE-winning shard task after all_finished, or the
-    // destructor — never while a sibling shard task may be stepping a lane.
+    // Safe call sites only (header contract): the lane owning the final
+    // quantum, a lane that observed all_finished, or the destructor — never
+    // while a sibling lane may still be stepping.
     if ((!runtime_ && !sharded_) ||
         sched_flushed_.exchange(true, std::memory_order_acq_rel))
         return;
@@ -1164,7 +1111,7 @@ void ServerSession::flush_sched_stats() {
     shard_->add(obs::Series{obs::sid::kComplexEvents}, m.complex_events);
 }
 
-EngineTask::Quantum ServerSession::finish_engine() {
+ServerSession::Quantum ServerSession::finish_engine() {
     flush_sched_stats();
     if (role_ == SessionRole::Subscriber && hub_entry_) {
         // Engine done: this reader will never address the stream again —
@@ -1177,23 +1124,15 @@ EngineTask::Quantum ServerSession::finish_engine() {
             hub_entry_->pins.advance(pin_cursor_, hub_entry_->store.size());
         if (freed > 0) shard_->add(obs::Series{obs::sid::kHubChunksReclaimed}, freed);
     }
-    if (egress_append(net::SessionFrame{
-            net::ByeFrame{results_sent_.load(std::memory_order_relaxed)}}) &&
-        !outcome_counted_.exchange(true, std::memory_order_acq_rel)) {
-        shard_->add(obs::Series{obs::sid::kSessionsCompleted}, 1);
-    }
+    // Every sharded lane that observes all_finished lands here; the first
+    // seals egress with the BYE, the rest find the seal taken.
+    seal_with_bye();
     egress_try_flush();
     request_watch_write();
     return Quantum::Done;
 }
 
 // --- sharded session (§10) --------------------------------------------------
-
-void ServerSession::maybe_resume_read_sharded() {
-    if (sharded_->queued_total() < limits_.ingest_queue_events / 2 &&
-        read_paused_.exchange(false, std::memory_order_acq_rel))
-        hooks_.post(id_, SessionCmd::ResumeRead);
-}
 
 void ServerSession::apply_reshard_decision() {
     const auto d = controller_->decide(sharded_->active_shards());
@@ -1209,20 +1148,20 @@ void ServerSession::apply_reshard_decision() {
             const auto target =
                 std::min<std::uint32_t>(d.new_shards, sharded_->shards());
             if (!sharded_->reshard(target)) return;
-            // Register tasks for the newly active slots. Order matters: the
+            // Register lanes for the newly active slots. Order matters: the
             // engine already published the grown task span, and any handoff
-            // waker for an unregistered task is a no-op, so registering now
+            // waker for an unregistered lane is a no-op, so registering now
             // (which schedules the first quantum) closes the gap.
             const auto span = sharded_->task_span();
             for (std::uint32_t s = tasks_expected_.load(std::memory_order_relaxed);
                  s < span; ++s)
-                hooks_.register_task(shard_task_id(id_, s), shard_tasks_[s].get());
+                hooks_.register_task(shard_task_id(id_, s), lanes_[s].get());
             tasks_expected_.store(span, std::memory_order_release);
             return;
         }
         case shard::ReshardDecision::Kind::Shrink:
             // Routing-only change (§13): new keys hash over the narrower
-            // width; the slots above it keep their tasks and drain whatever
+            // width; the slots above it keep their lanes and drain whatever
             // they already queued (task_span stays monotone — tasks_expected_
             // is untouched, the drained slots just finish and park for good).
             sharded_->reshard(d.new_shards);
@@ -1230,70 +1169,8 @@ void ServerSession::apply_reshard_decision() {
     }
 }
 
-EngineTask::Quantum ServerSession::run_shard_quantum(std::uint32_t shard) {
-    if (abort_requested_.load(std::memory_order_acquire)) return Quantum::Done;
-    try {
-        note_stall_end(shard_egress_stall_[shard]);
-        for (std::size_t s = 0; s < limits_.quantum_steps; ++s) {
-            if (abort_requested_.load(std::memory_order_acquire)) return Quantum::Done;
-            // Egress credit gate (§9): the buffer is shared by all shard
-            // tasks — a slow result reader parks each of them as it arrives
-            // here, never a worker.
-            if (!egress_has_credit()) {
-                egress_try_flush();
-                if (!egress_has_credit()) {
-                    shard_parked_egress_[shard].store(true, std::memory_order_release);
-                    if (egress_has_credit()) {  // flushed concurrently — race lost
-                        shard_parked_egress_[shard].store(false, std::memory_order_relaxed);
-                    } else {
-                        shard_->add(obs::Series{obs::sid::kParksEgress}, 1);
-                        shard_egress_stall_[shard] = obs::now_ns();
-                        request_watch_write();
-                        return Quantum::Parked;
-                    }
-                }
-            }
-            const auto res = sharded_->step_shard(shard, limits_.batch_events);
-            maybe_resume_read_sharded();
-            if (res.all_finished) {
-                // Whole-session completion observed: exactly one shard task
-                // sends the BYE (every result is already in the egress
-                // buffer — the merge that set all_finished emitted them).
-                if (!bye_sent_.exchange(true, std::memory_order_acq_rel))
-                    return finish_engine();
-                egress_try_flush();
-                request_watch_write();
-                return Quantum::Done;
-            }
-            if (res.shard_finished) {
-                // This shard is drained; peers still run (and will merge any
-                // results this shard buffered).
-                egress_try_flush();
-                request_watch_write();
-                return Quantum::Done;
-            }
-            if (res.idle) {
-                // Park on input starvation, publish-then-recheck (§9).
-                shard_parked_input_[shard].store(true, std::memory_order_release);
-                if (sharded_->shard_parkable(shard)) {
-                    shard_->add(obs::Series{obs::sid::kParksInput}, 1);
-                    egress_try_flush();
-                    request_watch_write();
-                    return Quantum::Parked;
-                }
-                shard_parked_input_[shard].store(false, std::memory_order_relaxed);
-            }
-        }
-    } catch (const std::exception& e) {
-        return engine_failed(e.what());
-    }
-    egress_try_flush();
-    request_watch_write();
-    return Quantum::MoreWork;
-}
-
-EngineTask::Quantum ServerSession::engine_failed(const std::string& what) {
-    // Sharded: sibling shard tasks may still be stepping their lanes, so the
+ServerSession::Quantum ServerSession::engine_failed(const std::string& what) {
+    // Sharded: sibling lanes may still be stepping, so the
     // stats flush waits for the destructor (when every task is done).
     if (!sharded_) flush_sched_stats();
     count_failed_once();

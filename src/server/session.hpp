@@ -18,8 +18,10 @@
 // loop never sees an exception (§8 session lifecycle).
 //
 // Threading (§9/§14): the reactor runs on_readable()/flush_egress()/abort();
-// one pool worker at a time runs run_quantum() (serialized by the pool's
-// task state machine — the engine state needs no locks). The two sides meet:
+// the session's engine runs as one pool task per lane — one lane for an
+// unsharded or subscriber session, one per shard slot for a sharded one —
+// and one worker at a time runs a given lane (serialized by the pool's task
+// state machine — the engine state needs no locks). The two sides meet:
 //
 //   * Ingest (§14 scatter path): the reactor decodes DATA frames straight out
 //     of the backend's read view into the session's EventStore — one copy off
@@ -63,9 +65,10 @@
 
 namespace spectre::server {
 
-// Pool task ids (§10): a session owns one engine task per shard (one total
-// when unsharded). The session id lives in the low 48 bits, the shard index
-// in the high 16 — commands posted with a task id map back to their session.
+// Pool task ids (§10): a session owns one engine task per lane (one total
+// when unsharded). The session id lives in the low 48 bits, the lane index
+// in the high 16 — commands posted with a task id map back to their session,
+// and lane 0's task id is the session id itself.
 inline constexpr std::uint64_t kTaskSessionMask = (std::uint64_t{1} << 48) - 1;
 inline std::uint64_t shard_task_id(std::uint64_t session, std::uint32_t shard) {
     return session | (std::uint64_t{shard} << 48);
@@ -136,7 +139,7 @@ struct SessionHooks {
     std::function<void(std::uint64_t)> notify_task;
 };
 
-class ServerSession final : public EngineTask {
+class ServerSession final {
 public:
     // Takes ownership of `fd` (non-blocking). `registry`/`shard` are the
     // session's metrics scope (§12): `shard` must have been created from
@@ -147,7 +150,7 @@ public:
     ServerSession(std::uint64_t id, int fd, SessionLimits limits, obs::Registry* registry,
                   obs::ShardPtr shard, SessionHooks hooks, StreamHub* hub = nullptr,
                   detect::CompileCache* cache = nullptr);
-    ~ServerSession() override;  // closes the fd (callers stop the pool first)
+    ~ServerSession();  // closes the fd (callers stop the pool first)
 
     ServerSession(const ServerSession&) = delete;
     ServerSession& operator=(const ServerSession&) = delete;
@@ -236,30 +239,32 @@ public:
     // through (default: sendmsg on the session fd). Call before any egress.
     void set_sendv_for_test(net::EgressRing::SendvFn fn) { sendv_ = std::move(fn); }
 
-    // --- pool worker side ----------------------------------------------------
-
-    // One bounded engine quantum (EngineTask). Accepts ingest, steps the
-    // engine, emits results into the egress ring; parks on input starvation
-    // or missing egress credit (§9). Unsharded sessions only — sharded ones
-    // schedule one ShardSubTask per shard instead (§10).
-    Quantum run_quantum() override;
-
 private:
     enum class State { AwaitHello, Streaming, Draining, Failed };
 
-    // One shard's cooperatively-scheduled slice of a sharded session (§10):
-    // same parking/backpressure protocol as run_quantum, scoped to shard `s`.
-    struct ShardSubTask final : EngineTask {
-        ServerSession* session = nullptr;
-        std::uint32_t shard = 0;
-        Quantum run_quantum() override { return session->run_shard_quantum(shard); }
+    // One engine task on the pool (§9/§10). Every lane runs the same quantum
+    // loop (run_lane) and park protocol; only step_lane/lane_parkable know
+    // which engine is behind it. Lane `index` is shard slot `index` of a
+    // sharded session, or the single lane 0 of any other.
+    struct Lane final : EngineTask {
+        Lane(ServerSession* s, std::uint32_t i) : session(s), index(i) {}
+        Quantum run_quantum() override { return session->run_lane(*this); }
+        ServerSession* const session;
+        const std::uint32_t index;
+        ParkFlag on_input;   // starved: woken by ingest, close or a handoff
+        ParkFlag on_egress;  // out of credit: woken by a reactor flush
+        // Egress-credit stall stamp (§12), lane-private: set when a quantum
+        // parks on credit, observed (stall duration) at the lane's next one.
+        std::uint64_t stall_ns = 0;
     };
+    // What one engine step left the lane with (step_lane).
+    enum class LaneStep { Busy, Idle, LaneDone, AllDone };
+    using Quantum = EngineTask::Quantum;
 
     SessionStatus dispatch(net::SessionFrame&& frame);
-    // `echo` (v2 compat shim): buffered as the capability reply right before
-    // the engine task registers, so it precedes every RESULT byte. Null for
-    // a v1 HELLO — v1 clients get no echo.
-    SessionStatus on_hello(net::HelloFrame&& hello, const net::Hello2Frame* echo = nullptr);
+    // `v2_echo` (compat shim): buffer the v2 capability echo before the
+    // engine starts, so it precedes every RESULT byte. v1 clients get none.
+    SessionStatus on_hello(net::HelloFrame&& hello, bool v2_echo = false);
     // HELLO v2 (§15): role-dispatched handshake. `role=standalone` maps onto
     // on_hello; publish/subscribe attach the session to the stream hub.
     SessionStatus on_hello2(net::Hello2Frame&& hello);
@@ -267,6 +272,10 @@ private:
     SessionStatus on_hello2_subscribe(net::Hello2Frame&& hello, const std::string& stream);
     // Buffers the server capability echo for an accepted v2 HELLO.
     void send_hello2_echo(std::string_view role, const std::string& stream);
+    // Builds the engine over `store` — a ShardedEngine of `shards` lanes for
+    // a partitioned query, else the SeqStepper (k = 0) or a SpectreRuntime —
+    // with the result sink feeding egress, then registers its lanes.
+    void start_engine(event::EventStore& store, std::uint32_t shards);
     // STATS request (§12): buffers a StatsFrame reply carrying the server-wide
     // registry aggregate plus this session's own shard, as one JSON object.
     SessionStatus on_stats();
@@ -297,13 +306,8 @@ private:
     // Routes one decoded quote into the sharded engine's lanes (§10), with
     // the per-lane accounting, reshard pacing (§13) and park/wake protocol.
     SessionStatus ingest_sharded(event::Event&& ev);
-    // Release-publishes `appended` scatter slots and wakes a parked task.
-    // The empty ingest_mutex_ section is the §9 handshake barrier: it orders
-    // this publish against the task's publish-park-then-recheck (both sides
-    // pass through the mutex, so either the task sees the new frontier or
-    // this thread sees the parked flag — never neither).
+    // Release-publishes `appended` scatter slots and wakes a parked lane.
     void publish_ingest(std::size_t& appended);
-    bool ingest_empty_and_open();  // park predicate (frontier == accepted)
     // The store this session appends to / steps over: the hub entry's shared
     // store for publisher and subscriber roles, the private store_ otherwise.
     event::EventStore& ingest_target() noexcept {
@@ -312,17 +316,29 @@ private:
     const event::EventStore& ingest_target() const noexcept {
         return hub_entry_ ? hub_entry_->store : store_;
     }
-    // A publisher appended to the shared store: pass the §9 wakeup barrier
-    // for THIS subscriber (each subscriber parks on its own ingest_mutex_).
-    void notify_shared_ingest();
+    // New input or end-of-stream was published (by this session's reactor
+    // side, or by a publisher for a subscriber): pass the §9 barrier — an
+    // empty ingest_mutex_ section, which orders the publish against a lane's
+    // publish-park-then-recheck (either the lane sees the new frontier or
+    // this thread sees its flag, never neither) — then wake parked lanes.
+    void wake_input_lanes();
 
     // Worker side: advances accepted_ by at most batch_events toward the
-    // frontier (ingest pacing); posts ResumeRead once in-flight drops below
-    // the low watermark. Returns slots accepted this call.
+    // frontier (ingest pacing). Returns slots accepted this call.
     std::size_t accept_ingest();
+    // Posts ResumeRead once in-flight drops below the low watermark (exactly
+    // once per pause — the read_paused_ exchange is the dedup).
+    void resume_read_if_low();
 
     // Egress ring (task → reactor/socket).
-    bool egress_append(const net::SessionFrame& frame);  // false when poisoned
+    // False when poisoned or sealed. RESULT frames count into results_sent_.
+    bool egress_append(const net::SessionFrame& frame);
+    // The session's one BYE, on every path (engine finish, early unsubscribe,
+    // publisher BYE): appends BYE{results_sent_} and seals the ring, so every
+    // later append is refused, the BYE is the last frame and its count exact.
+    // The sealing call counts a session with an engine completed. No-op when
+    // already sealed or poisoned.
+    void seal_with_bye();
     // Non-blocking vectored flush of buffered bytes into the socket; returns
     // false on a transport error (egress poisoned). Either side may call it.
     bool egress_try_flush();
@@ -341,29 +357,38 @@ private:
     // Max-min queued events over the session's shard lanes, sampled every
     // kSkewSampleEvery-th ingest (reactor side, sharded sessions only).
     void sample_lane_skew();
-    // Observes kEgressStallNs if the previous quantum parked on egress
-    // credit; the stamp is task-private (`shard` indexes the sharded array).
+    // Observes kEgressStallNs if the lane's previous quantum parked on
+    // egress credit.
     void note_stall_end(std::uint64_t& stamp);
 
-    // run_quantum helpers.
-    Quantum finish_engine();         // BYE, counters, Done
+    // --- pool worker side (one lane's quantum) -------------------------------
+
+    // One bounded quantum of `lane`: up to quantum_steps iterations of credit
+    // gate → one engine step → exit on completion or park on starvation (§9).
+    Quantum run_lane(Lane& lane);
+    // One engine step for lane `index`, at the engine's own per-step budget.
+    LaneStep step_lane(std::uint32_t index);
+    // Park predicate for an idle lane, evaluated after publishing intent.
+    bool lane_parkable(std::uint32_t index);
+    // Producer side of the park protocol: wake lane `s` if it parked on
+    // `flag`, or every live lane. A null flag notifies unconditionally.
+    void wake_lane(std::uint32_t s, ParkFlag Lane::*flag);
+    void wake_lanes(ParkFlag Lane::*flag);
+    Quantum finish_engine();  // BYE (first caller), counters, Done
     Quantum engine_failed(const std::string& what);
     void request_watch_write();
     // Publishes this session's SchedStats + SplitterMetrics into its metrics
-    // shard, once. Safe call sites: the worker owning the final quantum
-    // (unsharded), the BYE-winning shard task after all_finished (sharded),
-    // or the destructor (no worker can be inside run_quantum by then) —
-    // sharded failure paths defer to the destructor because sibling shard
-    // tasks may still be stepping their lanes.
+    // shard, once. Safe call sites: the lane owning the final quantum
+    // (unsharded), a lane that observed all_finished (sharded), or the
+    // destructor (no worker can be inside a lane by then) — sharded failure
+    // paths defer to the destructor because sibling lanes may still be
+    // stepping.
     void flush_sched_stats();
 
-    // Sharded path (§10).
-    Quantum run_shard_quantum(std::uint32_t shard);
-    void maybe_resume_read_sharded();
     // Elastic partitioning (§13, reactor thread — the reactor IS the
     // feeder): ask the controller for a decision over the last window and
     // apply it (steal a lane, or grow the active width and register the new
-    // slots' tasks on the pool).
+    // slots' lanes on the pool).
     void apply_reshard_decision();
 
     const std::uint64_t id_;
@@ -379,7 +404,7 @@ private:
     // tasks_expected_, which worker-side teardown loops also read while the
     // reactor may be growing it (§13), hence the atomic.
     bool input_done_ = false;
-    std::atomic<std::uint32_t> tasks_expected_{0};  // 1, or the live shard-task count (§10/§13)
+    std::atomic<std::uint32_t> tasks_expected_{0};  // live lane count (§10/§13)
     std::uint32_t tasks_done_ = 0;
     std::uint32_t armed_mask_ = 0;
 
@@ -399,17 +424,14 @@ private:
     StreamHub::EntryPtr hub_entry_;
     event::ChunkPins::Cursor pin_cursor_ = event::ChunkPins::kInvalidCursor;
 
-    // Engine: exactly one of the three after HELLO. Unsharded sessions step
-    // stepper_/runtime_ from run_quantum; a partitioned query gets a
-    // ShardedEngine driven by tasks_expected_ ShardSubTasks (§10).
+    // Engine: exactly one of the three after HELLO, driven by lanes_ —
+    // allocated at slot capacity up front (a §13 grow registers more of them
+    // but never reallocates what worker threads are reading).
     event::EventStore store_;
     std::unique_ptr<sequential::SeqStepper> stepper_;
     std::unique_ptr<core::SpectreRuntime> runtime_;
     std::unique_ptr<shard::ShardedEngine> sharded_;
-    std::vector<std::unique_ptr<ShardSubTask>> shard_tasks_;
-    // Per-shard park/wake flags (§9 protocol, one lane per shard task).
-    std::unique_ptr<std::atomic<bool>[]> shard_parked_input_;
-    std::unique_ptr<std::atomic<bool>[]> shard_parked_egress_;
+    std::vector<std::unique_ptr<Lane>> lanes_;
     // Per-shard-index lane series (§12, bounded by max_shards): resolved at
     // HELLO against names the server pre-registered, e.g.
     // lane_depth_peak{shard="3"}. Written by the reactor (depth peak) and by
@@ -423,9 +445,6 @@ private:
     // session is unsharded.
     std::unique_ptr<shard::ReshardController> controller_;
     std::size_t reshard_countdown_ = 0;  // reactor-only decision pacing
-    // Exactly one shard task sends the session's BYE (the one whose merge
-    // observed completion first).
-    std::atomic<bool> bye_sent_{false};
 
     // Ingest pacing (§14, unsharded): the reactor appends straight into
     // store_ (frontier = store_.size()); the worker advances accepted_ by at
@@ -439,16 +458,14 @@ private:
 
     // Egress ring (§14): encoded frames waiting for the socket, flushed with
     // vectored sends. sendv_ defaults to sendmsg on fd_; injectable by tests.
+    // egress_sealed_ (set by the session's one BYE) and results_sent_ (the
+    // RESULT frames appended before it) change only under egress_mutex_.
     mutable std::mutex egress_mutex_;
     net::EgressRing egress_;
     net::EgressRing::SendvFn sendv_;
     std::atomic<bool> egress_dead_{false};
-
-    // Park/wake handshake (§9): the task publishes why it parked; producers
-    // (reactor) exchange the flag before notifying, so a wakeup is never
-    // lost and never duplicated.
-    std::atomic<bool> parked_on_input_{false};
-    std::atomic<bool> parked_on_egress_{false};
+    bool egress_sealed_ = false;
+    std::atomic<std::uint64_t> results_sent_{0};
     std::atomic<bool> watch_write_requested_{false};
 
     // Arrival clock ring (§12): reactor pushes one CLOCK_MONOTONIC stamp per
@@ -464,11 +481,6 @@ private:
     std::uint64_t first_data_ns_ = 0;  // first DATA arrival stamp
     std::size_t skew_countdown_ = 0;   // reactor-only sampling counter
 
-    // Egress-credit stall stamps (§12), task-private: set when a quantum
-    // parks on credit, observed (stall duration) at that task's next quantum.
-    std::uint64_t egress_stall_ns_ = 0;                    // unsharded task
-    std::unique_ptr<std::uint64_t[]> shard_egress_stall_;  // one per shard task
-
     std::atomic<bool> abort_requested_{false};
     // Single-winner outcome latch: a session with an engine is counted
     // exactly once, as either completed (BYE buffered) or failed — whichever
@@ -476,7 +488,6 @@ private:
     // finishing and the reactor failing the same session concurrently.
     std::atomic<bool> outcome_counted_{false};
     std::atomic<bool> sched_flushed_{false};
-    std::atomic<std::uint64_t> results_sent_{0};
 };
 
 }  // namespace spectre::server

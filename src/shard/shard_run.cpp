@@ -32,14 +32,10 @@ std::vector<event::ComplexEvent> run_sharded_inline(
 server::EngineTask::Quantum PooledShardRun::Task::run_quantum() {
     const auto res = run->engine_->step_shard(shard, run->quantum_events_);
     if (res.shard_finished) return Quantum::Done;
-    if (res.idle) {
-        // Publish intent, then re-check (§9 parking protocol): an ingest or
-        // close between the idle observation and the park flips the flag and
-        // re-queues us — no lost wakeup.
-        run->parked_[shard].store(true, std::memory_order_release);
-        if (run->engine_->shard_parkable(shard)) return Quantum::Parked;
-        run->parked_[shard].store(false, std::memory_order_relaxed);
-    }
+    // An ingest or close between the idle observation and the park takes the
+    // flag and re-queues us (§9) — no lost wakeup.
+    if (res.idle && parked.park_if([this] { return run->engine_->shard_parkable(shard); }))
+        return Quantum::Parked;
     return Quantum::MoreWork;
 }
 
@@ -48,10 +44,7 @@ PooledShardRun::PooledShardRun(ShardedEngine* engine, server::EnginePool* pool,
     : engine_(engine), pool_(pool), id_base_(id_base), quantum_events_(quantum_events) {
     SPECTRE_REQUIRE(engine_ != nullptr && pool_ != nullptr,
                     "PooledShardRun needs an engine and a pool");
-    const std::uint32_t shards = engine_->shards();
-    parked_ = std::make_unique<std::atomic<bool>[]>(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        parked_[s].store(false, std::memory_order_relaxed);
+    for (std::uint32_t s = 0; s < engine_->shards(); ++s) {
         auto task = std::make_unique<Task>();
         task->run = this;
         task->shard = s;
@@ -67,10 +60,7 @@ void PooledShardRun::start() {
     // Lane handoffs (§13) are deposited by source shard tasks; the waker
     // runs on those worker threads and must flip the destination's park
     // flag before notifying — same protocol as the feeder-side wakeups.
-    engine_->set_shard_waker([this](std::uint32_t s) {
-        if (parked_[s].exchange(false, std::memory_order_acq_rel))
-            pool_->notify(id_base_ + s);
-    });
+    engine_->set_shard_waker([this](std::uint32_t s) { wake(s); });
     for (std::uint32_t s = 0; s < engine_->shards(); ++s) {
         pool_->add(id_base_ + s, tasks_[s].get(), [this](std::uint64_t) {
             {
@@ -85,17 +75,17 @@ void PooledShardRun::start() {
 ShardedEngine::IngestInfo PooledShardRun::ingest(event::Event e) {
     const auto info = engine_->ingest(std::move(e));
     // A dropped event (benign abort race) enqueued nothing: no wakeup.
-    if (!info.dropped &&
-        parked_[info.shard].exchange(false, std::memory_order_acq_rel))
-        pool_->notify(id_base_ + info.shard);
+    if (!info.dropped) wake(info.shard);
     return info;
 }
 
 void PooledShardRun::close() {
     engine_->close_input();
-    for (std::uint32_t s = 0; s < engine_->shards(); ++s)
-        if (parked_[s].exchange(false, std::memory_order_acq_rel))
-            pool_->notify(id_base_ + s);
+    for (std::uint32_t s = 0; s < engine_->shards(); ++s) wake(s);
+}
+
+void PooledShardRun::wake(std::uint32_t s) {
+    tasks_[s]->parked.wake([this, s] { pool_->notify(id_base_ + s); });
 }
 
 void PooledShardRun::wait() {

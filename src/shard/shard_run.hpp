@@ -5,7 +5,6 @@
 // which is what bench_shard_scaling measures.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -59,15 +58,17 @@ private:
     struct Task final : server::EngineTask {
         PooledShardRun* run = nullptr;
         std::uint32_t shard = 0;
+        server::ParkFlag parked;  // idle until an ingest, close or handoff
         Quantum run_quantum() override;
     };
+    // Wakes shard `s`'s task if it parked (§9 take-before-notify).
+    void wake(std::uint32_t s);
 
     ShardedEngine* engine_;
     server::EnginePool* pool_;
     const std::uint64_t id_base_;
     const std::size_t quantum_events_;
     std::vector<std::unique_ptr<Task>> tasks_;
-    std::unique_ptr<std::atomic<bool>[]> parked_;
 
     std::mutex mutex_;
     std::condition_variable cv_;

@@ -6,8 +6,11 @@
 // the same events, regardless of fan-out, engine kind, attach time, or how
 // slowly any *other* subscriber reads.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -174,6 +177,93 @@ TEST(StreamHub, StalledSubscriberBlocksNeitherPublisherNorPeers) {
     expect_byte_identical(sequential_ground_truth(subscriber_query(0), wire),
                           slow_out.results, "slow sub");
     srv.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Early unsubscribe: a subscriber's BYE seals its egress. However it races
+// the engine's lane — a step mid-way through appending RESULT frames, or (on
+// rounds that close the stream at the same instant) the engine finishing and
+// sending a BYE of its own — the client sees exactly one BYE, as the last
+// frame, counting the RESULT frames before it; the session counts completed
+// exactly once and never failed.
+// ---------------------------------------------------------------------------
+
+TEST(StreamHub, EarlyUnsubscribeSealsEgressWithOneBye) {
+    server::CepServer srv(server::ServerConfigBuilder{}.pool_workers(2).build());
+    srv.start();
+    const auto wire = wire_events(1500, 61);
+    constexpr int kRounds = 60;
+    for (int round = 0; round < kRounds; ++round) {
+        const std::string label = "round " + std::to_string(round);
+        const std::string stream = "early" + std::to_string(round);
+        harness::PublisherClient pub("127.0.0.1", srv.port(), stream);
+        ASSERT_TRUE(pub.ok()) << label << ": " << pub.error();
+
+        net::TcpClient conn("127.0.0.1", srv.port(), 0);
+        net::Hello2Frame hello;
+        hello.set("role", "subscribe");
+        hello.set("stream", stream);
+        hello.set("query", subscriber_query(static_cast<std::size_t>(round)));
+        if (round % 3 == 1) hello.set("instances", "2");
+        std::vector<std::uint8_t> buf;
+        net::encode_frame(net::SessionFrame{std::move(hello)}, buf);
+        conn.send_raw(buf.data(), buf.size());
+
+        net::FrameReader reader;
+        std::vector<net::SessionFrame> frames;
+        std::size_t results = 0;
+        std::uint8_t chunk[16384];
+        const auto read_more = [&] {  // false once the server closes
+            ssize_t n = 0;
+            do n = ::recv(conn.fd(), chunk, sizeof(chunk), 0);
+            while (n < 0 && errno == EINTR);
+            if (n <= 0) return false;  // EOF, or a reset: the BYE raced the close
+            reader.feed(chunk, static_cast<std::size_t>(n));
+            while (auto f = reader.poll()) {
+                if (std::holds_alternative<net::ResultFrame>(*f)) ++results;
+                frames.push_back(std::move(*f));
+            }
+            return true;
+        };
+        while (frames.empty()) ASSERT_TRUE(read_more()) << label << ": no echo";
+        ASSERT_TRUE(std::holds_alternative<net::Hello2Frame>(frames.front())) << label;
+
+        pub.publish(wire);
+        const std::size_t bye_after = static_cast<std::size_t>(round % 4);
+        while (results < bye_after) ASSERT_TRUE(read_more()) << label;
+        std::thread closer;
+        if (round % 2 == 1)
+            closer = std::thread([&] { EXPECT_TRUE(pub.finish()) << label << ": " << pub.error(); });
+        buf.clear();
+        net::encode_frame(net::SessionFrame{net::ByeFrame{}}, buf);
+        // Unchecked: on racing rounds the session may already be reaped.
+        (void)::send(conn.fd(), buf.data(), buf.size(), MSG_NOSIGNAL);
+        while (read_more()) {
+        }  // the server closes once the session is reaped
+        if (closer.joinable())
+            closer.join();
+        else
+            EXPECT_TRUE(pub.finish()) << label << ": " << pub.error();
+
+        std::size_t byes = 0;
+        for (const auto& f : frames) byes += std::holds_alternative<net::ByeFrame>(f) ? 1 : 0;
+        EXPECT_EQ(byes, 1u) << label;
+        ASSERT_TRUE(std::holds_alternative<net::ByeFrame>(frames.back()))
+            << label << ": BYE must be the last frame";
+        EXPECT_EQ(std::get<net::ByeFrame>(frames.back()).results, results) << label;
+        EXPECT_EQ(frames.size(), results + 2) << label << ": only echo, RESULTs, BYE";
+
+        // The completed count lands right after the sealing BYE is buffered.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (srv.stats().sessions_completed < static_cast<std::uint64_t>(round + 1) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_EQ(srv.stats().sessions_completed, static_cast<std::uint64_t>(round + 1))
+            << label;
+    }
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_completed, static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(srv.stats().sessions_failed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "data/nyse_synth.hpp"
@@ -767,7 +769,80 @@ void exercise_stream(IoBackend& io) {
     EXPECT_TRUE(woke);
 }
 
+// Reads everything `tag` has ready once wait() reports it; false on EOF or
+// error, or when it never became readable.
+bool read_ready(IoBackend& io, int fd, std::uint64_t tag, std::string& got) {
+    for (int spin = 0; spin < 1000; ++spin) {
+        IoEvent events[8];
+        const int n = io.wait(events, 8);
+        if (n < 0) return false;
+        for (int i = 0; i < n; ++i) {
+            if (events[i].tag != tag) continue;
+            IoBackend::ReadView view;
+            IoBackend::ReadStatus rs;
+            while ((rs = io.read(fd, view)) == IoBackend::ReadStatus::Data)
+                got.append(reinterpret_cast<const char*>(view.data), view.size);
+            return rs == IoBackend::ReadStatus::Again;
+        }
+    }
+    return false;
+}
+
+// A closed fd's number comes straight back from the next socket: the new
+// registration must see only its own bytes, and tearing it down must release
+// the socket (the peer sees EOF) — nothing the old registration left in
+// flight may attach to it.
+void exercise_fd_reuse(IoBackend& io) {
+    int first[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, first), 0);
+    const int fd = first[0];
+    ASSERT_TRUE(io.add(fd, 1, IoBackend::kRead | IoBackend::kStream));
+    ASSERT_EQ(::send(first[1], "x", 1, MSG_NOSIGNAL), 1);
+    std::string got;
+    ASSERT_TRUE(read_ready(io, fd, 1, got));
+    EXPECT_EQ(got, "x");
+    io.del(fd);
+    ::close(fd);
+    ::close(first[1]);
+
+    int second[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, second), 0);
+    if (second[0] != fd) {  // same number, new socket
+        ASSERT_EQ(::dup2(second[0], fd), fd);
+        ::close(second[0]);
+    }
+    ASSERT_TRUE(io.add(fd, 2, IoBackend::kRead | IoBackend::kStream));
+    ASSERT_EQ(::send(second[1], "yz", 2, MSG_NOSIGNAL), 2);
+    got.clear();
+    ASSERT_TRUE(read_ready(io, fd, 2, got)) << "reused fd reported EOF or error";
+    EXPECT_EQ(got, "yz");
+    io.del(fd);
+    ::close(fd);
+    io.wake();  // one more wait() pass submits whatever teardown del queued
+    IoEvent events[8];
+    ASSERT_GE(io.wait(events, 8), 0);
+
+    pollfd pfd{second[1], POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "reused socket still held open";
+    char c = 0;
+    EXPECT_EQ(::recv(second[1], &c, 1, 0), 0);
+    ::close(second[1]);
+}
+
 }  // namespace
+
+TEST(IoBackend, EpollFdReuseSeesOnlyTheNewSocket) {
+    const auto io = make_epoll_backend();
+    ASSERT_NE(io, nullptr);
+    exercise_fd_reuse(*io);
+}
+
+TEST(IoBackend, UringFdReuseSeesOnlyTheNewSocket) {
+    if (!uring_supported()) GTEST_SKIP() << "io_uring unavailable on this kernel";
+    const auto io = make_uring_backend();
+    ASSERT_NE(io, nullptr);
+    exercise_fd_reuse(*io);
+}
 
 TEST(IoBackend, EpollStreamsBytesInOrder) {
     const auto io = make_epoll_backend();

@@ -39,13 +39,16 @@ bool eventually(double seconds, const std::function<bool()>& pred) {
 // High result volume per input event: every other event starts a window and
 // nearly every window matches (up_prob 0.7), each RESULT carrying a six-entry
 // payload — the egress byte count dwarfs the shrunken socket buffers below,
-// so backpressure must engage at the server's configured cap.
-const char* kFatResultQuery =
-    "PATTERN (R1 R2) "
-    "DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
-    "WITHIN 20 EVENTS FROM EVERY 2 EVENTS "
-    "EMIT open1 = R1.open, close1 = R1.close, open2 = R2.open, "
-    "     close2 = R2.close, gain = R2.close - R1.open, spread = R2.close - R2.open";
+// so backpressure must engage at the server's configured cap. Partitioned
+// per symbol, windows open every other event of each key — the same volume.
+std::string fat_result_query(bool partitioned = false) {
+    return std::string("PATTERN (R1 R2) "
+                       "DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
+                       "WITHIN 20 EVENTS FROM EVERY 2 EVENTS ") +
+           (partitioned ? "PARTITION BY SUBJECT " : "") +
+           "EMIT open1 = R1.open, close1 = R1.close, open2 = R2.open, "
+           "     close2 = R2.close, gain = R2.close - R1.open, spread = R2.close - R2.open";
+}
 
 }  // namespace
 
@@ -53,10 +56,15 @@ const char* kFatResultQuery =
 // Slow consumer: a client that stops reading RESULT frames parks its own
 // engine task on egress credit — other sessions keep completing, server
 // memory stays bounded by the configured cap, and once the client resumes
-// reading the parked session finishes byte-identical to the oracle.
+// reading the parked session finishes byte-identical to the oracle. The
+// slow session runs unsharded, or sharded over two lanes that share its
+// egress credit (each lane parks on its own as it hits the gate).
 // ---------------------------------------------------------------------------
 
-TEST(PoolStress, SlowConsumerParksOnlyItsOwnSession) {
+class PoolStressSlowConsumer : public ::testing::TestWithParam<bool> {};  // sharded?
+
+TEST_P(PoolStressSlowConsumer, ParksOnlyItsOwnSession) {
+    const bool sharded = GetParam();
     const server::ServerConfig cfg = server::ServerConfigBuilder{}
                                          .pool_workers(2)
                                          .egress_buffer_bytes(2048)  // tiny credit: park quickly
@@ -70,7 +78,8 @@ TEST(PoolStress, SlowConsumerParksOnlyItsOwnSession) {
     std::vector<harness::LoadGenSession> specs(4);
     // The slow one: ~hundreds of fat RESULT frames, none read until the gate
     // opens — far more bytes than cap + both kernel socket buffers hold.
-    specs[0] = make_session(kFatResultQuery, 0, wire_events(1500, 11, 40, 0.7));
+    specs[0] = make_session(fat_result_query(sharded), 0, wire_events(1500, 11, 40, 0.7));
+    if (sharded) specs[0].shards = 2;
     specs[0].read_gate = gate;
     specs[0].rcvbuf = 8192;
     // Three well-behaved neighbours, mixed engines.
@@ -106,8 +115,10 @@ TEST(PoolStress, SlowConsumerParksOnlyItsOwnSession) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const std::string label = "session " + std::to_string(i);
         EXPECT_TRUE(outcomes[i].completed) << label << ": " << outcomes[i].error;
-        expect_byte_identical(sequential_ground_truth(specs[i].query, specs[i].events),
-                              outcomes[i].results, label);
+        expect_byte_identical(
+            i == 0 && sharded ? harness::partitioned_oracle(specs[i].query, specs[i].events)
+                              : sequential_ground_truth(specs[i].query, specs[i].events),
+            outcomes[i].results, label);
     }
 
     srv.stop();
@@ -118,6 +129,11 @@ TEST(PoolStress, SlowConsumerParksOnlyItsOwnSession) {
     EXPECT_EQ(s.tasks_added, s.tasks_finished);
     EXPECT_EQ(s.egress_buffered_bytes, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shapes, PoolStressSlowConsumer, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                             return info.param ? "Sharded" : "Unsharded";
+                         });
 
 // ---------------------------------------------------------------------------
 // Session churn: repeated connect/HELLO/abandon-mid-DATA cycles (truncated
@@ -264,7 +280,7 @@ TEST(PoolStress, StopWhileParkedOnEgressReturnsPromptly) {
     srv->start();
 
     auto gate = std::make_shared<std::atomic<bool>>(false);
-    harness::LoadGenSession spec = make_session(kFatResultQuery, 0, wire_events(1200, 77, 40, 0.7));
+    harness::LoadGenSession spec = make_session(fat_result_query(), 0, wire_events(1200, 77, 40, 0.7));
     spec.read_gate = gate;
     spec.rcvbuf = 8192;
     harness::LoadGenClient client("127.0.0.1", srv->port());

@@ -181,6 +181,12 @@ TEST(CepServer, ClientDeathMidFrameIsIsolated) {
     expect_byte_identical(sequential_ground_truth(specs[1].query, specs[1].events),
                           outcomes[1].results, "survivor");
 
+    // The client returns the instant it hard-closes; the server notices the
+    // mid-frame death asynchronously — a stop() before that aborts the
+    // session instead of failing it.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (srv.stats().sessions_failed < 1 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
     srv.stop();
     EXPECT_EQ(srv.stats().sessions_failed, 1u);
 }
