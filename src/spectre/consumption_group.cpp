@@ -14,6 +14,7 @@ void ConsumptionGroup::add_event(event::Seq seq) {
         const std::lock_guard<std::mutex> lock(mutex_);
         events_.push_back(seq);
     }
+    if (seq >= end_.load()) end_.store(seq + 1);
     // Release so a reader that sees the new version also sees the new event.
     version_.fetch_add(1, std::memory_order_release);
 }

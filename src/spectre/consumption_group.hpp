@@ -45,6 +45,14 @@ public:
     int delta() const noexcept { return delta_.load(std::memory_order_relaxed); }
     CgOutcome outcome() const noexcept { return outcome_.load(std::memory_order_acquire); }
 
+    // True iff the group completed and none of its events reaches `first` (it
+    // is empty or its largest seq is below `first`). A completed group is
+    // frozen, so such a group can never touch a window starting at `first` or
+    // later — the suppression-set bound of DESIGN.md §4.1. O(1), lock-free.
+    bool completed_before(event::Seq first) const noexcept {
+        return outcome() == CgOutcome::Completed && end_.load() <= first;
+    }
+
     // Copies the current membership; `version_out` receives the version the
     // snapshot corresponds to.
     std::vector<event::Seq> snapshot(std::uint64_t& version_out) const;
@@ -59,6 +67,10 @@ private:
     std::atomic<int> delta_;
     std::atomic<std::uint64_t> version_{0};
     std::atomic<CgOutcome> outcome_{CgOutcome::Pending};
+    // One past the largest member seq (0 while empty). Written by the owner
+    // before it resolves the group, so a reader that sees Completed sees the
+    // final value.
+    std::atomic<event::Seq> end_{0};
     mutable std::mutex mutex_;
     std::vector<event::Seq> events_;  // guarded by mutex_
 };

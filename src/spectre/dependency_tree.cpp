@@ -69,7 +69,8 @@ void DependencyTree::attach_at_leaves(TreeNode* node, const query::WindowInfo& w
                                       std::vector<CgPtr> suppressed) {
     if (node->kind == TreeNode::Kind::Version) {
         // A version's own suppressed set is authoritative for its subtree —
-        // plus the groups it completed whose vertices are already gone.
+        // plus the groups it completed whose vertices are already gone. The
+        // new version keeps only the groups that reach its window.
         std::vector<CgPtr> base = node->wv->suppressed();
         base.insert(base.end(), node->completed_groups.begin(),
                     node->completed_groups.end());
@@ -326,6 +327,11 @@ void DependencyTree::rebuild_after_rollback(std::uint64_t version_id) {
     stats_.max_versions = std::max(stats_.max_versions, index_.size());
 }
 
+WindowVersion* DependencyTree::find(std::uint64_t version_id) const {
+    const TreeNode* node = find_version(version_id);
+    return node == nullptr ? nullptr : node->wv.get();
+}
+
 WindowVersion* DependencyTree::front_root() const {
     if (roots_.empty()) return nullptr;
     SPECTRE_CHECK(roots_.front()->kind == TreeNode::Kind::Version,
@@ -444,6 +450,10 @@ void check_node(const TreeNode* node, const TreeNode* parent,
                       "window ids must increase along root paths");
         const auto it = index.find(node->wv->version_id());
         SPECTRE_CHECK(it != index.end() && it->second == node, "index entry missing");
+        const auto& wv = *node->wv;
+        for (std::size_t i = 0; i < wv.frozen_suppressed(); ++i)
+            SPECTRE_CHECK(!wv.suppressed()[i]->completed_before(wv.window().first),
+                          "version suppresses a completed group wholly before its window");
         if (node->child)
             check_node(node->child.get(), node, index, node->wv->window().id + 1);
     } else {
@@ -460,6 +470,15 @@ void DependencyTree::check_invariants() const {
         SPECTRE_CHECK(root->kind == TreeNode::Kind::Version, "roots must be versions");
         check_node(root.get(), nullptr, index_, 0);
     }
+}
+
+std::size_t DependencyTree::max_suppressed() const {
+    std::size_t most = 0;
+    for (const auto& [vid, node] : index_) {
+        (void)vid;
+        most = std::max(most, node->wv->suppressed().size());
+    }
+    return most;
 }
 
 }  // namespace spectre::core

@@ -146,6 +146,9 @@ public:
     bool empty() const noexcept { return roots_.empty(); }
     std::size_t live_versions() const noexcept { return index_.size(); }
     std::size_t live_windows() const;
+    // The live version with this id, or nullptr once it was dropped or
+    // retired.
+    WindowVersion* find(std::uint64_t version_id) const;
 
     // --- top-k selection (Fig. 6) --------------------------------------------
     // The k live, unfinished versions with the highest survival probability;
@@ -160,8 +163,14 @@ public:
     const TreeStats& stats() const noexcept { return stats_; }
 
     // Validates structural invariants (tests / debug): parent pointers, index
-    // consistency, one window per level along every path.
+    // consistency, one window per level along every path, and the
+    // suppression-set bound — no version suppresses a group that had already
+    // completed wholly before its window when the version was built.
     void check_invariants() const;
+
+    // Largest suppressed-set size among live versions (test hook: bounded by
+    // the live windows' groups, not by the stream's history).
+    std::size_t max_suppressed() const;
 
 private:
     TreeNode* find_version(std::uint64_t version_id) const;

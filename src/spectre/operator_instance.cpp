@@ -43,9 +43,7 @@ void OperatorInstance::refresh_caches(WindowVersion& wv) {
         auto& cache = st.caches[i];
         if (cache.snapshot_version == cg->version()) continue;
         std::uint64_t version = 0;
-        const auto events = cg->snapshot(version);
-        cache.events.clear();
-        cache.events.insert(events.begin(), events.end());
+        cache.events = cg->snapshot(version);
         cache.snapshot_version = version;
         st.supp_dirty = true;
     }
@@ -136,12 +134,10 @@ bool OperatorInstance::consistency_check(WindowVersion& wv) {
         const std::uint64_t current = cg->version();
         if (current == cache.checked_version) continue;
         std::uint64_t version = 0;
-        const auto events = cg->snapshot(version);
-        cache.events.clear();
-        cache.events.insert(events.begin(), events.end());
+        cache.events = cg->snapshot(version);
         cache.snapshot_version = version;
         st.supp_dirty = true;  // membership moved: the run index is stale
-        for (const auto seq : events) {
+        for (const auto seq : cache.events) {
             if (seq < wv.window().first || seq > wv.window().last) continue;
             if (st.used[seq - wv.window().first]) {
                 inconsistent = true;

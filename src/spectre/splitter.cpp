@@ -118,7 +118,7 @@ WvPtr Splitter::make_clone(const query::WindowInfo& w, std::vector<CgPtr> suppre
     }
     // A cloned finished version has no in-flight updates — its group state
     // was cloned synchronously — so it is immediately eligible to retire.
-    if (clone->finished()) finished_versions_.insert(clone->version_id());
+    if (clone->finished()) clone->mark_finish_applied();
     return clone;
 }
 
@@ -212,7 +212,8 @@ void Splitter::apply_updates() {
                 // arrives, every group update of the version's final pass has
                 // been applied. Acting on the flag alone could retire a root
                 // whose last consumption-group updates are still in flight.
-                finished_versions_.insert(u.version_id);
+                // A version dropped meanwhile is gone from the tree.
+                if (WindowVersion* wv = tree_.find(u.version_id)) wv->mark_finish_applied();
                 break;
             case Update::Kind::Rollback:
                 ++metrics_.rollbacks;
@@ -228,7 +229,7 @@ void Splitter::apply_updates() {
 
 void Splitter::retire_finished_roots() {
     while (WindowVersion* root = tree_.front_root()) {
-        if (!root->finished() || !finished_versions_.count(root->version_id())) break;
+        if (!root->retirable()) break;
         // Final consistency check before the root's output becomes visible:
         // a version that finished *before* one of its suppressed groups
         // gained an event never saw that addition in its periodic checks. By
@@ -237,13 +238,11 @@ void Splitter::retire_finished_roots() {
         if (!root->try_acquire(kSplitterOwner)) break;  // owner mid-batch; retry next cycle
         if (!root->validate_suppression()) {
             ++metrics_.late_validations;
-            finished_versions_.erase(root->version_id());
             root->reset_processing();
             root->release_ownership();
             tree_.rebuild_after_rollback(root->version_id());
             break;  // reprocess; retirement resumes once re-finished
         }
-        finished_versions_.erase(root->version_id());
         if (trace_enabled()) {
             std::string cgs;
             for (const auto& cg : root->suppressed()) {
@@ -281,7 +280,7 @@ void Splitter::retire_finished_roots() {
             else
                 output_.push_back(std::move(ce));
         }
-        ++retired_;
+        --live_windows_;
         ++metrics_.windows_retired;
     }
 }
@@ -300,10 +299,12 @@ void Splitter::discover_windows() {
         assigner_.poll(*store_, frontier, complete, windows_);
         // The dependency definition requires window ends monotone in starts
         // (DESIGN.md §5); all our window kinds satisfy it, assert anyway.
-        for (std::size_t i = std::max<std::size_t>(before, 1); i < windows_.size(); ++i)
-            SPECTRE_CHECK(windows_[i].last >= windows_[i - 1].last &&
-                              windows_[i].first >= windows_[i - 1].first,
+        for (std::size_t i = before; i < windows_.size(); ++i) {
+            SPECTRE_CHECK(windows_[i].last >= last_discovered_.last &&
+                              windows_[i].first >= last_discovered_.first,
                           "window ends must be monotone in starts");
+            last_discovered_ = windows_[i];
+        }
     }
     last_polled_frontier_ = frontier;
     last_polled_complete_ = complete;
@@ -317,8 +318,7 @@ bool Splitter::needs_cycle() const {
     // A finished root whose WindowFinished update was already drained is
     // eligible to retire (and retirement may cascade: child becomes root).
     if (const WindowVersion* root = tree_.front_root())
-        if (root->finished() && finished_versions_.count(root->version_id()))
-            return true;
+        if (root->retirable()) return true;
     // The input state or the frontier moved since the last discovery poll:
     // the end-of-stream latch must be taken / new windows may be determined.
     const bool complete =
@@ -326,7 +326,7 @@ bool Splitter::needs_cycle() const {
     if (complete != last_polled_complete_ || store_->size() != last_polled_frontier_)
         return true;
     // Discovered windows are waiting and there is capacity to open them.
-    if (next_window_ < windows_.size() && (next_window_ - retired_) < effective_lookahead() &&
+    if (!windows_.empty() && live_windows_ < effective_lookahead() &&
         tree_.live_versions() < config_.max_tree_versions)
         return true;
     return false;
@@ -334,10 +334,10 @@ bool Splitter::needs_cycle() const {
 
 void Splitter::open_windows() {
     const std::size_t lookahead = effective_lookahead();
-    while (next_window_ < windows_.size() &&
-           (next_window_ - retired_) < lookahead &&
+    std::size_t opened = 0;
+    while (opened < windows_.size() && live_windows_ < lookahead &&
            tree_.live_versions() < config_.max_tree_versions) {
-        const auto& w = windows_[next_window_];
+        const auto& w = windows_[opened];
         // Events consumed in already-retired windows cannot appear in any
         // window starting before w; drop them from the tail.
         while (!consumed_tail_.empty() && *consumed_tail_.begin() < w.first)
@@ -355,9 +355,11 @@ void Splitter::open_windows() {
             root_suppressed.push_back(std::move(ghost));
         }
         tree_.open_window(w, std::move(root_suppressed));
-        ++next_window_;
+        ++opened;
+        ++live_windows_;
         ++metrics_.windows_opened;
     }
+    windows_.erase(windows_.begin(), windows_.begin() + static_cast<std::ptrdiff_t>(opened));
 }
 
 void Splitter::schedule() {
@@ -416,7 +418,7 @@ bool Splitter::run_cycle() {
     // Done only at quiescence on a complete input: no window still to be
     // discovered by arrivals, none waiting to open, none live in the tree.
     if (input_complete_.load(std::memory_order_relaxed) && assigner_.exhausted() &&
-        next_window_ == windows_.size() && tree_.empty()) {
+        windows_.empty() && tree_.empty()) {
         done_ = true;
         for (auto& inst : instances_) inst->assign(nullptr);
         return false;

@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <unordered_set>
 
 #include "query/window.hpp"
 #include "spectre/dependency_tree.hpp"
@@ -145,7 +144,6 @@ public:
     const SplitterMetrics& metrics() const noexcept { return metrics_; }
     const DependencyTree& tree() const noexcept { return tree_; }
     const model::CompletionModel& model() const noexcept { return *model_; }
-    std::size_t total_windows() const noexcept { return windows_.size(); }
 
 private:
     void apply_updates();
@@ -170,9 +168,11 @@ private:
     // read this through a pointer to clamp trailing windows at end-of-stream.
     std::atomic<bool> input_complete_{false};
     query::WindowAssigner assigner_;
-    std::vector<query::WindowInfo> windows_;  // grows as arrivals determine them
-    std::size_t next_window_ = 0;  // next window to open
-    std::size_t retired_ = 0;
+    // Windows the arrivals determined that are not opened yet, in id order;
+    // open_windows() erases them as it opens them.
+    std::vector<query::WindowInfo> windows_;
+    query::WindowInfo last_discovered_{};  // monotonicity check across polls
+    std::size_t live_windows_ = 0;  // opened, not yet retired
     // (frontier, completeness) the last discovery poll saw; needs_cycle()
     // compares against the store so steady-state steps skip the cycle.
     event::Seq last_polled_frontier_ = UINT64_MAX;
@@ -180,9 +180,6 @@ private:
     // Consumed events from completed groups that may fall into windows not
     // yet opened (trimmed as the open frontier advances).
     std::set<event::Seq> consumed_tail_;
-    // Versions whose WindowFinished update has been drained; only these may
-    // retire (guarantees their final group updates were applied first).
-    std::unordered_set<std::uint64_t> finished_versions_;
 
     DependencyTree tree_;
     UpdateQueue updates_;

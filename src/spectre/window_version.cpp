@@ -4,9 +4,32 @@
 
 namespace spectre::core {
 
+namespace {
+
+// The suppression-set rule (DESIGN.md §4.1): keep pending groups and completed
+// groups with an event at or after `first`. Completed groups come first and
+// `frozen` counts them. Each outcome is read once, so a group that completes
+// during the pass lands among the pending ones.
+std::vector<CgPtr> reaching(std::vector<CgPtr> groups, event::Seq first, std::size_t& frozen) {
+    std::vector<CgPtr> kept, pending;
+    for (auto& cg : groups) {
+        if (cg->outcome() != CgOutcome::Completed)
+            pending.push_back(std::move(cg));
+        else if (!cg->completed_before(first))
+            kept.push_back(std::move(cg));
+    }
+    frozen = kept.size();
+    kept.insert(kept.end(), std::make_move_iterator(pending.begin()),
+                std::make_move_iterator(pending.end()));
+    return kept;
+}
+
+}  // namespace
+
 WindowVersion::WindowVersion(std::uint64_t version_id, query::WindowInfo window,
                              const detect::CompiledQuery* cq, std::vector<CgPtr> suppressed)
-    : version_id_(version_id), window_(window), suppressed_(std::move(suppressed)),
+    : version_id_(version_id), window_(window),
+      suppressed_(reaching(std::move(suppressed), window.first, frozen_suppressed_)),
       state_(std::make_unique<Processing>(cq)) {
     SPECTRE_REQUIRE(cq != nullptr, "WindowVersion needs a compiled query");
     state_->detector.begin_window(window_);
@@ -48,6 +71,7 @@ void WindowVersion::reset_processing() {
     for (auto& cache : state_->caches) cache.checked_version = UINT64_MAX;
     state_->supp_dirty = true;
     finished_.store(false, std::memory_order_release);
+    finish_applied_.store(false, std::memory_order_release);
     progress_.store(0, std::memory_order_relaxed);
 }
 

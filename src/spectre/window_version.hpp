@@ -2,18 +2,20 @@
 //
 // A version is defined by its window plus the set of consumption groups it
 // assumes to complete (whose events it suppresses — the groups reached via
-// completion edges on its root path). Processing state (detector, position,
-// buffered complex events, the used-event set for consistency checks) lives
-// here; it is mutated only by the operator instance the version is currently
-// scheduled on. The splitter touches only the atomic flags (dropped /
-// finished / stats_enabled) and reads `progress` for the prediction model.
+// completion edges on its root path). The constructor bounds that set to the
+// groups that can still touch the window (DESIGN.md §4.1): completed groups
+// lying wholly before `window.first` are dropped. Processing state (detector,
+// position, buffered complex events, the used-event set for consistency
+// checks) lives here; it is mutated only by the operator instance the version
+// is currently scheduled on. The splitter touches only the atomic flags
+// (dropped / finished / finish_applied / stats_enabled) and reads `progress`
+// for the prediction model.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "detect/detector.hpp"
@@ -29,11 +31,25 @@ public:
     std::uint64_t version_id() const noexcept { return version_id_; }
     const query::WindowInfo& window() const noexcept { return window_; }
     const std::vector<CgPtr>& suppressed() const noexcept { return suppressed_; }
+    // How many leading groups of suppressed() had already completed when the
+    // version was built. None of them lies wholly before the window
+    // (DependencyTree::check_invariants asserts it); the groups after them
+    // were pending then and may complete before the window later.
+    std::size_t frozen_suppressed() const noexcept { return frozen_suppressed_; }
 
     // --- splitter side -------------------------------------------------------
     void mark_dropped() noexcept { dropped_.store(true, std::memory_order_release); }
     bool dropped() const noexcept { return dropped_.load(std::memory_order_acquire); }
     bool finished() const noexcept { return finished_.load(std::memory_order_acquire); }
+    // The splitter applied this version's WindowFinished update. The update
+    // queue is FIFO per instance, so every group update of the final pass was
+    // applied before it: only then may the version retire.
+    void mark_finish_applied() noexcept {
+        finish_applied_.store(true, std::memory_order_release);
+    }
+    bool retirable() const noexcept {
+        return finished() && finish_applied_.load(std::memory_order_acquire);
+    }
     // Enables δ-transition statistics gathering; the splitter turns this on
     // when the version becomes the valid version of an independent window
     // (§3.2.1: only independent windows feed the model).
@@ -103,10 +119,12 @@ public:
 private:
     const std::uint64_t version_id_;
     const query::WindowInfo window_;
+    std::size_t frozen_suppressed_ = 0;
     const std::vector<CgPtr> suppressed_;
 
     std::atomic<bool> dropped_{false};
     std::atomic<bool> finished_{false};
+    std::atomic<bool> finish_applied_{false};
     std::atomic<bool> stats_enabled_{false};
     std::atomic<std::uint64_t> progress_{0};
     std::atomic<int> busy_{-1};  // instance index holding the batch lock
@@ -127,7 +145,7 @@ struct WindowVersion::Processing {
     // version it corresponds to + the version covered by the last
     // consistency check (CG.lastCheckedVersion in Fig. 8).
     struct CgCache {
-        std::unordered_set<event::Seq> events;
+        std::vector<event::Seq> events;
         std::uint64_t snapshot_version = UINT64_MAX;
         std::uint64_t checked_version = 0;
     };

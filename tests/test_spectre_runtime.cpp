@@ -4,6 +4,7 @@
 // same (window) order; no false positives, no false negatives (§2.3).
 #include <gtest/gtest.h>
 
+#include "data/nyse_synth.hpp"
 #include "model/fixed_model.hpp"
 #include "obs/metrics.hpp"
 #include "model/markov_model.hpp"
@@ -336,6 +337,72 @@ TEST(SpectreBlockingRun, RepeatedRunsAreStable) {
         expect_same_output(expected.complex_events, rt.run().output,
                            "rep=" + std::to_string(rep));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Linear cost: what a window version carries is bounded by the live windows,
+// not by how long the session has run (DESIGN.md §4.1).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct BoundRun {
+    std::size_t peak_suppressed = 0;
+    std::vector<event::ComplexEvent> output;
+};
+
+// Drives a k=3 splitter and its instances by hand over a complete store,
+// checking the tree's invariants after every cycle.
+BoundRun drive_splitter(const detect::CompiledQuery& cq, const event::EventStore& store) {
+    core::SplitterConfig cfg;
+    cfg.instances = 3;
+    core::Splitter splitter(&store, &cq, cfg, make_markov(cq));
+    splitter.mark_input_complete();
+    BoundRun run;
+    while (splitter.run_cycle()) {
+        splitter.tree().check_invariants();
+        run.peak_suppressed = std::max(run.peak_suppressed, splitter.tree().max_suppressed());
+        for (auto& inst : splitter.instances()) inst->run_batch(64);
+    }
+    run.output = splitter.take_output();
+    return run;
+}
+
+}  // namespace
+
+TEST(SpectreLinearCost, SuppressedSetsStayBoundedOnLongStreams) {
+    // The rising pair of the e2e spectre-overlap workload: four-fold
+    // overlapping CONSUME ALL windows chain every window into one tree.
+    const auto vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    data::NyseSynthConfig gen;
+    gen.events = 20'000;
+    gen.symbols = 50;
+    gen.up_prob = 0.55;
+    gen.seed = 5;
+    const auto events = data::generate_nyse(vocab, gen);
+    const auto rising = [&] {
+        return query::binary(query::BinOp::Gt, query::attr(vocab.close_slot),
+                             query::attr(vocab.open_slot));
+    };
+    auto q = query::QueryBuilder(vocab.schema)
+                 .single("R1", rising())
+                 .single("R2", rising())
+                 .window(query::WindowSpec::sliding_count(40, 10))
+                 .consume_all()
+                 .build();
+    const auto cq = detect::CompiledQuery::compile(q);
+
+    std::vector<std::size_t> peaks;
+    for (const std::size_t n : {std::size_t{2'000}, std::size_t{20'000}}) {
+        event::EventStore store;
+        for (std::size_t i = 0; i < n; ++i) store.append(events[i]);
+        const auto run = drive_splitter(cq, store);
+        expect_same_output(sequential::SequentialEngine(&cq).run(store).complex_events,
+                           run.output, "rising pair n=" + std::to_string(n));
+        EXPECT_GT(run.peak_suppressed, 0u);
+        peaks.push_back(run.peak_suppressed);
+    }
+    EXPECT_EQ(peaks[0], peaks[1]) << "suppressed sets grow with the stream";
 }
 
 // ---------------------------------------------------------------------------

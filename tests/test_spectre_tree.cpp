@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "model/fixed_model.hpp"
 #include "spectre/dependency_tree.hpp"
 #include "test_helpers.hpp"
@@ -297,4 +299,52 @@ TEST(DependencyTreeTest, WindowsOutOfOrderRejected) {
     TreeFixture f;
     f.tree.open_window(f.win(1, 4, 7));
     EXPECT_THROW(f.tree.open_window(f.win(0, 0, 3)), std::invalid_argument);
+}
+
+TEST(DependencyTreeTest, NewVersionDropsCompletedGroupsWhollyBeforeItsWindow) {
+    TreeFixture f;
+    // The root's ghost: a retired window's consumption reaching into w1.
+    auto ghost = std::make_shared<ConsumptionGroup>(0, 0, 0, 0);
+    ghost->add_event(2);
+    ghost->resolve(CgOutcome::Completed);
+    f.tree.open_window(f.win(0, 0, 3), {ghost});
+    const auto root = f.tree.top_k(1, half)[0];
+    const auto before = f.group(100, root, {0, 1});   // completes wholly before w1
+    const auto reaching = f.group(101, root, {1, 3});  // completes inside w1
+    const auto pending = f.group(102, root, {1});      // still pending at w1's open
+    for (const auto& cg : {before, reaching, pending})
+        ASSERT_TRUE(f.tree.on_group_created(cg));
+    for (const auto& cg : {before, reaching}) {
+        cg->resolve(CgOutcome::Completed);
+        f.tree.on_group_resolved(cg, true);
+    }
+    EXPECT_TRUE(before->completed_before(2));
+    EXPECT_FALSE(reaching->completed_before(2));
+    EXPECT_FALSE(pending->completed_before(2));
+
+    // w1 hangs under the pending group's vertex: one version per edge, each
+    // handed {ghost, 100, 101} by the root (plus 102 on the completion edge).
+    f.tree.open_window(f.win(1, 2, 5));
+    f.tree.check_invariants();
+    const auto ids = [](const WvPtr& wv) {
+        std::vector<std::uint64_t> out;
+        for (const auto& cg : wv->suppressed()) out.push_back(cg->id());
+        return out;
+    };
+    std::vector<std::vector<std::uint64_t>> w1_sets;
+    for (const auto& wv : f.tree.top_k(8, half)) {
+        if (wv->window().id != 1) continue;
+        EXPECT_EQ(wv->frozen_suppressed(), 2u);
+        w1_sets.push_back(ids(wv));
+    }
+    std::sort(w1_sets.begin(), w1_sets.end());
+    EXPECT_EQ(w1_sets, (std::vector<std::vector<std::uint64_t>>{{0, 101}, {0, 101, 102}}));
+    EXPECT_EQ(f.tree.max_suppressed(), 3u);
+
+    // The pending group now completes wholly before w1. The version built
+    // while it was pending keeps it, and the invariant allows that.
+    pending->resolve(CgOutcome::Completed);
+    f.tree.on_group_resolved(pending, true);
+    f.tree.check_invariants();
+    EXPECT_EQ(f.tree.max_suppressed(), 3u);
 }
