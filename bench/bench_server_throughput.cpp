@@ -193,7 +193,6 @@ int main() {
                     .field("sched_batches", stats.sched_batches)
                     .field("sched_batch_events", stats.sched_batch_events)
                     .field("sched_ready_depth_max", stats.sched_ready_depth_max)
-                    .field("sched_ready_depth_p50", stats.sched_ready_depth_p50)
                     .field("sched_instances_retired", stats.sched_instances_retired)
                     .field("sched_instances_cancelled", stats.sched_instances_cancelled)
                     .field("sched_wasted_events", stats.sched_wasted_events)

@@ -47,7 +47,7 @@ NON_IDENTITY = {
     "overlap_gain", "decode_seconds_p50", "speculation_wasted_events_p50",
     "first_result_ms_p50", "results", "quanta", "parks_input", "parks_egress",
     "sched_steps", "sched_cycles", "sched_cycles_skipped", "sched_batches",
-    "sched_batch_events", "sched_ready_depth_max", "sched_ready_depth_p50",
+    "sched_batch_events", "sched_ready_depth_max",
     "sched_instances_retired", "sched_instances_cancelled",
     "sched_wasted_events",
     "parity_ok", "parity", "scale", "events", "completions", "avg_active",

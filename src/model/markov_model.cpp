@@ -57,12 +57,6 @@ void MarkovModel::observe(int delta_from, int delta_to) {
     if (pending_.samples() >= params_.refresh_every) refresh();
 }
 
-void MarkovModel::merge(const TransitionStats& batch) {
-    pending_.merge(batch);
-    total_samples_ += batch.samples();
-    if (pending_.samples() >= params_.refresh_every) refresh();
-}
-
 void MarkovModel::refresh() {
     if (pending_.samples() == 0) return;
     const util::Matrix t_new = pending_.estimate();

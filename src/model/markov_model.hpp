@@ -42,10 +42,6 @@ public:
     void observe(int delta_from, int delta_to) override;
     void refresh() override;
 
-    // Folds a whole batch of counts in (operator instances accumulate
-    // locally and flush per batch).
-    void merge(const TransitionStats& batch);
-
     const StateMap& state_map() const noexcept { return map_; }
     const util::Matrix& transition_matrix() const noexcept { return t1_; }
     std::uint64_t total_samples() const noexcept { return total_samples_; }

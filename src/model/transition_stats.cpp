@@ -32,12 +32,6 @@ void TransitionStats::observe(int delta_from, int delta_to) {
     ++samples_;
 }
 
-void TransitionStats::merge(const TransitionStats& other) {
-    SPECTRE_REQUIRE(other.map_.states() == map_.states(), "state map mismatch in merge");
-    counts_ = counts_.blend(1.0, other.counts_, 1.0);
-    samples_ += other.samples_;
-}
-
 void TransitionStats::reset() {
     counts_ = util::Matrix(counts_.rows(), counts_.cols());
     samples_ = 0;

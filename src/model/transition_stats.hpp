@@ -1,8 +1,8 @@
 // TransitionStats: run-time δ-transition counts feeding the Markov model.
 //
-// Operator instances accumulate counts locally while processing independent
-// windows and flush them to the splitter in batches; the splitter merges them
-// into the model. δ values are bucketed into a capped state space
+// Operator instances collect transitions locally while processing
+// independent windows and flush them to the splitter in batches; the
+// splitter feeds them into the model one by one. δ values are bucketed into a capped state space
 // (DESIGN.md §4.5): the paper's chain has one state per δ, which is
 // infeasible for patterns thousands of events long (Q1 with q=2560), so δ is
 // mapped affinely onto `state_count` states with state 0 = completed.
@@ -35,7 +35,6 @@ public:
     explicit TransitionStats(const StateMap& map);
 
     void observe(int delta_from, int delta_to);
-    void merge(const TransitionStats& other);
     void reset();
 
     std::uint64_t samples() const noexcept { return samples_; }

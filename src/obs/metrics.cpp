@@ -60,14 +60,13 @@ constexpr BuiltinDef kBuiltins[] = {
     {"pool_quanta", Kind::Counter, "engine quanta executed"},
     {"pool_tasks_added", Kind::Counter, "engine tasks registered"},
     {"pool_tasks_finished", Kind::Counter, "engine tasks that returned Done"},
-    {"sched_sessions", Kind::Counter, "speculative sessions that reported sched stats"},
+    {"sched_sessions", Kind::Counter, "speculative sessions started"},
     {"sched_steps", Kind::Counter, "scheduler step() calls"},
     {"sched_cycles", Kind::Counter, "splitter cycles the dirty gate ran"},
     {"sched_cycles_skipped", Kind::Counter, "steps that skipped the cycle"},
     {"sched_batches", Kind::Counter, "instance batches scheduled"},
     {"sched_batch_events", Kind::Counter, "window positions advanced by batches"},
     {"sched_ready_depth_max", Kind::PeakGauge, "peak ready-queue depth at pop"},
-    {"sched_ready_p50_milli", Kind::Counter, "sum of per-session ready-depth p50 x1000"},
     {"sched_instances_retired", Kind::Counter, "batches that finished their version"},
     {"sched_instances_cancelled", Kind::Counter, "batches that found dead speculation"},
     {"sched_wasted_events", Kind::Counter, "work on later-dropped versions"},

@@ -1,8 +1,7 @@
 // obs: the unified metrics plane (DESIGN.md §12).
 //
-// Every stat the system previously kept in four disconnected structs
-// (ServerCounters, ServerStats, SchedStats, SplitterMetrics) — plus the
-// latency histograms this PR introduces — lives in one obs::Registry. The
+// Every server stat — lifecycle counters, the engines' scheduler and
+// splitter counts, the latency histograms — lives in one obs::Registry. The
 // design goal is a hot path that costs a handful of nanoseconds per update
 // and a scraper that can read a *live* server without stopping any worker:
 //
@@ -16,6 +15,11 @@
 //     series. Relaxed single-word updates compile to plain loads/stores/adds
 //     on x86; cells are partitioned per scope so cross-thread contention on
 //     a cache line is the rare case, not the design.
+//   * Engines keep their own SchedStats / SplitterMetrics structs for
+//     in-process readers, and a bound SpectreRuntime adds each step's change
+//     to its scope's cells. The scrape's sum over shards is the only place
+//     engine stats from several runtimes (a sharded session's lanes, many
+//     sessions) are combined — nothing folds them at teardown.
 //   * The scraper aggregates at read time: sum for counters/gauges, max for
 //     peak gauges, per-bucket sum for histograms, over every live shard plus
 //     a retained block that retired shards folded into. Reads are relaxed
@@ -31,8 +35,8 @@
 //
 // SPECTRE_OBS_OFF=1 disables the *added* instrumentation (timestamps and
 // histogram observes on hot paths — the perf kill switch run_perf.sh's
-// overhead row flips); counter migration is always on, it replaced atomics
-// that existed before this subsystem.
+// overhead row flips); counters, engine stat publication included, are
+// always on.
 #pragma once
 
 #include <array>
@@ -101,7 +105,6 @@ enum : std::uint32_t {
     kSchedBatches,
     kSchedBatchEvents,
     kSchedReadyDepthMax,  // peak
-    kSchedReadyP50Milli,  // Σ per-session p50 × 1000 (mean = /kSchedSessions)
     kSchedInstancesRetired,
     kSchedInstancesCancelled,
     kSchedWastedEvents,
@@ -306,8 +309,8 @@ private:
 };
 
 // Global kill switch: SPECTRE_OBS_OFF=1 (read once). Gates the added
-// hot-path instrumentation (clock reads, histogram observes, detector /
-// runtime bindings) — not the counters that replaced pre-existing atomics.
+// hot-path instrumentation (clock reads, histogram observes, the detector
+// binding) — not counters: server sessions bind their runtimes regardless.
 bool enabled() noexcept;
 
 // Monotonic nanoseconds (CLOCK_MONOTONIC); 0 when obs is disabled so call

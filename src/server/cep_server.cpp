@@ -38,21 +38,13 @@ void set_nonblocking(int fd) {
 
 CepServer::CepServer(ServerConfig config)
     : config_(config), pool_(config.pool_workers) {
-    // Per-shard-index lane series (§12) must be registered before any
+    // Per-shard-index depth peaks (§12) must be registered before any
     // session's shard exists — a shard only carries cells for series known
     // at its creation. Bounded by the shard limit, not by session churn.
     const int lane_max = std::min(config_.session.max_shards, 16);
-    for (int s = 0; s < lane_max; ++s) {
-        const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-        registry_.add("lane_depth_peak" + label, obs::Kind::PeakGauge,
-                      "peak queued events on this shard index");
-        registry_.add("lane_sched_steps" + label, obs::Kind::Counter,
-                      "scheduler steps on this shard index's lanes");
-        registry_.add("lane_sched_batch_events" + label, obs::Kind::Counter,
-                      "window positions advanced on this shard index's lanes");
-        registry_.add("lane_sched_wasted_events" + label, obs::Kind::Counter,
-                      "dead-speculation work on this shard index's lanes");
-    }
+    for (int s = 0; s < lane_max; ++s)
+        registry_.add("lane_depth_peak{shard=\"" + std::to_string(s) + "\"}",
+                      obs::Kind::PeakGauge, "peak queued events on this shard index");
     server_shard_ = registry_.make_shard();
     hub_.bind_obs(server_shard_.get());
     pool_.bind_obs(&registry_);
@@ -140,10 +132,6 @@ ServerStats CepServer::stats() const {
     s.sched_batches = v(obs::sid::kSchedBatches);
     s.sched_batch_events = v(obs::sid::kSchedBatchEvents);
     s.sched_ready_depth_max = v(obs::sid::kSchedReadyDepthMax);
-    if (s.sched_sessions > 0)
-        s.sched_ready_depth_p50 =
-            static_cast<double>(v(obs::sid::kSchedReadyP50Milli)) /
-            (1000.0 * static_cast<double>(s.sched_sessions));
     s.sched_instances_retired = v(obs::sid::kSchedInstancesRetired);
     s.sched_instances_cancelled = v(obs::sid::kSchedInstancesCancelled);
     s.sched_wasted_events = v(obs::sid::kSchedWastedEvents);

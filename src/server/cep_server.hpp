@@ -89,16 +89,15 @@ struct ServerStats {
     std::size_t egress_buffered_bytes = 0;  // currently buffered, all sessions
     std::size_t egress_peak_bytes = 0;      // high-water mark of the above
 
-    // Ready-instance scheduler (§11), aggregated over every finished or
-    // failed speculative (unsharded) session.
-    std::uint64_t sched_sessions = 0;          // sessions that reported stats
+    // Ready-instance scheduler (§11): live sums over every speculative
+    // runtime, each publishing its deltas per step (§12).
+    std::uint64_t sched_sessions = 0;          // speculative sessions started
     std::uint64_t sched_steps = 0;             // step() calls
     std::uint64_t sched_cycles = 0;            // splitter cycles the gate ran
     std::uint64_t sched_cycles_skipped = 0;    // steps with no cycle at all
     std::uint64_t sched_batches = 0;           // instance batches scheduled
     std::uint64_t sched_batch_events = 0;      // window positions advanced
     std::uint64_t sched_ready_depth_max = 0;   // peak ready depth, any session
-    double sched_ready_depth_p50 = 0.0;        // mean of per-session medians
     std::uint64_t sched_instances_retired = 0;    // versions finished
     std::uint64_t sched_instances_cancelled = 0;  // dead speculation found
     std::uint64_t sched_wasted_events = 0;        // work on dropped versions

@@ -58,11 +58,8 @@ ServerSession::~ServerSession() {
         account_egress(0);
         egress_.clear();
     }
-    // Last chance to publish engine stats (§12): covers sharded failure
-    // paths and server-stop teardown, where no worker-side flush point was
-    // safe. Then retire the shard — counters fold into the registry's
-    // retained block, so server totals stay monotone across session churn.
-    flush_sched_stats();
+    // Retire the shard: counters fold into the registry's retained block, so
+    // server totals stay monotone across session churn.
     registry_->retire(shard_);
     ::close(fd_);
 }
@@ -311,16 +308,22 @@ SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
     shard_->add(obs::Series{obs::sid::kEventsIngested}, 1);
     if (obs::enabled()) {
         shard_->observe(obs::Series{obs::sid::kLaneDepth}, info.queued);
-        if (info.shard < lane_series_.size())
-            shard_->set_peak(lane_series_[info.shard].depth_peak, info.queued);
+        if (info.shard < lane_peaks_.size())
+            shard_->set_peak(lane_peaks_[info.shard], info.queued);
         sample_lane_skew();
     }
     // §13: adaptivity decisions run on the reactor (= the feeder thread), so
     // route-table edits are synchronous with routing — no lock spans the
-    // decision.
+    // decision. This is the only call site that migrates, so the ledger is
+    // published as the decision's delta.
     if (controller_ && --reshard_countdown_ == 0) {
         reshard_countdown_ = limits_.reshard.decide_every_events;
+        const auto before = sharded_->migration_stats();
         apply_reshard_decision();
+        const auto after = sharded_->migration_stats();
+        shard_->add(obs::Series{obs::sid::kLaneMigrations},
+                    after.keys_moved - before.keys_moved);
+        shard_->add(obs::Series{obs::sid::kReshards}, after.reshards - before.reshards);
     }
     wake_lane(info.shard, &Lane::on_input);
     if (info.queued >= limits_.ingest_queue_events) {
@@ -407,32 +410,22 @@ void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards)
             cfg.max_shards = static_cast<std::uint32_t>(limits_.max_shards);
         sharded_ = std::make_unique<shard::ShardedEngine>(cq_.get(), cfg,
                                                           std::move(sink));
-        if (obs::enabled()) sharded_->bind_obs(shard_.get());
+        sharded_->bind_obs(shard_.get());
         const std::uint32_t slots = sharded_->shards();  // capacity, >= cfg.shards
-        // Per-shard-index lane series (§12): the server pre-registered these
+        // Per-shard-index depth peaks (§12): the server pre-registered these
         // names before any session shard existed, so add() only resolves ids.
-        lane_series_.reserve(slots);
-        for (std::uint32_t s = 0; s < slots; ++s) {
-            const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-            LaneSeries ls;
-            ls.depth_peak = registry_->add("lane_depth_peak" + label, obs::Kind::PeakGauge);
-            ls.steps = registry_->add("lane_sched_steps" + label, obs::Kind::Counter);
-            ls.batch_events =
-                registry_->add("lane_sched_batch_events" + label, obs::Kind::Counter);
-            ls.wasted =
-                registry_->add("lane_sched_wasted_events" + label, obs::Kind::Counter);
-            lane_series_.push_back(ls);
-        }
+        lane_peaks_.reserve(slots);
+        for (std::uint32_t s = 0; s < slots; ++s)
+            lane_peaks_.push_back(registry_->add(
+                "lane_depth_peak{shard=\"" + std::to_string(s) + "\"}",
+                obs::Kind::PeakGauge));
         // Lane handoffs are deposited by source lanes on worker threads. A
         // slot whose lane is not registered yet never parked, so waking it
         // is a no-op; its first scheduled quantum installs the mailbox.
         sharded_->set_shard_waker([this](std::uint32_t s) { wake_lane(s, &Lane::on_input); });
         if (elastic && slots > 1 && obs::enabled()) {
-            std::vector<obs::Series> peaks;
-            peaks.reserve(slots);
-            for (const auto& ls : lane_series_) peaks.push_back(ls.depth_peak);
             controller_ = std::make_unique<shard::ReshardController>(
-                shard_.get(), std::move(peaks), limits_.reshard);
+                shard_.get(), lane_peaks_, limits_.reshard);
             reshard_countdown_ = limits_.reshard.decide_every_events;
         }
     } else if (instances_ == 0) {
@@ -453,8 +446,11 @@ void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards)
             std::make_unique<model::MarkovModel>(cq_->min_length(),
                                                  model::MarkovParams{}));
         runtime_->set_result_sink(std::move(sink));
-        if (obs::enabled()) runtime_->bind_obs(shard_.get());
+        runtime_->bind_obs(shard_.get());
     }
+    // The runtimes above are bound even under SPECTRE_OBS_OFF: engine stats
+    // are counters, published by every step (§11/§12).
+    if (instances_ > 0) shard_->add(obs::Series{obs::sid::kSchedSessions}, 1);
     // Every slot's lane exists up front: growth (§13) must never reallocate
     // what worker threads are reading.
     const std::uint32_t slots = sharded_ ? sharded_->shards() : 1;
@@ -1050,69 +1046,7 @@ ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
     return pulled == 0 && p.quiescent ? LaneStep::Idle : LaneStep::Busy;
 }
 
-void ServerSession::flush_sched_stats() {
-    // Safe call sites only (header contract): the lane owning the final
-    // quantum, a lane that observed all_finished, or the destructor — never
-    // while a sibling lane may still be stepping.
-    if ((!runtime_ && !sharded_) ||
-        sched_flushed_.exchange(true, std::memory_order_acq_rel))
-        return;
-    core::SchedStats s;
-    core::SplitterMetrics m;
-    if (runtime_) {
-        s = runtime_->sched_stats();
-        m = runtime_->splitter_metrics();
-    } else {
-        // Sharded session (§10/§12): merge every shard's speculative lanes —
-        // these per-lane stats used to be dropped on the floor — and publish
-        // the per-shard-index breakdown on the bounded lane series.
-        s = sharded_->sched_stats();
-        m = sharded_->splitter_metrics();
-        const auto span = tasks_expected_.load(std::memory_order_acquire);
-        for (std::uint32_t i = 0; i < span && i < lane_series_.size(); ++i) {
-            const core::SchedStats ss = sharded_->shard_sched_stats(i);
-            shard_->add(lane_series_[i].steps, ss.steps);
-            shard_->add(lane_series_[i].batch_events, ss.batch_events);
-            shard_->add(lane_series_[i].wasted, ss.speculation_wasted_events);
-        }
-        // Elastic partitioning (§13): publish the migration ledger. Safe
-        // here for the same reason the per-shard stats are: the stream is
-        // closed, no wave can still be in flight.
-        const auto mig = sharded_->migration_stats();
-        shard_->add(obs::Series{obs::sid::kLaneMigrations}, mig.keys_moved);
-        shard_->add(obs::Series{obs::sid::kReshards}, mig.reshards);
-    }
-    shard_->add(obs::Series{obs::sid::kSchedSessions}, 1);
-    shard_->add(obs::Series{obs::sid::kSchedSteps}, s.steps);
-    shard_->add(obs::Series{obs::sid::kSchedCycles}, s.cycles);
-    shard_->add(obs::Series{obs::sid::kSchedCyclesSkipped}, s.cycles_skipped);
-    shard_->add(obs::Series{obs::sid::kSchedBatches}, s.batches);
-    shard_->add(obs::Series{obs::sid::kSchedBatchEvents}, s.batch_events);
-    shard_->add(obs::Series{obs::sid::kSchedInstancesRetired}, s.instances_retired);
-    shard_->add(obs::Series{obs::sid::kSchedInstancesCancelled}, s.instances_cancelled);
-    shard_->add(obs::Series{obs::sid::kSchedWastedEvents}, s.speculation_wasted_events);
-    shard_->add(obs::Series{obs::sid::kSchedReadyP50Milli},
-                static_cast<std::uint64_t>(s.ready_depth_p50 * 1000.0));
-    shard_->set_peak(obs::Series{obs::sid::kSchedReadyDepthMax}, s.ready_depth_max);
-    shard_->add(obs::Series{obs::sid::kSplitterCycles}, m.cycles);
-    shard_->add(obs::Series{obs::sid::kWindowsOpened}, m.windows_opened);
-    shard_->add(obs::Series{obs::sid::kWindowsRetired}, m.windows_retired);
-    shard_->add(obs::Series{obs::sid::kGroupsCreated}, m.groups_created);
-    shard_->add(obs::Series{obs::sid::kGroupsCompleted}, m.groups_completed);
-    shard_->add(obs::Series{obs::sid::kGroupsAbandoned}, m.groups_abandoned);
-    shard_->add(obs::Series{obs::sid::kRollbacks}, m.rollbacks);
-    shard_->add(obs::Series{obs::sid::kLateValidations}, m.late_validations);
-    shard_->set_peak(obs::Series{obs::sid::kMaxTreeVersions}, m.max_tree_versions);
-    shard_->add(obs::Series{obs::sid::kVersionsDropped}, m.versions_dropped);
-    shard_->add(obs::Series{obs::sid::kCopiesCloned}, m.copies_cloned);
-    shard_->add(obs::Series{obs::sid::kCopiesFresh}, m.copies_fresh);
-    shard_->add(obs::Series{obs::sid::kUpdatesApplied}, m.updates_applied);
-    shard_->add(obs::Series{obs::sid::kStatsSamples}, m.stats_samples);
-    shard_->add(obs::Series{obs::sid::kComplexEvents}, m.complex_events);
-}
-
 ServerSession::Quantum ServerSession::finish_engine() {
-    flush_sched_stats();
     if (role_ == SessionRole::Subscriber && hub_entry_) {
         // Engine done: this reader will never address the stream again —
         // raise its pin to the frontier so chunks the last laggard was
@@ -1170,9 +1104,6 @@ void ServerSession::apply_reshard_decision() {
 }
 
 ServerSession::Quantum ServerSession::engine_failed(const std::string& what) {
-    // Sharded: sibling lanes may still be stepping, so the
-    // stats flush waits for the destructor (when every task is done).
-    if (!sharded_) flush_sched_stats();
     count_failed_once();
     egress_append(net::SessionFrame{net::ErrorFrame{std::string("engine error: ") + what}});
     egress_try_flush();

@@ -377,14 +377,6 @@ private:
     Quantum finish_engine();  // BYE (first caller), counters, Done
     Quantum engine_failed(const std::string& what);
     void request_watch_write();
-    // Publishes this session's SchedStats + SplitterMetrics into its metrics
-    // shard, once. Safe call sites: the lane owning the final quantum
-    // (unsharded), a lane that observed all_finished (sharded), or the
-    // destructor (no worker can be inside a lane by then) — sharded failure
-    // paths defer to the destructor because sibling lanes may still be
-    // stepping.
-    void flush_sched_stats();
-
     // Elastic partitioning (§13, reactor thread — the reactor IS the
     // feeder): ask the controller for a decision over the last window and
     // apply it (steal a lane, or grow the active width and register the new
@@ -432,14 +424,10 @@ private:
     std::unique_ptr<core::SpectreRuntime> runtime_;
     std::unique_ptr<shard::ShardedEngine> sharded_;
     std::vector<std::unique_ptr<Lane>> lanes_;
-    // Per-shard-index lane series (§12, bounded by max_shards): resolved at
+    // Per-shard-index depth peaks (§12, bounded by max_shards): resolved at
     // HELLO against names the server pre-registered, e.g.
-    // lane_depth_peak{shard="3"}. Written by the reactor (depth peak) and by
-    // flush_sched_stats (per-shard scheduler counts).
-    struct LaneSeries {
-        obs::Series depth_peak, steps, batch_events, wasted;
-    };
-    std::vector<LaneSeries> lane_series_;
+    // lane_depth_peak{shard="3"}. Reactor-written.
+    std::vector<obs::Series> lane_peaks_;
     // Elastic partitioning (§13): reactor-owned migration policy over the
     // windowed lane_depth_peak series; null when the policy is off or the
     // session is unsharded.
@@ -487,7 +475,6 @@ private:
     // exchanges the latch first. Closes the race between the worker
     // finishing and the reactor failing the same session concurrently.
     std::atomic<bool> outcome_counted_{false};
-    std::atomic<bool> sched_flushed_{false};
 };
 
 }  // namespace spectre::server

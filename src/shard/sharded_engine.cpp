@@ -323,36 +323,6 @@ std::uint32_t ShardedEngine::key_count() const {
     return static_cast<std::uint32_t>(key_route_.size());
 }
 
-// Lane maps are task-private (header contract: call from the owning shard
-// task or once the engine finished), so these walk without the shard lock.
-core::SchedStats ShardedEngine::shard_sched_stats(std::uint32_t s) const {
-    core::SchedStats agg;
-    for (const auto& [key, lane] : shards_[s]->lanes)
-        if (lane->runtime) agg.merge(lane->runtime->sched_stats());
-    return agg;
-}
-
-core::SplitterMetrics ShardedEngine::shard_splitter_metrics(std::uint32_t s) const {
-    core::SplitterMetrics agg;
-    for (const auto& [key, lane] : shards_[s]->lanes)
-        if (lane->runtime) agg.merge(lane->runtime->splitter_metrics());
-    return agg;
-}
-
-core::SchedStats ShardedEngine::sched_stats() const {
-    core::SchedStats agg;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s)
-        agg.merge(shard_sched_stats(s));
-    return agg;
-}
-
-core::SplitterMetrics ShardedEngine::splitter_metrics() const {
-    core::SplitterMetrics agg;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s)
-        agg.merge(shard_splitter_metrics(s));
-    return agg;
-}
-
 std::size_t ShardedEngine::shard_queue_depth(std::uint32_t s) const {
     const std::lock_guard<std::mutex> lock(shards_[s]->mutex);
     return shards_[s]->queue.size();

@@ -205,21 +205,9 @@ public:
     // --- observability (DESIGN.md §12) --------------------------------------
 
     // Metrics plane: when bound, every speculative lane runtime created from
-    // here on records its splitter-cycle durations into `shard` (call before
+    // here on publishes its per-step stat deltas into `shard` (call before
     // the first ingest; the shard must outlive the engine).
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
-
-    // Aggregated scheduler / splitter stats over shard `s`'s speculative
-    // lanes, merged with SchedStats::merge / SplitterMetrics::merge (counts
-    // sum, peaks max). Lanes are task-private: call from shard `s`'s own
-    // task, or once finished() — this closes the sharded-session stats gap
-    // where per-lane SchedStats were dropped on the floor.
-    core::SchedStats shard_sched_stats(std::uint32_t s) const;
-    core::SplitterMetrics shard_splitter_metrics(std::uint32_t s) const;
-    // Whole-engine aggregation; call only when no shard task is stepping
-    // (drivers call it after wait()/finished()).
-    core::SchedStats sched_stats() const;
-    core::SplitterMetrics splitter_metrics() const;
 
     // Pending arrivals queued on shard `s` right now (lock-taken; the live
     // lane-depth signal adaptive re-sharding consumes).

@@ -1,6 +1,7 @@
 #include "spectre/runtime.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -99,6 +100,7 @@ SpectreRuntime::StepProgress SpectreRuntime::step() {
         if (p.events_processed >= budget) break;  // quantum spent — return
     }
     if (!cycled) ++sched_stats_.cycles_skipped;
+    if (obs_) publish_obs();
     return p;
 }
 
@@ -108,6 +110,62 @@ SchedStats SpectreRuntime::sched_stats() const {
     s.ready_depth_p50 = sched_.ready_p50();
     s.speculation_wasted_events = splitter_.metrics().speculation_wasted_events;
     return s;
+}
+
+namespace {
+
+template <typename Stats>
+using Field = std::pair<std::uint32_t, std::uint64_t Stats::*>;
+
+constexpr Field<SchedStats> kSchedCounters[] = {
+    {obs::sid::kSchedSteps, &SchedStats::steps},
+    {obs::sid::kSchedCycles, &SchedStats::cycles},
+    {obs::sid::kSchedCyclesSkipped, &SchedStats::cycles_skipped},
+    {obs::sid::kSchedBatches, &SchedStats::batches},
+    {obs::sid::kSchedBatchEvents, &SchedStats::batch_events},
+    {obs::sid::kSchedInstancesRetired, &SchedStats::instances_retired},
+    {obs::sid::kSchedInstancesCancelled, &SchedStats::instances_cancelled},
+};
+
+constexpr Field<SplitterMetrics> kSplitterCounters[] = {
+    {obs::sid::kSplitterCycles, &SplitterMetrics::cycles},
+    {obs::sid::kWindowsOpened, &SplitterMetrics::windows_opened},
+    {obs::sid::kWindowsRetired, &SplitterMetrics::windows_retired},
+    {obs::sid::kGroupsCreated, &SplitterMetrics::groups_created},
+    {obs::sid::kGroupsCompleted, &SplitterMetrics::groups_completed},
+    {obs::sid::kGroupsAbandoned, &SplitterMetrics::groups_abandoned},
+    {obs::sid::kRollbacks, &SplitterMetrics::rollbacks},
+    {obs::sid::kLateValidations, &SplitterMetrics::late_validations},
+    {obs::sid::kVersionsDropped, &SplitterMetrics::versions_dropped},
+    {obs::sid::kCopiesCloned, &SplitterMetrics::copies_cloned},
+    {obs::sid::kCopiesFresh, &SplitterMetrics::copies_fresh},
+    {obs::sid::kUpdatesApplied, &SplitterMetrics::updates_applied},
+    {obs::sid::kStatsSamples, &SplitterMetrics::stats_samples},
+    {obs::sid::kComplexEvents, &SplitterMetrics::complex_events},
+    // SchedStats::speculation_wasted_events is read from here too.
+    {obs::sid::kSchedWastedEvents, &SplitterMetrics::speculation_wasted_events},
+};
+
+// Adds each counter's growth since `published` to `shard` and catches
+// `published` up; unchanged counters cost a compare.
+template <typename Stats, std::size_t N>
+void publish_deltas(obs::Shard& shard, const Field<Stats> (&fields)[N],
+                    const Stats& now, Stats& published) {
+    for (const auto& [id, field] : fields) {
+        if (now.*field == published.*field) continue;
+        shard.add(obs::Series{id}, now.*field - published.*field);
+        published.*field = now.*field;
+    }
+}
+
+}  // namespace
+
+void SpectreRuntime::publish_obs() {
+    const SplitterMetrics& m = splitter_.metrics();
+    publish_deltas(*obs_, kSchedCounters, sched_stats_, published_sched_);
+    publish_deltas(*obs_, kSplitterCounters, m, published_splitter_);
+    obs_->set_peak(obs::Series{obs::sid::kSchedReadyDepthMax}, sched_.ready_max());
+    obs_->set_peak(obs::Series{obs::sid::kMaxTreeVersions}, m.max_tree_versions);
 }
 
 RunResult SpectreRuntime::finish(std::chrono::steady_clock::time_point t0) {

@@ -58,28 +58,6 @@ struct SchedStats {
     std::uint64_t instances_retired = 0;    // batches that finished their version
     std::uint64_t instances_cancelled = 0;  // batches that found dead speculation
     std::uint64_t speculation_wasted_events = 0;  // work on later-dropped versions
-
-    // Folds another scheduler's stats into this one (multi-lane aggregation,
-    // DESIGN.md §10/§12): counts sum, ready_depth_max takes the max, and the
-    // p50 becomes a step-weighted mean of the two medians (an approximation —
-    // exact pooling would need the underlying samples).
-    SchedStats& merge(const SchedStats& o) {
-        const std::uint64_t total = steps + o.steps;
-        if (total > 0)
-            ready_depth_p50 = (ready_depth_p50 * static_cast<double>(steps) +
-                               o.ready_depth_p50 * static_cast<double>(o.steps)) /
-                              static_cast<double>(total);
-        steps = total;
-        cycles += o.cycles;
-        cycles_skipped += o.cycles_skipped;
-        batches += o.batches;
-        batch_events += o.batch_events;
-        if (o.ready_depth_max > ready_depth_max) ready_depth_max = o.ready_depth_max;
-        instances_retired += o.instances_retired;
-        instances_cancelled += o.instances_cancelled;
-        speculation_wasted_events += o.speculation_wasted_events;
-        return *this;
-    }
 };
 
 struct RunResult {
@@ -152,16 +130,21 @@ public:
         return splitter_.metrics();
     }
 
-    // Metrics plane (DESIGN.md §12): when bound, every entry point records
-    // each splitter cycle's duration into the shard's splitter_cycle_ns
-    // histogram. The shard must outlive the runtime; nullptr (the default)
-    // costs one branch.
+    // Metrics plane (DESIGN.md §11/§12): when bound, every step() ends by
+    // adding what its SchedStats and SplitterMetrics gained since the last
+    // publication to the shard's counters (peaks via set_peak), and records
+    // each splitter cycle's duration into splitter_cycle_ns. Runtimes bound
+    // to one shard (a sharded session's lanes) therefore sum there, live.
+    // The shard must outlive the runtime; nullptr (the default) costs one
+    // branch per step.
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
 
 private:
     // Steps a store that will not grow to completion and reports the run
     // that started at `t0`.
     RunResult finish(std::chrono::steady_clock::time_point t0);
+    // Adds the stats' change since the previous call to obs_.
+    void publish_obs();
 
     const event::EventStore* store_;
     event::EventStore* mutable_store_ = nullptr;  // set by the streaming ctor
@@ -170,6 +153,9 @@ private:
     InstanceScheduler sched_;
     SchedStats sched_stats_;
     obs::Shard* obs_ = nullptr;
+    // Counter values publish_obs has already added to obs_.
+    SchedStats published_sched_;
+    SplitterMetrics published_splitter_;
 };
 
 }  // namespace spectre::core

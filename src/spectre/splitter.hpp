@@ -65,30 +65,6 @@ struct SplitterMetrics {
     // Window positions processed on versions later dropped (dead speculation
     // cancelled lazily by the scheduler; mirrors TreeStats::wasted_events).
     std::uint64_t speculation_wasted_events = 0;
-
-    // Folds another lane's metrics into this one: counts sum, peaks
-    // (max_tree_versions) take the max. The one aggregation rule for
-    // multi-lane runs (sharded engines, DESIGN.md §10/§12) — assigning
-    // lane metrics over each other would overwrite peaks.
-    SplitterMetrics& merge(const SplitterMetrics& o) {
-        cycles += o.cycles;
-        windows_opened += o.windows_opened;
-        windows_retired += o.windows_retired;
-        groups_created += o.groups_created;
-        groups_completed += o.groups_completed;
-        groups_abandoned += o.groups_abandoned;
-        stats_samples += o.stats_samples;
-        complex_events += o.complex_events;
-        rollbacks += o.rollbacks;
-        late_validations += o.late_validations;
-        max_tree_versions = std::max(max_tree_versions, o.max_tree_versions);
-        versions_dropped += o.versions_dropped;
-        copies_cloned += o.copies_cloned;
-        copies_fresh += o.copies_fresh;
-        updates_applied += o.updates_applied;
-        speculation_wasted_events += o.speculation_wasted_events;
-        return *this;
-    }
 };
 
 class Splitter {

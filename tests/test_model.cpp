@@ -42,12 +42,11 @@ TEST(TransitionStats, EstimateIsRowStochasticWithSelfLoopFallback) {
     EXPECT_EQ(stats.samples(), 3u);
 }
 
-TEST(TransitionStats, MergeAndResetAccumulate) {
+TEST(TransitionStats, ObserveAndResetAccumulate) {
     StateMap map(2, 64);
-    TransitionStats a(map), b(map);
+    TransitionStats a(map);
     a.observe(2, 1);
-    b.observe(2, 2);
-    a.merge(b);
+    a.observe(2, 2);
     EXPECT_EQ(a.samples(), 2u);
     const auto t = a.estimate();
     EXPECT_NEAR(t(2, 1), 0.5, 1e-12);
@@ -156,17 +155,14 @@ TEST(MarkovModel, ExponentialSmoothingBlendsOldAndNew) {
     EXPECT_NEAR(m.transition_matrix()(1, 1), 0.5, 1e-12);
 }
 
-TEST(MarkovModel, MergeBatchCountsAsSamples) {
+TEST(MarkovModel, ObservedTransitionsCountAsSamples) {
     MarkovParams p;
     p.refresh_every = 1000000;
     MarkovModel m(2, p);
-    StateMap map(2, p.state_count);
-    TransitionStats batch(map);
     for (int i = 0; i < 10; ++i) {
-        batch.observe(2, 1);
-        batch.observe(1, 0);
+        m.observe(2, 1);
+        m.observe(1, 0);
     }
-    m.merge(batch);
     EXPECT_EQ(m.total_samples(), 20u);
     m.refresh();
     EXPECT_NEAR(m.completion_probability(2, 20), 1.0, 1e-9);

@@ -9,8 +9,6 @@
 //     creation — older shards read zero / no-op for newer series;
 //   * the log2 bucket map and the quantile estimate built on it;
 //   * both expositions (Prometheus text, flat JSON);
-//   * the multi-lane fold helpers (SchedStats::merge, SplitterMetrics::merge)
-//     the sharded stats path uses;
 //   * a scrape-while-writing smoke (relaxed cells + snapshot mutex — the
 //     TSan leg runs this suite).
 #include <gtest/gtest.h>
@@ -20,8 +18,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "spectre/runtime.hpp"
-#include "spectre/splitter.hpp"
 
 using namespace spectre;
 
@@ -169,42 +165,6 @@ TEST(ObsExposition, JsonIsFlatWithHistogramSummaries) {
     EXPECT_NE(j.find("\"events_ingested\":7"), std::string::npos);
     EXPECT_NE(j.find("\"count\":1"), std::string::npos);
     EXPECT_NE(j.find("\"p50\":3"), std::string::npos);
-}
-
-TEST(ObsMergeHelpers, SchedStatsMerge) {
-    core::SchedStats a, b;
-    a.steps = 30;
-    a.ready_depth_p50 = 4.0;
-    a.ready_depth_max = 10;
-    a.batch_events = 100;
-    b.steps = 10;
-    b.ready_depth_p50 = 8.0;
-    b.ready_depth_max = 25;
-    b.batch_events = 50;
-    a.merge(b);
-    EXPECT_EQ(a.steps, 40u);
-    EXPECT_EQ(a.batch_events, 150u);
-    EXPECT_EQ(a.ready_depth_max, 25u) << "peak takes the max";
-    EXPECT_DOUBLE_EQ(a.ready_depth_p50, 5.0) << "step-weighted mean of medians";
-}
-
-TEST(ObsMergeHelpers, SplitterMetricsMerge) {
-    core::SplitterMetrics a, b;
-    a.cycles = 5;
-    a.max_tree_versions = 12;
-    a.complex_events = 3;
-    b.cycles = 7;
-    b.max_tree_versions = 9;
-    b.complex_events = 4;
-    a.merge(b);
-    EXPECT_EQ(a.cycles, 12u) << "counts sum";
-    EXPECT_EQ(a.max_tree_versions, 12u) << "peaks take the max, not the sum";
-    EXPECT_EQ(a.complex_events, 7u);
-    // Merging an empty lane is the identity.
-    const core::SplitterMetrics before = a;
-    a.merge(core::SplitterMetrics{});
-    EXPECT_EQ(a.cycles, before.cycles);
-    EXPECT_EQ(a.max_tree_versions, before.max_tree_versions);
 }
 
 // Scrape-while-writing: writers hammer relaxed cells while a reader snapshots

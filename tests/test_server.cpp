@@ -275,6 +275,16 @@ std::uint64_t series_value(const std::string& text, const std::string& name) {
     return std::strtoull(text.c_str() + pos + 1 + name.size() + 1, nullptr, 10);
 }
 
+// Value of a scalar series in a STATS reply's per-session scope; 0 if absent.
+std::uint64_t session_value(const std::string& json, const std::string& name) {
+    const auto scope = json.find("\"session\":{");
+    if (scope == std::string::npos) return 0;
+    const std::string key = "\"" + name + "\":";
+    const auto pos = json.find(key, scope);
+    if (pos == std::string::npos) return 0;
+    return std::strtoull(json.c_str() + pos + key.size(), nullptr, 10);
+}
+
 }  // namespace
 
 // A STATS request sent mid-stream gets a JSON reply riding the ordinary
@@ -286,7 +296,8 @@ TEST(CepServer, StatsFrameAnswersMidStream) {
 
     auto spec = make_session(kRisingTripleQuery, 2, wire_events(600, 77),
                              /*wait_result_after=*/300);
-    spec.stats_after = 200;
+    // After the client's wait for its first RESULT (at event 300).
+    spec.stats_after = 302;
 
     harness::LoadGenClient client("127.0.0.1", srv.port());
     const auto out = client.run_one(spec);
@@ -299,6 +310,13 @@ TEST(CepServer, StatsFrameAnswersMidStream) {
     EXPECT_NE(j.find("\"session\":{"), std::string::npos) << j.substr(0, 200);
     EXPECT_NE(j.find("\"events_ingested\":"), std::string::npos);
     EXPECT_NE(j.find("\"result_latency_ns\":"), std::string::npos);
+    // Engine stats are live (§11/§12): the runtime publishes every step, so
+    // a session that already produced results reports its work mid-stream.
+    // (windows_retired is not asserted: the step retiring a window publishes
+    // after its RESULT may already be on the wire.)
+    EXPECT_GT(session_value(j, "sched_steps"), 0u) << j;
+    EXPECT_GT(session_value(j, "splitter_cycles"), 0u) << j;
+    EXPECT_GT(session_value(j, "windows_opened"), 0u) << j;
 
     // The interleaved STATS exchange didn't perturb the RESULT stream.
     expect_byte_identical(sequential_ground_truth(spec.query, spec.events),
@@ -538,6 +556,40 @@ TEST(CepServer, ShrinkEnabledAdaptiveSessionStaysByteIdentical) {
         out.results, "shrink-enabled");
     srv.stop();
     EXPECT_EQ(srv.stats().sessions_failed, 0u);
+}
+
+// Lane runtimes of a sharded speculative session publish concurrently, from
+// several workers, into the one session shard (§10/§12): the registry's sums
+// must come out exact — every complex event counted once, one speculative
+// session — with the merged stream still byte-identical to the oracle.
+TEST(CepServer, ShardedSpeculativeLanesPublishExactStats) {
+    const server::ServerConfig cfg = server::ServerConfigBuilder{}.pool_workers(3).build();
+    server::CepServer srv(cfg);
+    srv.start();
+
+    const char* kPartitioned =
+        "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
+        "WITHIN 12 EVENTS FROM EVERY 4 EVENTS PARTITION BY SUBJECT CONSUME ALL";
+    auto spec = make_session(kPartitioned, 2, wire_events(1500, 909, /*symbols=*/6));
+    spec.shards = 3;
+
+    harness::LoadGenClient client("127.0.0.1", srv.port());
+    const auto out = client.run_one(spec);
+
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(
+        harness::partitioned_oracle(spec.query, spec.events, /*hello_key=*/""),
+        out.results, "sharded-speculative");
+    srv.stop();
+
+    const auto stats = srv.stats();
+    const auto snap = srv.registry().snapshot();
+    EXPECT_EQ(snap.value(obs::Series{obs::sid::kComplexEvents}), stats.results_emitted);
+    EXPECT_EQ(stats.results_emitted, out.results.size());
+    EXPECT_EQ(stats.sched_sessions, 1u);
+    EXPECT_GT(stats.sched_steps, 0u);
+    EXPECT_EQ(stats.sessions_failed, 0u);
 }
 
 // Same input + same query through the sequential (k=0) and speculative (k>0)

@@ -4,6 +4,8 @@
 // same (window) order; no false positives, no false negatives (§2.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/nyse_synth.hpp"
 #include "model/fixed_model.hpp"
 #include "obs/metrics.hpp"
@@ -457,6 +459,83 @@ TEST(SpectreMetrics, BlockingRunObservesEverySplitterCycle) {
     const auto samples = shard->hist_count(obs::Series{obs::sid::kSplitterCycleNs});
     EXPECT_GT(samples, 0u);
     EXPECT_EQ(samples, result.sched.cycles);
+}
+
+// Per-step publication (DESIGN.md §11/§12): every step() adds what its stats
+// gained to the bound shard, so runtimes sharing one shard (a sharded
+// session's lanes) sum there exactly, and the sum is current after every
+// step rather than once the runtimes end. Counters publish even under
+// SPECTRE_OBS_OFF.
+TEST(SpectreMetrics, StepsPublishStatDeltasIntoTheBoundShard) {
+    TestEnv env;
+    auto q = query::QueryBuilder(env.schema)
+                 .single("A", env.is('A'))
+                 .single("B", env.is('B'))
+                 .window(query::WindowSpec::sliding_count(20, 5))
+                 .consume_all()
+                 .build();
+    const auto cq = detect::CompiledQuery::compile(q);
+    auto store_a = random_store(env, 300, 403);
+    auto store_b = random_store(env, 200, 404);
+    store_a.close();
+    store_b.close();
+    core::RuntimeConfig cfg;
+    cfg.splitter.instances = 3;
+    cfg.quantum_budget = 16;  // many steps per run
+    core::SpectreRuntime a(&store_a, &cq, cfg, make_markov(cq));
+    core::SpectreRuntime b(&store_b, &cq, cfg, make_markov(cq));
+    obs::Registry registry;
+    const obs::ShardPtr shard = registry.make_shard();
+    a.bind_obs(shard.get());
+    b.bind_obs(shard.get());
+    const auto value = [&](std::uint32_t id) { return shard->value(obs::Series{id}); };
+
+    bool a_done = false;
+    bool b_done = false;
+    while (!a_done || !b_done) {
+        if (!a_done) a_done = a.step().done;
+        if (!b_done) b_done = b.step().done;
+        const auto sa = a.sched_stats();
+        const auto sb = b.sched_stats();
+        const auto& ma = a.splitter_metrics();
+        const auto& mb = b.splitter_metrics();
+        ASSERT_EQ(value(obs::sid::kSchedSteps), sa.steps + sb.steps);
+        ASSERT_EQ(value(obs::sid::kSchedBatchEvents), sa.batch_events + sb.batch_events);
+        ASSERT_EQ(value(obs::sid::kSchedWastedEvents),
+                  sa.speculation_wasted_events + sb.speculation_wasted_events);
+        ASSERT_EQ(value(obs::sid::kSchedReadyDepthMax),
+                  std::max(sa.ready_depth_max, sb.ready_depth_max));
+        ASSERT_EQ(value(obs::sid::kWindowsOpened), ma.windows_opened + mb.windows_opened);
+        ASSERT_EQ(value(obs::sid::kComplexEvents), ma.complex_events + mb.complex_events);
+        ASSERT_EQ(value(obs::sid::kMaxTreeVersions),
+                  std::max(ma.max_tree_versions, mb.max_tree_versions));
+    }
+
+    const auto sa = a.sched_stats();
+    const auto sb = b.sched_stats();
+    const auto& ma = a.splitter_metrics();
+    const auto& mb = b.splitter_metrics();
+    EXPECT_GT(ma.complex_events, 0u);
+    EXPECT_GT(mb.complex_events, 0u);
+    EXPECT_EQ(value(obs::sid::kSchedCycles), sa.cycles + sb.cycles);
+    EXPECT_EQ(value(obs::sid::kSchedCyclesSkipped), sa.cycles_skipped + sb.cycles_skipped);
+    EXPECT_EQ(value(obs::sid::kSchedBatches), sa.batches + sb.batches);
+    EXPECT_EQ(value(obs::sid::kSchedInstancesRetired),
+              sa.instances_retired + sb.instances_retired);
+    EXPECT_EQ(value(obs::sid::kSchedInstancesCancelled),
+              sa.instances_cancelled + sb.instances_cancelled);
+    EXPECT_EQ(value(obs::sid::kSplitterCycles), ma.cycles + mb.cycles);
+    EXPECT_EQ(value(obs::sid::kWindowsRetired), ma.windows_retired + mb.windows_retired);
+    EXPECT_EQ(value(obs::sid::kGroupsCreated), ma.groups_created + mb.groups_created);
+    EXPECT_EQ(value(obs::sid::kGroupsCompleted), ma.groups_completed + mb.groups_completed);
+    EXPECT_EQ(value(obs::sid::kGroupsAbandoned), ma.groups_abandoned + mb.groups_abandoned);
+    EXPECT_EQ(value(obs::sid::kRollbacks), ma.rollbacks + mb.rollbacks);
+    EXPECT_EQ(value(obs::sid::kLateValidations), ma.late_validations + mb.late_validations);
+    EXPECT_EQ(value(obs::sid::kVersionsDropped), ma.versions_dropped + mb.versions_dropped);
+    EXPECT_EQ(value(obs::sid::kCopiesCloned), ma.copies_cloned + mb.copies_cloned);
+    EXPECT_EQ(value(obs::sid::kCopiesFresh), ma.copies_fresh + mb.copies_fresh);
+    EXPECT_EQ(value(obs::sid::kUpdatesApplied), ma.updates_applied + mb.updates_applied);
+    EXPECT_EQ(value(obs::sid::kStatsSamples), ma.stats_samples + mb.stats_samples);
 }
 
 TEST(SimRuntimeTest, ContentionFactorModelsHyperThreading) {
