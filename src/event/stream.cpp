@@ -57,17 +57,20 @@ void EventStore::free_chunks() noexcept {
     if (!chunks_) return;
     const std::size_t n = size_.load(std::memory_order_acquire) + pending_;
     const std::size_t used = (n + kChunkSize - 1) >> kChunkShift;
-    for (std::size_t i = 0; i < used; ++i) delete[] chunks_[i].load(std::memory_order_relaxed);
+    for (std::size_t i = released_; i < used; ++i)
+        delete[] chunks_[i].load(std::memory_order_relaxed);
 }
 
 EventStore::EventStore(EventStore&& other) noexcept
     : chunks_(std::move(other.chunks_)),
       size_(other.size_.load(std::memory_order_relaxed)),
       pending_(other.pending_),
+      released_(other.released_),
       closed_(other.closed_.load(std::memory_order_relaxed)) {
     other.chunks_ = std::make_unique<std::atomic<Event*>[]>(kMaxChunks);
     other.size_.store(0, std::memory_order_relaxed);
     other.pending_ = 0;
+    other.released_ = 0;
     other.closed_.store(false, std::memory_order_relaxed);
 }
 
@@ -77,10 +80,12 @@ EventStore& EventStore::operator=(EventStore&& other) noexcept {
     chunks_ = std::move(other.chunks_);
     size_.store(other.size_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     pending_ = other.pending_;
+    released_ = other.released_;
     closed_.store(other.closed_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     other.chunks_ = std::make_unique<std::atomic<Event*>[]>(kMaxChunks);
     other.size_.store(0, std::memory_order_relaxed);
     other.pending_ = 0;
+    other.released_ = 0;
     other.closed_.store(false, std::memory_order_relaxed);
     return *this;
 }
@@ -119,14 +124,13 @@ void EventStore::append_all(EventStream& stream) {
 std::size_t EventStore::release_chunks_below(Seq seq) noexcept {
     const std::size_t frontier = size_.load(std::memory_order_acquire);
     const std::size_t limit = std::min<std::size_t>(seq, frontier) >> kChunkShift;
-    std::size_t freed = 0;
-    for (std::size_t i = 0; i < limit; ++i) {
-        Event* chunk = chunks_[i].exchange(nullptr, std::memory_order_relaxed);
-        if (chunk != nullptr) {
-            delete[] chunk;
-            ++freed;
-        }
-    }
+    if (limit <= released_) return 0;
+    // Resume at the cursor: a per-quantum call costs O(chunks freed), not
+    // O(chunks ever appended). Every chunk below the frontier was allocated.
+    for (std::size_t i = released_; i < limit; ++i)
+        delete[] chunks_[i].exchange(nullptr, std::memory_order_relaxed);
+    const std::size_t freed = limit - released_;
+    released_ = limit;
     return freed;
 }
 

@@ -12,8 +12,10 @@
 // appends while detection is already running. Engines read `size()` (the
 // frontier) to learn how far the stream has arrived and `closed()` to learn
 // that it ended; events below the frontier are immutable and their addresses
-// are stable forever. Batch replay is just the special case where the whole
-// stream is appended before the engines start.
+// are stable until reclaimed — a store whose every reader reports a low
+// watermark (k = 0 sessions, hub subscribers) frees whole chunks behind it,
+// so the guarantee holds for the unreclaimed suffix. Batch replay is just the
+// special case where the whole stream is appended before the engines start.
 #pragma once
 
 #include <atomic>
@@ -119,7 +121,7 @@ private:
 //
 // Concurrency contract (single writer, many readers, no locks):
 //   * storage is chunked — append() never moves an already-published event,
-//     so `&at(seq)` is stable for the lifetime of the store;
+//     so `&at(seq)` is stable until release_chunks_below() passes it;
 //   * `size()` is the atomic arrival frontier, published with release
 //     ordering after the event bytes are written: a reader that observes
 //     size() > seq may freely read at(seq)/range() up to that frontier;
@@ -175,13 +177,15 @@ public:
     std::size_t size() const noexcept { return size_.load(std::memory_order_acquire); }
     bool empty() const noexcept { return size() == 0; }
 
-    // Reclamation hook for shared multi-reader stores (DESIGN.md §15): frees
+    // Reclamation behind a reader low watermark (DESIGN.md §6/§15): frees
     // the chunk arrays whose entire seq range lies below min(seq, frontier).
-    // Returns the number of chunks freed. Caller contract (event::ChunkPins
-    // enforces it): calls are serialized, and no reader will ever again
-    // address a seq below `seq` — the "addresses stable forever" guarantee
-    // narrows to the unreclaimed suffix. The writer is unaffected: it only
-    // touches the frontier chunk, which is never below the frontier.
+    // Returns the number of chunks freed; resumes from the previous call's
+    // cursor, so the cost is O(chunks freed). Caller contract (event::
+    // ChunkPins enforces it for shared stores, the owning k = 0 session for
+    // its own): calls are serialized, and no reader will ever again address
+    // a seq below `seq` — the "addresses stable" guarantee narrows to the
+    // unreclaimed suffix. The writer is unaffected: it only touches the
+    // frontier chunk, which is never below the frontier.
     std::size_t release_chunks_below(Seq seq) noexcept;
 
     // Range [first, last] inclusive; valid across concurrent append().
@@ -200,6 +204,7 @@ private:
     std::unique_ptr<std::atomic<Event*>[]> chunks_;
     std::atomic<std::size_t> size_{0};
     std::size_t pending_ = 0;  // writer-thread only: slots taken, unpublished
+    std::size_t released_ = 0;  // chunks below this index are freed (releaser only)
     std::atomic<bool> closed_{false};
 };
 

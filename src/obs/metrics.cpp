@@ -112,6 +112,8 @@ constexpr BuiltinDef kBuiltins[] = {
     {"hub_chunks_reclaimed", Kind::Counter, "shared-store chunks freed behind all frontiers"},
     {"compile_cache_hits", Kind::Counter, "subscriber queries served a shared artifact"},
     {"compile_cache_misses", Kind::Counter, "subscriber queries compiled fresh"},
+    {"store_chunks_reclaimed", Kind::Counter,
+     "session-store chunks freed behind a sequential engine's low watermark"},
 };
 static_assert(sizeof(kBuiltins) / sizeof(kBuiltins[0]) == sid::kCount,
               "sid:: and kBuiltins must stay parallel");

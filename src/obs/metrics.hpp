@@ -161,6 +161,8 @@ enum : std::uint32_t {
     kHubChunksReclaimed,    // shared-store chunks freed behind all frontiers
     kCompileCacheHits,      // subscriber queries served a shared artifact
     kCompileCacheMisses,    // subscriber queries compiled fresh
+    // --- bounded memory (DESIGN.md §6) --------------------------------------
+    kStoreChunksReclaimed,  // private-store chunks freed behind a k=0 watermark
     kCount
 };
 }  // namespace sid

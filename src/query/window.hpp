@@ -20,6 +20,7 @@
 // (DESIGN.md §7).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -94,6 +95,22 @@ public:
 
     // True once the stream closed and every window has been emitted.
     bool exhausted() const noexcept { return exhausted_; }
+
+    // Lowest seq a later poll() can read or start a window at: the next
+    // count-window start, the time-window scan position, or the predicate
+    // scan / oldest undetermined time-extent start.
+    event::Seq low_watermark() const noexcept {
+        switch (spec_.kind) {
+            case WindowKind::SlidingCount:
+                return next_start_;
+            case WindowKind::SlidingTime:
+                return time_first_;
+            case WindowKind::PredicateOpen:
+                return pending_starts_.empty() ? scan_
+                                               : std::min(scan_, pending_starts_.front());
+        }
+        return 0;
+    }
 
 private:
     WindowSpec spec_;

@@ -1,8 +1,8 @@
 #include "sequential/seq_engine.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "event/consumed_seqs.hpp"
 #include "util/assert.hpp"
 
 namespace spectre::sequential {
@@ -16,14 +16,22 @@ SequentialEngine::SequentialEngine(const detect::CompiledQuery* cq, detect::Eval
 // frontier and each is processed once the frontier covers it (or the stream
 // closed — the end-of-stream clamp for trailing extent bounds). Backs both
 // the blocking entry points below and the resumable SeqStepper.
+//
+// State is O(window span), not O(stream): processed windows are popped at
+// the next drain, and the consumed set drops everything below the window
+// being processed — windows run in start order, so no later window reaches
+// below its first position.
 struct SeqStepper::Impl {
     const detect::CompiledQuery* cq;
     const event::EventStore& store;
     const event::ResultSink* sink;  // nullptr = collect into result
     query::WindowAssigner assigner;
+    // Discovered windows from the last drain's processed prefix on; `next`
+    // indexes the first unprocessed one.
     std::vector<query::WindowInfo> windows;
     std::size_t next = 0;
-    std::unordered_set<event::Seq> consumed;  // global, across windows
+    event::Seq frontier_seen = 0;  // frontier of the last drain
+    event::ConsumedSeqs consumed;
     detect::Detector detector;
     detect::Feedback fb;
     SeqResult result;
@@ -37,6 +45,9 @@ struct SeqStepper::Impl {
     // Processes at most `max_windows` fully-arrived windows at `frontier`;
     // returns true while another fully-arrived window is still pending.
     bool drain(event::Seq frontier, bool closed, std::size_t max_windows) {
+        windows.erase(windows.begin(), windows.begin() + static_cast<std::ptrdiff_t>(next));
+        next = 0;
+        frontier_seen = frontier;
         assigner.poll(store, frontier, closed, windows);
         std::size_t processed = 0;
         while (next < windows.size()) {
@@ -47,9 +58,10 @@ struct SeqStepper::Impl {
             if (!closed && w.last >= frontier) return false;
             if (processed == max_windows) return true;  // quantum exhausted
             const event::Seq end = std::min<event::Seq>(w.last, frontier - 1);
+            consumed.drop_below(w.first);
             detector.begin_window(w);
             for (event::Seq pos = w.first; pos <= end; ++pos) {
-                if (consumed.count(pos)) {
+                if (consumed.contains(pos)) {
                     ++result.stats.events_suppressed;
                     continue;
                 }
@@ -79,16 +91,20 @@ struct SeqStepper::Impl {
                 (void)a;
                 if (cq->consumes_anything()) ++result.stats.groups_abandoned;
             }
+            ++result.stats.windows;
             ++next;
             ++processed;
         }
         return false;
     }
 
-    SeqResult finish() {
-        result.stats.windows = windows.size();
-        return std::move(result);
+    event::Seq low_watermark() const {
+        event::Seq wm = std::min(assigner.low_watermark(), frontier_seen);
+        if (next < windows.size()) wm = std::min(wm, windows[next].first);
+        return wm;
     }
+
+    SeqResult finish() { return std::move(result); }
 };
 
 SeqStepper::SeqStepper(const detect::CompiledQuery* cq, const event::EventStore* store,
@@ -112,6 +128,12 @@ bool SeqStepper::drain(std::size_t max_windows) {
 bool SeqStepper::finished() const {
     return impl_->store.closed() && impl_->assigner.exhausted() &&
            impl_->next == impl_->windows.size();
+}
+
+event::Seq SeqStepper::low_watermark() const { return impl_->low_watermark(); }
+
+SeqStepper::Footprint SeqStepper::footprint() const {
+    return {impl_->windows.capacity(), impl_->consumed.capacity_words()};
 }
 
 SeqResult SequentialEngine::run_impl(const event::EventStore& store,

@@ -27,7 +27,7 @@
 namespace spectre::sequential {
 
 struct SeqStats {
-    std::uint64_t windows = 0;
+    std::uint64_t windows = 0;            // windows processed
     std::uint64_t events_processed = 0;   // window-events fed to detectors
     std::uint64_t events_suppressed = 0;  // skipped because already consumed
     std::uint64_t groups_created = 0;     // partial matches that opened a CG
@@ -77,6 +77,20 @@ public:
 
     // Quiescent on a complete input: store closed, every window processed.
     bool finished() const;
+
+    // The lowest seq any later drain can read (DESIGN.md §6): the minimum of
+    // the next unprocessed window's first position, the assigner's scan
+    // position and the frontier the last drain saw. Monotone across drains.
+    // Everything below it may be reclaimed by whoever owns the store.
+    event::Seq low_watermark() const;
+
+    // Test hook: allocated state the pass keeps — window slots and consumed-
+    // set bitmap words. Bounded by the window span, not the stream length.
+    struct Footprint {
+        std::size_t window_slots = 0;
+        std::size_t consumed_words = 0;
+    };
+    Footprint footprint() const;
 
 private:
     friend class SequentialEngine;  // batch/stream entry points reuse Impl

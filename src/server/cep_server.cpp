@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,7 +20,12 @@ namespace spectre::server {
 namespace {
 
 constexpr std::uint64_t kListenTag = 0;
+constexpr std::uint64_t kLingerTimerTag = 1;
 constexpr std::uint64_t kAdminListenTag = 2;
+
+// How long a rejected handshake's half-closed connection may keep sending
+// before the reactor closes it anyway (lingering close, ServerSession::fail).
+constexpr std::chrono::milliseconds kLinger{250};
 
 // Admin request bytes tolerated before the connection is dropped (a scrape
 // request is one line plus a few headers).
@@ -62,6 +68,10 @@ CepServer::CepServer(ServerConfig config)
         fail("IoBackend add(listen)");
     if (!io_->add(admin_listen_fd_, kAdminListenTag, net::IoBackend::kRead))
         fail("IoBackend add(admin listen)");
+    linger_timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+    if (linger_timer_fd_ < 0) fail("timerfd_create");
+    if (!io_->add(linger_timer_fd_, kLingerTimerTag, net::IoBackend::kRead))
+        fail("IoBackend add(linger timer)");
 }
 
 CepServer::~CepServer() {
@@ -69,6 +79,7 @@ CepServer::~CepServer() {
     for (auto& [id, conn] : admin_conns_) ::close(conn.fd);
     admin_conns_.clear();
     io_.reset();  // before the fds it may still reference
+    if (linger_timer_fd_ >= 0) ::close(linger_timer_fd_);
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (admin_listen_fd_ >= 0) ::close(admin_listen_fd_);
 }
@@ -159,6 +170,8 @@ void CepServer::reactor_loop() {
                 drain_wake_and_commands();
             else if (ev.tag == kListenTag)
                 accept_clients();
+            else if (ev.tag == kLingerTimerTag)
+                expire_lingering();
             else if (ev.tag == kAdminListenTag)
                 accept_admin_clients();
             else if (admin_conns_.count(ev.tag))
@@ -355,6 +368,13 @@ void CepServer::handle_readable(std::uint64_t id) {
             update_interest(s);
             return;
         case SessionStatus::Finished:
+            if (s.lingering()) {
+                // Rejected handshake, half-closed after its ERROR: keep
+                // reading (and discarding) until EOF or the deadline.
+                start_lingering(id);
+                update_interest(s);
+                return;
+            }
             s.set_input_done();
             // Input side is over (clean EOF, BYE'd out, or failed). Egress
             // may still be running; the session stays until its task is done
@@ -455,6 +475,36 @@ void CepServer::destroy_session(SessionMap::iterator it) {
         sub->fail_publisher_gone();  // sets input_done; task exits via abort
         maybe_reap(sid);
     }
+}
+
+void CepServer::start_lingering(std::uint64_t id) {
+    // Every linger lasts kLinger, so deadlines queue in arrival order.
+    lingering_.emplace_back(std::chrono::steady_clock::now() + kLinger, id);
+    if (lingering_.size() == 1) arm_linger_timer();
+}
+
+void CepServer::expire_lingering() {
+    std::uint64_t expirations = 0;
+    [[maybe_unused]] const auto n = ::read(linger_timer_fd_, &expirations, sizeof(expirations));
+    const auto now = std::chrono::steady_clock::now();
+    while (!lingering_.empty() && lingering_.front().first <= now) {
+        const auto it = sessions_.find(lingering_.front().second);
+        lingering_.pop_front();
+        // Sessions that saw EOF were reaped already (ids are never reused).
+        if (it != sessions_.end() && it->second->lingering()) destroy_session(it);
+    }
+    arm_linger_timer();
+}
+
+void CepServer::arm_linger_timer() {
+    if (lingering_.empty()) return;
+    const auto wait = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        lingering_.front().first - std::chrono::steady_clock::now());
+    const std::int64_t ns = std::max<std::int64_t>(wait.count(), 1);  // 0 would disarm
+    itimerspec spec{};
+    spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+    spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    ::timerfd_settime(linger_timer_fd_, 0, &spec, nullptr);
 }
 
 void CepServer::update_interest(ServerSession& s) {

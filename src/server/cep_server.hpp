@@ -29,12 +29,15 @@
 // from the engines' retirement order (§8) and is independent of pool size.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/io_backend.hpp"
@@ -160,6 +163,12 @@ private:
     void drain_wake_and_commands();
     void maybe_reap(std::uint64_t id);
     void destroy_session(SessionMap::iterator it);
+    // Lingering close (rejected handshakes): queue the session's deadline,
+    // reap the sessions whose deadline passed (timer event), re-arm the
+    // timer for the oldest remaining one.
+    void start_lingering(std::uint64_t id);
+    void expire_lingering();
+    void arm_linger_timer();
     void update_interest(ServerSession& session);
     void post_cmd(std::uint64_t id, SessionCmd cmd);
     void wake();
@@ -198,7 +207,13 @@ private:
     SessionMap sessions_;
     // Admin (scrape) connections share the tag space with sessions.
     std::unordered_map<std::uint64_t, AdminConn> admin_conns_;
-    std::uint64_t next_session_id_ = 3;  // 0 = listen, 1 = wake, 2 = admin listen
+    std::uint64_t next_session_id_ = 3;  // 0 = listen, 1 = linger timer, 2 = admin listen
+
+    // Half-closed rejected handshakes awaiting EOF, oldest deadline first;
+    // linger_timer_fd_ (a timerfd on the reactor's backend) fires at the
+    // front deadline.
+    int linger_timer_fd_ = -1;
+    std::deque<std::pair<std::chrono::steady_clock::time_point, std::uint64_t>> lingering_;
 
     // Pool workers post commands here; the reactor drains on wake.
     std::mutex cmd_mutex_;

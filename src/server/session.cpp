@@ -67,6 +67,7 @@ ServerSession::~ServerSession() {
 // --- reactor side: ingest (§14 scatter path) --------------------------------
 
 SessionStatus ServerSession::on_readable(net::IoBackend& io) {
+    if (lingering_) return drain_lingering(io);
     for (;;) {
         // Frames already staged first: a ResumeRead re-entry must not wait
         // for new bytes to dispatch what was decoded before the pause.
@@ -669,12 +670,30 @@ SessionStatus ServerSession::fail(const std::string& message, bool send_error) {
         egress_append(net::SessionFrame{net::ErrorFrame{message}});
         egress_try_flush();
     }
+    // Lingering close for a rejected handshake whose ERROR left in full: the
+    // client may still be sending (its stream, its BYE), and closing over
+    // unread input resets the connection — which can destroy the ERROR in
+    // flight. Half-close instead; the reactor drains input until EOF or its
+    // linger deadline, then reaps.
+    lingering_ = send_error && !task_registered_ &&
+                 !egress_dead_.load(std::memory_order_relaxed) && !egress_pending();
     // One teardown sequence for both failure and shutdown (poison, close
     // ingestion, abort + wake the task, shut the socket down).
-    abort();
+    teardown(lingering_ ? SHUT_WR : SHUT_RDWR);
     state_ = State::Failed;
-    input_done_ = true;
+    input_done_ = !lingering_;
     return SessionStatus::Finished;
+}
+
+SessionStatus ServerSession::drain_lingering(net::IoBackend& io) {
+    for (;;) {
+        net::IoBackend::ReadView view;
+        const auto rs = io.read(fd_, view);
+        if (rs == net::IoBackend::ReadStatus::Data) continue;  // discarded
+        if (rs == net::IoBackend::ReadStatus::Again) return SessionStatus::Open;
+        lingering_ = false;  // EOF or a transport error: the peer is done
+        return SessionStatus::Finished;
+    }
 }
 
 void ServerSession::close_ingestion(bool close_store) {
@@ -708,10 +727,15 @@ void ServerSession::close_ingestion(bool close_store) {
 }
 
 void ServerSession::abort() {
+    lingering_ = false;
+    teardown(SHUT_RDWR);
+}
+
+void ServerSession::teardown(int shut_how) {
     egress_poison();
     close_ingestion(/*close_store=*/false);
     abort_requested_.store(true, std::memory_order_release);
-    ::shutdown(fd_, SHUT_RDWR);
+    ::shutdown(fd_, shut_how);
     wake_lanes(nullptr);
 }
 
@@ -1035,6 +1059,7 @@ ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
     const std::size_t pulled = accept_ingest();
     if (stepper_) {
         const bool more = stepper_->drain(limits_.quantum_windows);
+        reclaim_behind(stepper_->low_watermark());
         if (stepper_->finished()) return LaneStep::AllDone;
         return more ? LaneStep::Busy : LaneStep::Idle;
     }
@@ -1046,14 +1071,32 @@ ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
     return pulled == 0 && p.quiescent ? LaneStep::Idle : LaneStep::Busy;
 }
 
+void ServerSession::reclaim_behind(event::Seq watermark) {
+    // Whole chunks only: most drains move the watermark within one chunk and
+    // cost a compare.
+    const event::Seq floor = watermark & ~event::Seq{event::EventStore::kChunkSize - 1};
+    if (floor <= reclaimed_floor_) return;
+    reclaimed_floor_ = floor;
+    if (role_ == SessionRole::Subscriber) {
+        if (!hub_entry_) return;
+        // The shared store frees behind the slowest pinned reader (§15).
+        const std::size_t freed = hub_entry_->pins.advance(pin_cursor_, floor);
+        if (freed > 0) shard_->add(obs::Series{obs::sid::kHubChunksReclaimed}, freed);
+        return;
+    }
+    // The private store has this one reader; the reactor's appends touch
+    // only the frontier chunk, which lies above the watermark.
+    const std::size_t freed = store_.release_chunks_below(floor);
+    if (freed > 0) shard_->add(obs::Series{obs::sid::kStoreChunksReclaimed}, freed);
+}
+
 ServerSession::Quantum ServerSession::finish_engine() {
     if (role_ == SessionRole::Subscriber && hub_entry_) {
         // Engine done: this reader will never address the stream again —
-        // raise its pin to the frontier so chunks the last laggard was
-        // holding can be reclaimed (§15). Completion-time granularity is an
-        // honest limit: the engines don't expose a mid-stream low watermark,
-        // so the memory win is one shared store vs N copies, not early
-        // chunk turnover within a run.
+        // raise its pin to the frontier. A k = 0 subscriber has been raising
+        // it behind its watermark all along (reclaim_behind); this final
+        // advance releases what a speculative subscriber, which reports no
+        // mid-stream watermark, held until now (§15).
         const std::size_t freed =
             hub_entry_->pins.advance(pin_cursor_, hub_entry_->store.size());
         if (freed > 0) shard_->add(obs::Series{obs::sid::kHubChunksReclaimed}, freed);

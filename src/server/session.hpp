@@ -222,6 +222,11 @@ public:
     // the server thread at any point; idempotent.
     void abort();
 
+    // Lingering close (reactor thread): a rejected handshake sent its ERROR
+    // and half-closed; on_readable now discards input and reports Finished
+    // at EOF. The reactor reaps it then, or at its linger deadline.
+    bool lingering() const noexcept { return lingering_; }
+
     // --- shared ingest plane (§15, reactor thread) ---------------------------
 
     SessionRole role() const noexcept { return role_; }
@@ -284,6 +289,11 @@ private:
     // best-effort), poisons egress, closes ingestion, shuts the socket down
     // and wakes the task so it can abandon its engine.
     SessionStatus fail(const std::string& message, bool send_error);
+    // Poison egress, close ingestion, abort + wake the task, and shut the
+    // socket down `shut_how` (SHUT_WR for a lingering close).
+    void teardown(int shut_how);
+    // Lingering input drain: discard until Again (Open) or EOF (Finished).
+    SessionStatus drain_lingering(net::IoBackend& io);
     // `close_store` only from reactor dispatch paths (BYE / clean EOF): the
     // reactor is the sole appender, so no append can race the close. Abort
     // paths (worker-side engine failure, server stop) never close the store
@@ -374,6 +384,10 @@ private:
     // `flag`, or every live lane. A null flag notifies unconditionally.
     void wake_lane(std::uint32_t s, ParkFlag Lane::*flag);
     void wake_lanes(ParkFlag Lane::*flag);
+    // Bounded memory (§6/§15), after each sequential drain: once the
+    // stepper's low watermark crosses a chunk boundary, free the private
+    // store behind it, or advance this subscriber's hub pin to it.
+    void reclaim_behind(event::Seq watermark);
     Quantum finish_engine();  // BYE (first caller), counters, Done
     Quantum engine_failed(const std::string& what);
     void request_watch_write();
@@ -396,6 +410,7 @@ private:
     // tasks_expected_, which worker-side teardown loops also read while the
     // reactor may be growing it (§13), hence the atomic.
     bool input_done_ = false;
+    bool lingering_ = false;
     std::atomic<std::uint32_t> tasks_expected_{0};  // live lane count (§10/§13)
     std::uint32_t tasks_done_ = 0;
     std::uint32_t armed_mask_ = 0;
@@ -421,6 +436,7 @@ private:
     // but never reallocates what worker threads are reading).
     event::EventStore store_;
     std::unique_ptr<sequential::SeqStepper> stepper_;
+    event::Seq reclaimed_floor_ = 0;  // lane-private: last chunk floor reclaimed
     std::unique_ptr<core::SpectreRuntime> runtime_;
     std::unique_ptr<shard::ShardedEngine> sharded_;
     std::vector<std::unique_ptr<Lane>> lanes_;

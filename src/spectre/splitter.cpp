@@ -338,10 +338,8 @@ void Splitter::open_windows() {
     while (opened < windows_.size() && live_windows_ < lookahead &&
            tree_.live_versions() < config_.max_tree_versions) {
         const auto& w = windows_[opened];
-        // Events consumed in already-retired windows cannot appear in any
-        // window starting before w; drop them from the tail.
-        while (!consumed_tail_.empty() && *consumed_tail_.begin() < w.first)
-            consumed_tail_.erase(consumed_tail_.begin());
+        // Windows open in start order: nothing below w.first is read again.
+        consumed_tail_.drop_below(w.first);
         // If the window starts a new independent tree it still has to
         // suppress consumptions from retired windows reaching into its range;
         // hand them over as a resolved "ghost" group.
@@ -350,7 +348,7 @@ void Splitter::open_windows() {
             auto ghost = std::make_shared<ConsumptionGroup>(/*id=*/0, /*window_id=*/0,
                                                             /*owner_version_id=*/0,
                                                             /*initial_delta=*/0);
-            for (const auto seq : consumed_tail_) ghost->add_event(seq);
+            consumed_tail_.for_each([&ghost](event::Seq seq) { ghost->add_event(seq); });
             ghost->resolve(CgOutcome::Completed);
             root_suppressed.push_back(std::move(ghost));
         }

@@ -25,8 +25,8 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <set>
 
+#include "event/consumed_seqs.hpp"
 #include "query/window.hpp"
 #include "spectre/dependency_tree.hpp"
 #include "spectre/operator_instance.hpp"
@@ -153,9 +153,9 @@ private:
     // compares against the store so steady-state steps skip the cycle.
     event::Seq last_polled_frontier_ = UINT64_MAX;
     bool last_polled_complete_ = false;
-    // Consumed events from completed groups that may fall into windows not
-    // yet opened (trimmed as the open frontier advances).
-    std::set<event::Seq> consumed_tail_;
+    // Consumed events from validated retirements that may fall into windows
+    // not yet opened; its floor follows the next window to open.
+    event::ConsumedSeqs consumed_tail_;
 
     DependencyTree tree_;
     UpdateQueue updates_;

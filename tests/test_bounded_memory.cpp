@@ -1,0 +1,354 @@
+// Bounded memory on unbounded streams (DESIGN.md §6): the consumed-seq ring,
+// the sequential stepper's O(window span) state and its low watermark, the
+// store's resumable chunk release, and a k = 0 server session whose private
+// store frees chunks behind that watermark while it streams.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "data/stock.hpp"
+#include "detect/compiled_query.hpp"
+#include "event/consumed_seqs.hpp"
+#include "query/parser.hpp"
+#include "sequential/seq_engine.hpp"
+#include "server/cep_server.hpp"
+#include "server_test_util.hpp"
+
+using namespace spectre;
+using namespace spectre::testing;
+
+namespace {
+
+std::vector<event::Seq> members(const event::ConsumedSeqs& s) {
+    std::vector<event::Seq> out;
+    s.for_each([&out](event::Seq seq) { out.push_back(seq); });
+    return out;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// event::ConsumedSeqs
+// ---------------------------------------------------------------------------
+
+TEST(ConsumedSeqs, WordBoundaries) {
+    event::ConsumedSeqs s;
+    for (const event::Seq seq : {63, 64, 127, 128, 0}) s.insert(seq);
+    s.insert(64);  // duplicate
+    EXPECT_EQ(s.size(), 5u);
+    for (const event::Seq seq : {0, 63, 64, 127, 128}) EXPECT_TRUE(s.contains(seq)) << seq;
+    for (const event::Seq seq : {1, 62, 65, 126, 129, 191, 192})
+        EXPECT_FALSE(s.contains(seq)) << seq;
+    EXPECT_EQ(members(s), (std::vector<event::Seq>{0, 63, 64, 127, 128}));
+
+    // A floor inside a word clears only the bits below it.
+    s.drop_below(64);
+    EXPECT_EQ(members(s), (std::vector<event::Seq>{64, 127, 128}));
+    s.drop_below(65);
+    EXPECT_FALSE(s.contains(64));
+    EXPECT_EQ(members(s), (std::vector<event::Seq>{127, 128}));
+    EXPECT_EQ(s.size(), 2u);
+}
+
+TEST(ConsumedSeqs, RingGrowsWithTheLiveSpanAndKeepsItsContents) {
+    event::ConsumedSeqs s;
+    std::set<event::Seq> ref;
+    // Slide a 256-seq span across 64k seqs: the ring wraps many times but
+    // never needs more than the span's words.
+    std::size_t peak_words = 0;
+    event::Seq base = 0;
+    for (; base < 65536; base += 64) {
+        s.drop_below(base);
+        ref.erase(ref.begin(), ref.lower_bound(base));
+        for (const event::Seq seq : {base + 3, base + 200}) {
+            s.insert(seq);
+            ref.insert(seq);
+        }
+        ASSERT_TRUE(s.contains(base + 3));
+        ASSERT_TRUE(s.contains(base + 200));
+        peak_words = std::max(peak_words, s.capacity_words());
+    }
+    EXPECT_LE(peak_words, 8u);
+
+    // Widening the span while members sit in a wrapped ring grows it; the
+    // members (and their order) survive the re-linearization.
+    for (event::Seq off = 0; off < 64 * 40; off += 37) {
+        s.insert(base + off);
+        ref.insert(base + off);
+    }
+    EXPECT_GE(s.capacity_words(), 40u);
+    EXPECT_EQ(members(s), std::vector<event::Seq>(ref.begin(), ref.end()));
+    EXPECT_EQ(s.size(), ref.size());
+}
+
+TEST(ConsumedSeqs, JumpWiderThanTheRing) {
+    event::ConsumedSeqs s;
+    s.insert(10);
+    const std::size_t small = s.capacity_words();
+    // Live member far behind: the span really is that wide, so the ring grows.
+    s.insert(10 + 64 * 1000);
+    EXPECT_GE(s.capacity_words(), 1001u);
+    EXPECT_EQ(members(s), (std::vector<event::Seq>{10, 10 + 64 * 1000}));
+
+    // Nothing live: a far jump re-anchors instead of spanning the gap.
+    event::ConsumedSeqs t;
+    t.insert(10);
+    t.drop_below(11);
+    t.insert(1'000'000);
+    EXPECT_EQ(t.capacity_words(), small);
+    EXPECT_TRUE(t.contains(1'000'000));
+    // Above the floor but below the re-anchored base: prepended, not lost.
+    t.insert(500);
+    EXPECT_TRUE(t.contains(500));
+    EXPECT_FALSE(t.contains(501));
+    EXPECT_EQ(members(t), (std::vector<event::Seq>{500, 1'000'000}));
+}
+
+TEST(ConsumedSeqs, DropBelowPastEveryEntryEmptiesTheSet) {
+    event::ConsumedSeqs s;
+    for (event::Seq seq = 100; seq < 1000; seq += 7) s.insert(seq);
+    s.drop_below(5000);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.size(), 0u);
+    EXPECT_TRUE(members(s).empty());
+    for (event::Seq seq = 100; seq < 1000; ++seq) ASSERT_FALSE(s.contains(seq));
+    s.insert(5000);
+    s.insert(5063);
+    EXPECT_EQ(members(s), (std::vector<event::Seq>{5000, 5063}));
+}
+
+TEST(ConsumedSeqs, BelowTheFloorIsNeverAMember) {
+    event::ConsumedSeqs s;
+    s.insert(50);
+    s.insert(150);
+    s.drop_below(100);
+    EXPECT_FALSE(s.contains(50));
+    EXPECT_FALSE(s.contains(0));
+    s.insert(60);  // below the floor: ignored
+    EXPECT_FALSE(s.contains(60));
+    EXPECT_EQ(members(s), (std::vector<event::Seq>{150}));
+    s.drop_below(40);  // the floor never moves back
+    EXPECT_FALSE(s.contains(60));
+}
+
+// Differential against std::set under the engines' usage: unordered inserts
+// at or above a monotone floor, interleaved with drop_below.
+TEST(ConsumedSeqs, MatchesAnOrderedSetUnderARandomizedWorkload) {
+    std::mt19937_64 rng(7);
+    event::ConsumedSeqs s;
+    std::set<event::Seq> ref;
+    event::Seq floor = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const auto r = rng() % 100;
+        if (r < 70) {
+            const event::Seq seq = floor + rng() % (r < 5 ? 100000 : 300);
+            s.insert(seq);
+            ref.insert(seq);
+        } else if (r < 90) {
+            floor += rng() % 96;
+            s.drop_below(floor);
+            ref.erase(ref.begin(), ref.lower_bound(floor));
+        } else {
+            const event::Seq probe = floor >= 50 ? floor - 50 + rng() % 400 : rng() % 400;
+            ASSERT_EQ(s.contains(probe), ref.count(probe) == 1) << probe;
+        }
+        ASSERT_EQ(s.size(), ref.size());
+    }
+    EXPECT_EQ(members(s), std::vector<event::Seq>(ref.begin(), ref.end()));
+}
+
+// ---------------------------------------------------------------------------
+// EventStore::release_chunks_below resumes from its cursor
+// ---------------------------------------------------------------------------
+
+TEST(EventStoreRelease, FreesEachChunkOnceAndNeverThePartialOne) {
+    event::EventStore store;
+    constexpr std::size_t kChunk = event::EventStore::kChunkSize;
+    for (std::size_t i = 0; i < 5 * kChunk + 10; ++i) store.append(event::Event{});
+    EXPECT_EQ(store.release_chunks_below(kChunk - 1), 0u);  // partial chunk 0
+    EXPECT_EQ(store.release_chunks_below(2 * kChunk), 2u);
+    EXPECT_EQ(store.release_chunks_below(2 * kChunk), 0u);
+    EXPECT_EQ(store.release_chunks_below(kChunk), 0u);  // behind the cursor
+    EXPECT_EQ(store.at(2 * kChunk).seq, 2 * kChunk);
+    // Clamped to the frontier: the chunk being appended to stays.
+    EXPECT_EQ(store.release_chunks_below(100 * kChunk), 3u);
+    EXPECT_EQ(store.at(5 * kChunk + 9).seq, 5 * kChunk + 9);
+    for (std::size_t i = 0; i < kChunk; ++i) store.append(event::Event{});
+    EXPECT_EQ(store.release_chunks_below(store.size()), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// SeqStepper: O(window span) state, and a watermark the store can free to
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct RisingPairStream {
+    data::StockVocab vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    event::SubjectId symbol = vocab.schema->intern_subject("AAPL");
+    std::mt19937_64 rng{42};
+
+    event::Event next(std::size_t i) {
+        const double open = 100.0 + static_cast<double>(rng() % 50);
+        const bool up = rng() % 10 < 6;
+        return data::make_quote(vocab, static_cast<event::Timestamp>(i), symbol, open,
+                                up ? open + 1.0 : open - 1.0, 10.0);
+    }
+};
+
+// Order-sensitive digest of a result stream (window id, constituents,
+// payload), so a million-event run compares without keeping its output.
+struct Digest {
+    std::uint64_t h = 1469598103934665603ull;
+    std::size_t n = 0;
+    void mix(std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    }
+    void add(const event::ComplexEvent& ce) {
+        ++n;
+        mix(ce.window_id);
+        mix(ce.constituents.size());
+        for (const auto s : ce.constituents) mix(s);
+        for (const auto& [name, value] : ce.payload) {
+            for (const char c : name) mix(static_cast<unsigned char>(c));
+            std::uint64_t bits = 0;
+            static_assert(sizeof(bits) == sizeof(value));
+            std::memcpy(&bits, &value, sizeof(bits));
+            mix(bits);
+        }
+    }
+    bool operator==(const Digest&) const = default;
+};
+
+struct StepperRun {
+    Digest out;
+    sequential::SeqStepper::Footprint footprint;
+    std::size_t peak_resident_chunks = 0;
+};
+
+// Appends `n` events in ingest batches and drains in window quanta, the way a
+// k = 0 server lane does, freeing store chunks behind the stepper's watermark.
+StepperRun run_stepper(const detect::CompiledQuery& cq, std::size_t n) {
+    RisingPairStream gen;
+    event::EventStore store;
+    StepperRun run;
+    sequential::SeqStepper stepper(&cq, &store,
+                                   [&run](event::ComplexEvent&& ce) { run.out.add(ce); });
+    std::size_t released = 0;
+    for (std::size_t i = 0; i < n;) {
+        for (const std::size_t end = std::min(n, i + 64); i < end; ++i) store.append(gen.next(i));
+        while (stepper.drain(4)) {
+        }
+        released += store.release_chunks_below(stepper.low_watermark());
+        const std::size_t allocated =
+            (store.size() + event::EventStore::kChunkSize - 1) >> event::EventStore::kChunkShift;
+        run.peak_resident_chunks = std::max(run.peak_resident_chunks, allocated - released);
+    }
+    store.close();
+    while (stepper.drain(4)) {
+    }
+    EXPECT_TRUE(stepper.finished());
+    run.footprint = stepper.footprint();
+    return run;
+}
+
+Digest oracle(const detect::CompiledQuery& cq, std::size_t n) {
+    RisingPairStream gen;
+    event::EventStore store;
+    for (std::size_t i = 0; i < n; ++i) store.append(gen.next(i));
+    store.close();
+    Digest d;
+    sequential::SequentialEngine(&cq).run(store, [&d](event::ComplexEvent&& ce) { d.add(ce); });
+    return d;
+}
+
+}  // namespace
+
+TEST(SeqStepperBound, StateAndResidentChunksDoNotGrowWithTheStream) {
+    RisingPairStream vocab_source;
+    const auto cq = detect::CompiledQuery::compile(
+        query::parse_query(kRisingPairQuery, vocab_source.vocab.schema));
+    const StepperRun small = run_stepper(cq, 10'000);
+    const StepperRun large = run_stepper(cq, 1'000'000);
+
+    EXPECT_EQ(small.out, oracle(cq, 10'000));
+    EXPECT_EQ(large.out, oracle(cq, 1'000'000));
+    EXPECT_GT(large.out.n, 10'000u);
+
+    EXPECT_EQ(small.footprint.window_slots, large.footprint.window_slots);
+    EXPECT_EQ(small.footprint.consumed_words, large.footprint.consumed_words);
+    EXPECT_LE(large.footprint.window_slots, 64u);
+    // The watermark trails the frontier by at most one window: the store
+    // holds the chunk being read and the one being appended to.
+    EXPECT_LE(large.peak_resident_chunks, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// A standalone k = 0 server session frees its private store behind the
+// stepper's watermark while it streams (DESIGN.md §6/§12).
+// ---------------------------------------------------------------------------
+
+TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    constexpr std::size_t kChunk = event::EventStore::kChunkSize;
+    constexpr std::size_t kChunks = 64;  // >= 10x the resident bound below
+    constexpr std::size_t kResidentBound = 6;
+    server::CepServer srv;
+    srv.start();
+
+    const auto wire = wire_events(kChunks * kChunk, 5);
+    auto spec = make_session(kRisingPairQuery, 0, wire);
+    spec.stats_after = wire.size() / 2;
+
+    std::atomic<bool> done{false};
+    harness::LoadGenOutcome out;
+    std::thread client([&] {
+        out = harness::LoadGenClient("127.0.0.1", srv.port()).run_one(spec);
+        done.store(true, std::memory_order_release);
+    });
+    // Resident chunks = chunks appended - chunks reclaimed, sampled live.
+    std::size_t peak_resident = 0;
+    std::size_t samples = 0;
+    while (!done.load(std::memory_order_acquire)) {
+        const auto snap = srv.registry().snapshot();
+        const auto ingested = counter(snap, obs::sid::kEventsIngested);
+        const auto reclaimed = counter(snap, obs::sid::kStoreChunksReclaimed);
+        const std::size_t appended = (ingested + kChunk - 1) / kChunk;
+        if (appended > reclaimed) peak_resident = std::max(peak_resident, appended - reclaimed);
+        ++samples;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    client.join();
+
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(sequential_ground_truth(kRisingPairQuery, wire), out.results,
+                          "k=0 standalone");
+    EXPECT_GT(samples, 0u);
+    EXPECT_LE(peak_resident, kResidentBound);
+
+    // Liveness (§12): the series moved mid-stream, in the session's own scope.
+    ASSERT_EQ(out.stats_json.size(), 1u);
+    const std::string& j = out.stats_json.front();
+    const auto scope = j.find("\"session\":{");
+    ASSERT_NE(scope, std::string::npos);
+    const std::string key = "\"store_chunks_reclaimed\":";
+    const auto at = j.find(key, scope);
+    ASSERT_NE(at, std::string::npos) << j.substr(0, 200);
+    EXPECT_GT(std::strtoull(j.c_str() + at + key.size(), nullptr, 10), 0u);
+
+    srv.stop();
+    EXPECT_GE(counter(srv.registry().snapshot(), obs::sid::kStoreChunksReclaimed),
+              kChunks - kResidentBound);
+}

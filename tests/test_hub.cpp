@@ -121,6 +121,44 @@ TEST(StreamHub, LateSubscriberReplaysFullHistory) {
     srv.stop();
 }
 
+// A k = 0 subscriber advances its pin behind its engine's low watermark while
+// the stream is still open, so the shared store frees chunks mid-stream — and
+// from then on a late subscriber cannot replay from seq 0 and is refused.
+TEST(StreamHub, SequentialSubscriberReclaimsMidStream) {
+    server::CepServer srv;
+    srv.start();
+    // Several chunks (chunk = 4096 events), all published before the BYE.
+    const auto wire = wire_events(5 * 4096, 31);
+
+    harness::PublisherClient pub("127.0.0.1", srv.port(), "rolling");
+    ASSERT_TRUE(pub.ok()) << pub.error();
+    harness::SubscriberClient sub("127.0.0.1", srv.port(), sub_spec("rolling", 0));
+    ASSERT_TRUE(sub.ok()) << sub.error();
+    harness::LoadGenOutcome out;
+    std::thread reader([&] { out = sub.run(); });
+
+    pub.publish(wire);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (counter(srv.registry().snapshot(), obs::sid::kHubChunksReclaimed) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(counter(srv.registry().snapshot(), obs::sid::kHubChunksReclaimed), 0u)
+        << "no chunk reclaimed before the publisher's BYE";
+
+    harness::SubscriberClient late("127.0.0.1", srv.port(), sub_spec("rolling", 0));
+    EXPECT_FALSE(late.ok());
+    EXPECT_NE(late.error().find("history already reclaimed"), std::string::npos)
+        << late.error();
+
+    EXPECT_TRUE(pub.finish()) << pub.error();
+    reader.join();
+    EXPECT_TRUE(out.error.empty()) << out.error;
+    EXPECT_TRUE(out.completed);
+    expect_byte_identical(sequential_ground_truth(subscriber_query(0), wire), out.results,
+                          "reclaiming subscriber");
+    srv.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Isolation: a stalled slow subscriber parks only its own engine task (§9).
 // The publisher and every other subscriber finish while it reads nothing;

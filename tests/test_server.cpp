@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -229,6 +230,54 @@ TEST(CepServer, InstancesBeyondServerLimitRejected) {
     EXPECT_FALSE(out.completed);
     EXPECT_NE(out.error.find("instances exceed"), std::string::npos) << out.error;
     srv.stop();
+}
+
+// A client that keeps sending after its HELLO was rejected — the rest of its
+// stream is already in flight — neither fails a send nor misses the ERROR:
+// the server half-closes and drains instead of closing over unread input,
+// which resets the connection and fails the client's next send before it
+// ever reads the ERROR (DESIGN.md §8, lingering close).
+TEST(CepServer, RejectedHandshakeLingersForAClientStillSending) {
+    server::CepServer srv;
+    srv.start();
+    net::TcpClient conn("127.0.0.1", srv.port(), 0);
+    std::vector<std::uint8_t> buf;
+    net::encode_frame(net::SessionFrame{net::HelloFrame{"PATTERN (A DEFINE oops", 0, 0, ""}},
+                      buf);
+    conn.send_raw(buf.data(), buf.size());
+    // Let the server reject (and, without a lingering close, close) first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    buf.clear();
+    for (const auto& q : wire_events(20, 3)) net::encode_frame(net::SessionFrame{q}, buf);
+    // Two sends, the second after any reset provoked by the first landed:
+    // a closed server socket fails it with EPIPE / ECONNRESET.
+    for (int round = 0; round < 2; ++round) {
+        const ssize_t sent = ::send(conn.fd(), buf.data(), buf.size(), MSG_NOSIGNAL);
+        EXPECT_EQ(sent, static_cast<ssize_t>(buf.size()))
+            << "send " << round << ": " << std::strerror(errno);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+
+    net::FrameReader reader;
+    std::string error;
+    std::uint8_t chunk[4096];
+    for (;;) {
+        const ssize_t n = net::read_some(conn.fd(), chunk, sizeof(chunk));
+        if (n <= 0) break;
+        reader.feed(chunk, static_cast<std::size_t>(n));
+        while (auto f = reader.poll())
+            if (auto* e = std::get_if<net::ErrorFrame>(&*f)) error = e->message;
+        if (!error.empty()) break;
+    }
+    EXPECT_NE(error.find("HELLO rejected"), std::string::npos) << "no ERROR frame read";
+    // The client never closes: the linger deadline reaps the session anyway.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (srv.stats().sessions_live != 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(srv.stats().sessions_live, 0u) << "lingering session never reaped";
+    conn.close();
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_failed, 1u);
 }
 
 // ---------------------------------------------------------------------------
