@@ -2,7 +2,7 @@
 //
 // A published stream's store is written by one publisher session and read by
 // many subscriber engines, each at its own pace. The store's chunk directory
-// makes reclamation natural — a 4096-event chunk can be freed once every
+// makes reclamation natural — a 1024-event chunk can be freed once every
 // reader has moved past it — but the store itself must stay lock-free on the
 // hot paths, so the bookkeeping lives here, in a sidecar the hub owns:
 //

@@ -1,6 +1,7 @@
 #include "event/stream.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -48,46 +49,45 @@ std::optional<Event> LiveStream::next() {
     return e;
 }
 
-EventStore::EventStore()
-    : chunks_(std::make_unique<std::atomic<Event*>[]>(kMaxChunks)) {}
-
 EventStore::~EventStore() { free_chunks(); }
 
 void EventStore::free_chunks() noexcept {
-    if (!chunks_) return;
-    const std::size_t n = size_.load(std::memory_order_acquire) + pending_;
-    const std::size_t used = (n + kChunkSize - 1) >> kChunkShift;
-    for (std::size_t i = released_; i < used; ++i)
-        delete[] chunks_[i].load(std::memory_order_relaxed);
+    // Released chunks are nulled and fully released pages freed, so whatever
+    // the directory still points to is live.
+    for (auto& page_ptr : pages_) {
+        Page* page = page_ptr.exchange(nullptr, std::memory_order_relaxed);
+        if (page == nullptr) continue;
+        for (auto& chunk : page->chunks) delete[] chunk.load(std::memory_order_relaxed);
+        delete page;
+    }
 }
 
-EventStore::EventStore(EventStore&& other) noexcept
-    : chunks_(std::move(other.chunks_)),
-      size_(other.size_.load(std::memory_order_relaxed)),
-      pending_(other.pending_),
-      released_(other.released_),
-      closed_(other.closed_.load(std::memory_order_relaxed)) {
-    other.chunks_ = std::make_unique<std::atomic<Event*>[]>(kMaxChunks);
-    other.size_.store(0, std::memory_order_relaxed);
-    other.pending_ = 0;
-    other.released_ = 0;
-    other.closed_.store(false, std::memory_order_relaxed);
+void EventStore::take(EventStore& other) noexcept {
+    for (std::size_t p = 0; p < kMaxPages; ++p)
+        pages_[p].store(other.pages_[p].exchange(nullptr, std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    size_.store(other.size_.exchange(0, std::memory_order_relaxed),
+                std::memory_order_relaxed);
+    pending_ = std::exchange(other.pending_, 0);
+    released_ = std::exchange(other.released_, 0);
+    closed_.store(other.closed_.exchange(false, std::memory_order_relaxed),
+                  std::memory_order_relaxed);
 }
+
+EventStore::EventStore(EventStore&& other) noexcept { take(other); }
 
 EventStore& EventStore::operator=(EventStore&& other) noexcept {
     if (this == &other) return *this;
     free_chunks();
-    chunks_ = std::move(other.chunks_);
-    size_.store(other.size_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    pending_ = other.pending_;
-    released_ = other.released_;
-    closed_.store(other.closed_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    other.chunks_ = std::make_unique<std::atomic<Event*>[]>(kMaxChunks);
-    other.size_.store(0, std::memory_order_relaxed);
-    other.pending_ = 0;
-    other.released_ = 0;
-    other.closed_.store(false, std::memory_order_relaxed);
+    take(other);
     return *this;
+}
+
+std::size_t EventStore::directory_bytes() const noexcept {
+    std::size_t bytes = sizeof(pages_);
+    for (const auto& page : pages_)
+        if (page.load(std::memory_order_relaxed) != nullptr) bytes += sizeof(Page);
+    return bytes;
 }
 
 Event& EventStore::append_slot() {
@@ -95,10 +95,17 @@ Event& EventStore::append_slot() {
     const std::size_t n = size_.load(std::memory_order_relaxed) + pending_;  // writer-owned
     const std::size_t chunk_index = n >> kChunkShift;
     SPECTRE_REQUIRE(chunk_index < kMaxChunks, "EventStore capacity exceeded");
-    Event* chunk = chunks_[chunk_index].load(std::memory_order_relaxed);
+    std::atomic<Page*>& page_ptr = pages_[chunk_index >> kPageShift];
+    Page* page = page_ptr.load(std::memory_order_relaxed);
+    if (page == nullptr) {
+        page = new Page{};
+        page_ptr.store(page, std::memory_order_relaxed);
+    }
+    std::atomic<Event*>& chunk_ptr = page->chunks[chunk_index & (kPageSize - 1)];
+    Event* chunk = chunk_ptr.load(std::memory_order_relaxed);
     if (chunk == nullptr) {
         chunk = new Event[kChunkSize];
-        chunks_[chunk_index].store(chunk, std::memory_order_relaxed);
+        chunk_ptr.store(chunk, std::memory_order_relaxed);
     }
     ++pending_;
     Event& slot = chunk[n & (kChunkSize - 1)];
@@ -127,8 +134,15 @@ std::size_t EventStore::release_chunks_below(Seq seq) noexcept {
     if (limit <= released_) return 0;
     // Resume at the cursor: a per-quantum call costs O(chunks freed), not
     // O(chunks ever appended). Every chunk below the frontier was allocated.
-    for (std::size_t i = released_; i < limit; ++i)
-        delete[] chunks_[i].exchange(nullptr, std::memory_order_relaxed);
+    for (std::size_t i = released_; i < limit; ++i) {
+        Page* page = pages_[i >> kPageShift].load(std::memory_order_relaxed);
+        delete[] page->chunks[i & (kPageSize - 1)].exchange(nullptr,
+                                                            std::memory_order_relaxed);
+        // The page's last chunk just went: the page itself is below the
+        // frontier page, so neither the writer nor a reader touches it again.
+        if ((i & (kPageSize - 1)) == kPageSize - 1)
+            delete pages_[i >> kPageShift].exchange(nullptr, std::memory_order_relaxed);
+    }
     const std::size_t freed = limit - released_;
     released_ = limit;
     return freed;
@@ -145,10 +159,21 @@ EventRange EventStore::range(Seq first, Seq last) const {
 }
 
 Seq MappedStore::append_mapped(Event e, Seq parent_seq) {
-    SPECTRE_REQUIRE(parent_of_.empty() || parent_of_.back() < parent_seq,
+    SPECTRE_REQUIRE(parent_seq >= min_next_parent_,
                     "MappedStore parent seqs must be strictly increasing");
+    min_next_parent_ = parent_seq + 1;
     parent_of_.push_back(parent_seq);
     return store_.append(std::move(e));
+}
+
+std::size_t MappedStore::release_below(Seq local) {
+    const Seq floor = std::min<Seq>(local, base_ + parent_of_.size());
+    if (floor > base_) {
+        parent_of_.erase(parent_of_.begin(),
+                         parent_of_.begin() + static_cast<std::ptrdiff_t>(floor - base_));
+        base_ = floor;
+    }
+    return store_.release_chunks_below(local);
 }
 
 }  // namespace spectre::event

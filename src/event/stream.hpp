@@ -119,24 +119,37 @@ private:
 // instances. Position in the store == index; Event::seq is assigned densely
 // on append, so store[e.seq] == e.
 //
+// Storage is a two-level directory of fixed-size chunks (DESIGN.md §6): an
+// inline top array of kMaxPages page pointers, each page an array of
+// kPageSize chunk pointers, each chunk kChunkSize events. The writer
+// allocates a page and a chunk when the first event lands in it, so an empty
+// store owns only its 2 KiB top array and a one-event store one 4 KiB page
+// plus one 56 KiB chunk.
+//
 // Concurrency contract (single writer, many readers, no locks):
-//   * storage is chunked — append() never moves an already-published event,
-//     so `&at(seq)` is stable until release_chunks_below() passes it;
+//   * append() never moves an already-published event, so `&at(seq)` is
+//     stable until release_chunks_below() passes it;
 //   * `size()` is the atomic arrival frontier, published with release
-//     ordering after the event bytes are written: a reader that observes
-//     size() > seq may freely read at(seq)/range() up to that frontier;
+//     ordering after the page pointer, the chunk pointer and the event bytes
+//     are written: a reader that observes size() > seq may freely read
+//     at(seq)/range() up to that frontier;
 //   * `close()` publishes end-of-stream; once a reader observes closed(),
 //     the next size() it reads is the stream's final length.
 class EventStore {
 public:
-    // 4096-event chunks; the fixed chunk directory caps one store at
-    // kMaxChunks * kChunkSize (~134M) events — plenty above the paper's
-    // largest replayed day, and loud (SPECTRE_REQUIRE) when exceeded.
-    static constexpr std::size_t kChunkShift = 12;
+    // 1024-event chunks (56 KiB: below glibc's mmap threshold, so a freed
+    // chunk is recycled by the next allocation instead of faulted in anew),
+    // 512 chunk pointers per 4 KiB directory page, 256 pages: one store
+    // holds up to kMaxChunks * kChunkSize (~134M) events — plenty above the
+    // paper's largest replayed day, and loud (SPECTRE_REQUIRE) when exceeded.
+    static constexpr std::size_t kChunkShift = 10;
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-    static constexpr std::size_t kMaxChunks = std::size_t{1} << 15;
+    static constexpr std::size_t kPageShift = 9;
+    static constexpr std::size_t kPageSize = std::size_t{1} << kPageShift;
+    static constexpr std::size_t kMaxPages = 256;
+    static constexpr std::size_t kMaxChunks = kMaxPages * kPageSize;
 
-    EventStore();
+    EventStore() = default;
     ~EventStore();
 
     EventStore(EventStore&& other) noexcept;
@@ -178,30 +191,48 @@ public:
     bool empty() const noexcept { return size() == 0; }
 
     // Reclamation behind a reader low watermark (DESIGN.md §6/§15): frees
-    // the chunk arrays whose entire seq range lies below min(seq, frontier).
-    // Returns the number of chunks freed; resumes from the previous call's
-    // cursor, so the cost is O(chunks freed). Caller contract (event::
-    // ChunkPins enforces it for shared stores, the owning k = 0 session for
-    // its own): calls are serialized, and no reader will ever again address
-    // a seq below `seq` — the "addresses stable" guarantee narrows to the
-    // unreclaimed suffix. The writer is unaffected: it only touches the
-    // frontier chunk, which is never below the frontier.
+    // the chunk arrays whose entire seq range lies below min(seq, frontier),
+    // and every directory page whose chunks are all freed. Returns the
+    // number of chunks freed; resumes from the previous call's cursor, so
+    // the cost is O(chunks freed). Caller contract (event::ChunkPins
+    // enforces it for shared stores, the owning k = 0 session or key lane
+    // for its own): calls are serialized, and no reader will ever again
+    // address a seq below `seq` — the "addresses stable" guarantee narrows
+    // to the unreclaimed suffix. The writer is unaffected: it only touches
+    // the frontier chunk and its page, which are never below the frontier.
     std::size_t release_chunks_below(Seq seq) noexcept;
+
+    // Chunks freed so far (releaser side: the thread that calls
+    // release_chunks_below, or any thread once it is quiescent).
+    std::size_t released_chunks() const noexcept { return released_; }
+
+    // Test hook: bytes of chunk directory this store owns — the inline top
+    // array plus every allocated page. O(KiB) until the stream is long.
+    std::size_t directory_bytes() const noexcept;
 
     // Range [first, last] inclusive; valid across concurrent append().
     EventRange range(Seq first, Seq last) const;
 
 private:
     friend class EventRange;
+    struct Page {
+        std::atomic<Event*> chunks[kPageSize] = {};
+    };
+
     const Event& slot(Seq seq) const noexcept {
         // Safe after a bounds check against size(): the acquire load of the
-        // frontier ordered this chunk pointer and the event bytes.
-        return chunks_[seq >> kChunkShift].load(std::memory_order_relaxed)
-            [seq & (kChunkSize - 1)];
+        // frontier ordered the page pointer, the chunk pointer and the
+        // event bytes.
+        const std::size_t chunk = seq >> kChunkShift;
+        return pages_[chunk >> kPageShift]
+            .load(std::memory_order_relaxed)
+            ->chunks[chunk & (kPageSize - 1)]
+            .load(std::memory_order_relaxed)[seq & (kChunkSize - 1)];
     }
     void free_chunks() noexcept;
+    void take(EventStore& other) noexcept;
 
-    std::unique_ptr<std::atomic<Event*>[]> chunks_;
+    std::atomic<Page*> pages_[kMaxPages] = {};
     std::atomic<std::size_t> size_{0};
     std::size_t pending_ = 0;  // writer-thread only: slots taken, unpublished
     std::size_t released_ = 0;  // chunks below this index are freed (releaser only)
@@ -218,13 +249,16 @@ inline const Event& EventRange::operator[](std::size_t i) const {
 // emit are translated back into parent seqs before leaving the sub-stream —
 // the key-partitioned lanes of DESIGN.md §10 are built on this.
 //
+// Memory follows the lane's engine (DESIGN.md §6/§10): release_below(floor)
+// frees the store chunks and drops the parent-seq rows below a floor no
+// reader will address again, so a k = 0 lane holds O(window span) however
+// long its sub-stream runs.
+//
 // Concurrency: the wrapped store() keeps the full EventStore single-writer/
-// multi-reader contract, but the seq MAPPING is owning-thread only — append
-// and to_parent()/translate() must run on the same thread (a §10 lane's
-// shard task does both). Unlike the chunked store, the mapping's deque may
-// relocate its internal directory on growth, so cross-thread translation
-// would need its own synchronization — add chunked rows before handing the
-// mapping to concurrent readers (e.g. future lane stealing).
+// multi-reader contract, but the seq MAPPING is owning-thread only — append,
+// release_below and to_parent()/translate() must run on the same thread (a
+// §10 lane's shard task does all three; a migrating lane is handed over
+// whole, under the destination shard's mutex).
 class MappedStore {
 public:
     // Appends `e` (its seq is overwritten with the local position) and
@@ -237,8 +271,11 @@ public:
     EventStore& store() noexcept { return store_; }
     const EventStore& store() const noexcept { return store_; }
 
-    // Parent seq of local event `local` (must be below the frontier).
-    Seq to_parent(Seq local) const { return parent_of_[static_cast<std::size_t>(local)]; }
+    // Parent seq of local event `local` (below the frontier, at or above
+    // the last release_below floor).
+    Seq to_parent(Seq local) const {
+        return parent_of_[static_cast<std::size_t>(local - base_)];
+    }
 
     // Rewrites a vector of local seqs (e.g. ComplexEvent::constituents) into
     // parent seqs in place. Local seqs ascending implies parent seqs
@@ -247,9 +284,20 @@ public:
         for (auto& s : seqs) s = to_parent(s);
     }
 
+    // Reclamation behind the lane engine's low watermark: frees the store
+    // chunks wholly below `local` and drops the mapping rows below it. The
+    // caller promises no reader addresses, and no translate() names, a
+    // local seq below `local` again. Returns the store chunks freed.
+    std::size_t release_below(Seq local);
+
+    // Test hook: mapping rows held (one per unreleased local event).
+    std::size_t parent_rows() const noexcept { return parent_of_.size(); }
+
 private:
     EventStore store_;
-    std::deque<Seq> parent_of_;  // owning-thread only (see class comment)
+    std::deque<Seq> parent_of_;  // row i maps local seq base_ + i
+    Seq base_ = 0;               // first local seq still mapped
+    Seq min_next_parent_ = 0;    // strict monotonicity, kept across releases
 };
 
 }  // namespace spectre::event

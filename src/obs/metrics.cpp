@@ -114,6 +114,8 @@ constexpr BuiltinDef kBuiltins[] = {
     {"compile_cache_misses", Kind::Counter, "subscriber queries compiled fresh"},
     {"store_chunks_reclaimed", Kind::Counter,
      "session-store chunks freed behind a sequential engine's low watermark"},
+    {"shard_chunks_reclaimed", Kind::Counter,
+     "key-lane store chunks freed behind a sequential lane's low watermark"},
 };
 static_assert(sizeof(kBuiltins) / sizeof(kBuiltins[0]) == sid::kCount,
               "sid:: and kBuiltins must stay parallel");

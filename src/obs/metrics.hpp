@@ -163,6 +163,7 @@ enum : std::uint32_t {
     kCompileCacheMisses,    // subscriber queries compiled fresh
     // --- bounded memory (DESIGN.md §6) --------------------------------------
     kStoreChunksReclaimed,  // private-store chunks freed behind a k=0 watermark
+    kShardChunksReclaimed,  // key-lane store chunks freed behind a lane watermark
     kCount
 };
 }  // namespace sid

@@ -323,6 +323,22 @@ std::uint32_t ShardedEngine::key_count() const {
     return static_cast<std::uint32_t>(key_route_.size());
 }
 
+ShardedEngine::LaneFootprint ShardedEngine::lane_footprint() const {
+    LaneFootprint f;
+    for (const auto& shp : shards_) {
+        for (const auto& [key, lane] : shp->lanes) {
+            const event::EventStore& store = lane->store.store();
+            const std::size_t chunks =
+                (store.size() + event::EventStore::kChunkSize - 1) >>
+                event::EventStore::kChunkShift;
+            ++f.lanes;
+            f.resident_chunks += chunks - store.released_chunks();
+            f.parent_rows += lane->store.parent_rows();
+        }
+    }
+    return f;
+}
+
 std::size_t ShardedEngine::shard_queue_depth(std::uint32_t s) const {
     const std::lock_guard<std::mutex> lock(shards_[s]->mutex);
     return shards_[s]->queue.size();
@@ -428,6 +444,13 @@ void ShardedEngine::process_event(ShardState& sh, Pending&& p) {
     sh.current_tag = MergeTag{p.g, p.key};
     lane.store.append_mapped(std::move(p.e), p.g);
     drain_lane_quiescent(lane);
+    // A sequential lane frees what no later drain can read (DESIGN.md §6):
+    // the sink translated this drain's results already, and later ones name
+    // only seqs at or above the watermark. Speculative lanes report no
+    // watermark and keep their whole sub-stream.
+    if (!lane.stepper) return;
+    const std::size_t freed = lane.store.release_below(lane.stepper->low_watermark());
+    if (freed > 0 && obs_) obs_->add(obs::Series{obs::sid::kShardChunksReclaimed}, freed);
 }
 
 bool ShardedEngine::eos_step(ShardState& sh, std::size_t& budget) {
@@ -586,7 +609,8 @@ void ShardedEngine::merge_locked(StepResult& r) {
     // whole buffer here and merging locally keeps the release loop lock-free
     // — O(results) work under merge_mutex_ only, not O(results × shards)
     // lock traffic.
-    std::vector<std::deque<TaggedResult>> pending(span);
+    if (merge_scratch_.size() < span) merge_scratch_.resize(span);
+    auto& pending = merge_scratch_;
     MergeTag min_bound = kInfTag;
     bool eos_all_done = closed;
     for (std::size_t i = 0; i < span; ++i) {
@@ -617,25 +641,28 @@ void ShardedEngine::merge_locked(StepResult& r) {
     // not releasable yet goes back to its shard afterwards (prepend — the
     // owner may have pushed newer results meanwhile).
     for (;;) {
-        std::size_t best = pending.size();
-        for (std::size_t i = 0; i < pending.size(); ++i)
+        std::size_t best = span;
+        for (std::size_t i = 0; i < span; ++i)
             if (!pending[i].empty() &&
-                (best == pending.size() || pending[i].front().tag < pending[best].front().tag))
+                (best == span || pending[i].front().tag < pending[best].front().tag))
                 best = i;
-        if (best == pending.size() || !(pending[best].front().tag < min_bound)) break;
+        if (best == span || !(pending[best].front().tag < min_bound)) break;
         TaggedResult tr = std::move(pending[best].front());
         pending[best].pop_front();
         emitted_.fetch_add(1, std::memory_order_relaxed);
         sink_(std::move(tr.ce));
     }
     bool buffers_empty = true;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
+    for (std::size_t i = 0; i < span; ++i) {
         if (pending[i].empty()) continue;
         ShardState& t = *shards_[i];
-        const std::lock_guard<std::mutex> lock(t.mutex);
-        t.results.insert(t.results.begin(),
-                         std::make_move_iterator(pending[i].begin()),
-                         std::make_move_iterator(pending[i].end()));
+        {
+            const std::lock_guard<std::mutex> lock(t.mutex);
+            t.results.insert(t.results.begin(),
+                             std::make_move_iterator(pending[i].begin()),
+                             std::make_move_iterator(pending[i].end()));
+        }
+        pending[i].clear();
         buffers_empty = false;
     }
 

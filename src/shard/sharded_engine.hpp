@@ -205,9 +205,21 @@ public:
     // --- observability (DESIGN.md §12) --------------------------------------
 
     // Metrics plane: when bound, every speculative lane runtime created from
-    // here on publishes its per-step stat deltas into `shard` (call before
-    // the first ingest; the shard must outlive the engine).
+    // here on publishes its per-step stat deltas into `shard`, and every
+    // sequential lane its reclaimed store chunks (shard_chunks_reclaimed).
+    // Call before the first ingest; the shard must outlive the engine.
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
+
+    // Test hook: what the key lanes hold right now — store chunks not yet
+    // reclaimed and seq-mapping rows, summed over every lane. Reads
+    // task-private state: call only while no shard task runs (between the
+    // steps of an inline driver, or once finished()).
+    struct LaneFootprint {
+        std::size_t lanes = 0;
+        std::size_t resident_chunks = 0;
+        std::size_t parent_rows = 0;
+    };
+    LaneFootprint lane_footprint() const;
 
     // Pending arrivals queued on shard `s` right now (lock-taken; the live
     // lane-depth signal adaptive re-sharding consumes).
@@ -292,6 +304,9 @@ private:
     std::atomic<bool> all_finished_{false};
 
     std::mutex merge_mutex_;
+    // merge_locked's per-shard splice buffers, reused across calls (guarded
+    // by merge_mutex_); grows with task_span_, never shrinks.
+    std::vector<std::deque<TaggedResult>> merge_scratch_;
 };
 
 // The parity oracle: the unsharded sequential run of a partitioned query —

@@ -1,7 +1,8 @@
 // Bounded memory on unbounded streams (DESIGN.md §6): the consumed-seq ring,
 // the sequential stepper's O(window span) state and its low watermark, the
-// store's resumable chunk release, and a k = 0 server session whose private
-// store frees chunks behind that watermark while it streams.
+// store's resumable chunk release, a k = 0 server session whose private
+// store frees chunks behind that watermark while it streams, and the
+// PARTITION BY key lanes (§10) whose mapped stores do the same per lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +23,9 @@
 #include "query/parser.hpp"
 #include "sequential/seq_engine.hpp"
 #include "server/cep_server.hpp"
+#include "server/config.hpp"
 #include "server_test_util.hpp"
+#include "shard/sharded_engine.hpp"
 
 using namespace spectre;
 using namespace spectre::testing;
@@ -302,12 +305,15 @@ TEST(SeqStepperBound, StateAndResidentChunksDoNotGrowWithTheStream) {
 TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
     if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
     constexpr std::size_t kChunk = event::EventStore::kChunkSize;
-    constexpr std::size_t kChunks = 64;  // >= 10x the resident bound below
-    constexpr std::size_t kResidentBound = 6;
+    // Sized in events, not chunks: 262k events through a session that holds
+    // at most 24k of them, whatever the chunk size.
+    constexpr std::size_t kEvents = 64 * 4096;
+    constexpr std::size_t kChunks = kEvents / kChunk;  // >= 10x the resident bound
+    constexpr std::size_t kResidentBound = 6 * 4096 / kChunk;
     server::CepServer srv;
     srv.start();
 
-    const auto wire = wire_events(kChunks * kChunk, 5);
+    const auto wire = wire_events(kEvents, 5);
     auto spec = make_session(kRisingPairQuery, 0, wire);
     spec.stats_after = wire.size() / 2;
 
@@ -351,4 +357,177 @@ TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
     srv.stop();
     EXPECT_GE(counter(srv.registry().snapshot(), obs::sid::kStoreChunksReclaimed),
               kChunks - kResidentBound);
+}
+
+// ---------------------------------------------------------------------------
+// MappedStore::release_below: the lane's store chunks and mapping rows go,
+// the rest of the mapping keeps translating, monotonicity still holds.
+// ---------------------------------------------------------------------------
+
+TEST(MappedStoreRelease, DropsRowsAndChunksBelowTheFloor) {
+    constexpr std::size_t kChunk = event::EventStore::kChunkSize;
+    constexpr std::size_t kN = 3 * kChunk + 10;
+    event::MappedStore m;
+    for (std::size_t i = 0; i < kN; ++i) m.append_mapped(event::Event{}, 2 * i + 1);
+    EXPECT_EQ(m.parent_rows(), kN);
+
+    EXPECT_EQ(m.release_below(kChunk + 5), 1u);  // chunk 0 only; chunk 1 is partial
+    EXPECT_EQ(m.parent_rows(), kN - (kChunk + 5));
+    EXPECT_EQ(m.to_parent(kChunk + 5), 2 * (kChunk + 5) + 1);
+    std::vector<event::Seq> seqs{kChunk + 5, kChunk + 6, kN - 1};
+    m.translate(seqs);
+    EXPECT_EQ(seqs, (std::vector<event::Seq>{2 * (kChunk + 5) + 1, 2 * (kChunk + 6) + 1,
+                                             2 * (kN - 1) + 1}));
+    EXPECT_EQ(m.release_below(kChunk), 0u);  // behind the floor: no-op
+    EXPECT_EQ(m.parent_rows(), kN - (kChunk + 5));
+
+    // Past the frontier: every row goes, the frontier chunk stays.
+    EXPECT_EQ(m.release_below(kN + 100), 2u);
+    EXPECT_EQ(m.parent_rows(), 0u);
+    // The monotonicity check survives the rows it used to read.
+    EXPECT_THROW(m.append_mapped(event::Event{}, 2 * (kN - 1) + 1), std::invalid_argument);
+    EXPECT_EQ(m.append_mapped(event::Event{}, 2 * kN + 1), kN);
+    EXPECT_EQ(m.to_parent(kN), 2 * kN + 1);
+}
+
+// ---------------------------------------------------------------------------
+// PARTITION BY key lanes (DESIGN.md §10): every sequential lane frees its
+// mapped store behind its own watermark, so a hot key streams in flat memory.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr const char* kRisingPairPerSymbol =
+    "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
+    "WITHIN 40 EVENTS FROM EVERY 10 EVENTS PARTITION BY SUBJECT CONSUME ALL";
+
+constexpr std::size_t kHotLaneChunks = 110;  // >= 100 chunks through the hot lane
+constexpr std::size_t kLaneSymbols = 4;      // the hot symbol plus three others
+
+// A wire stream where every other event carries the first event's symbol:
+// one key holds half the stream (more, counting its own draws).
+std::vector<net::WireQuote> hot_key_wire(std::uint64_t seed) {
+    auto wire = wire_events(2 * kHotLaneChunks * event::EventStore::kChunkSize, seed,
+                            kLaneSymbols);
+    const std::string hot = wire.front().symbol;
+    for (std::size_t i = 0; i < wire.size(); i += 2) wire[i].symbol = hot;
+    return wire;
+}
+
+std::size_t hot_events(const std::vector<net::WireQuote>& wire) {
+    return static_cast<std::size_t>(std::count_if(
+        wire.begin(), wire.end(),
+        [&wire](const net::WireQuote& q) { return q.symbol == wire.front().symbol; }));
+}
+
+}  // namespace
+
+TEST(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
+    const auto wire = hot_key_wire(9);
+    ASSERT_GE(hot_events(wire), 100 * event::EventStore::kChunkSize);
+    const auto vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    std::vector<event::Event> events;
+    events.reserve(wire.size());
+    for (const auto& q : wire) events.push_back(net::from_wire(q, vocab));
+    const auto cq = detect::CompiledQuery::compile(query::parse_query(kRisingPairPerSymbol,
+                                                                      vocab.schema));
+
+    obs::Registry registry;
+    const auto obs_shard = registry.make_shard();
+    std::vector<event::ComplexEvent> out;
+    shard::ShardedConfig cfg;
+    cfg.shards = 3;
+    shard::ShardedEngine engine(&cq, cfg, [&out](event::ComplexEvent&& ce) {
+        out.push_back(std::move(ce));
+    });
+    engine.bind_obs(obs_shard.get());
+
+    // Inline schedule: feed a batch, give every shard one bounded quantum,
+    // read the lanes' footprint while no shard runs.
+    shard::ShardedEngine::LaneFootprint peak;
+    std::size_t fed = 0;
+    while (fed < events.size()) {
+        for (const std::size_t end = std::min(events.size(), fed + 48); fed < end; ++fed)
+            engine.ingest(events[fed]);
+        for (std::uint32_t s = 0; s < engine.shards(); ++s) engine.step_shard(s, 64);
+        const auto f = engine.lane_footprint();
+        peak.lanes = std::max(peak.lanes, f.lanes);
+        peak.resident_chunks = std::max(peak.resident_chunks, f.resident_chunks);
+        peak.parent_rows = std::max(peak.parent_rows, f.parent_rows);
+    }
+    engine.close_input();
+    while (!engine.finished())
+        for (std::uint32_t s = 0; s < engine.shards(); ++s) engine.step_shard(s, 64);
+
+    expect_byte_identical(shard::reference_partitioned_run(cq, events), out,
+                          "S=3 hot-key lanes");
+    EXPECT_EQ(peak.lanes, kLaneSymbols);
+    // Each lane holds the chunk its stepper reads and the one it appends to,
+    // and one mapping row per event of the live window span (40 + slide).
+    EXPECT_LE(peak.resident_chunks, 2 * kLaneSymbols);
+    EXPECT_LE(peak.parent_rows, 64 * kLaneSymbols);
+    // The freed chunks are counted in the bound metrics shard.
+    EXPECT_GE(counter(registry.snapshot(), obs::sid::kShardChunksReclaimed),
+              hot_events(wire) / event::EventStore::kChunkSize - 2);
+}
+
+// The same bound through a real sharded k = 0 server session: the lanes free
+// behind their watermarks while the session streams, the reclaimed chunks
+// show in the session's own metrics scope mid-stream (§12), and the merged
+// RESULT stream stays byte-identical to the partitioned oracle.
+TEST(ServerReclaim, ShardedSequentialSessionStreamsInFlatMemory) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    constexpr std::size_t kChunk = event::EventStore::kChunkSize;
+    server::CepServer srv(server::ServerConfigBuilder{}.pool_workers(3).build());
+    srv.start();
+
+    const auto wire = hot_key_wire(21);
+    ASSERT_GE(hot_events(wire), 100 * kChunk);
+    auto spec = make_session(kRisingPairPerSymbol, 0, wire);
+    spec.shards = 3;
+    spec.stats_after = wire.size() / 2;
+
+    std::atomic<bool> done{false};
+    harness::LoadGenOutcome out;
+    std::thread client([&] {
+        out = harness::LoadGenClient("127.0.0.1", srv.port()).run_one(spec);
+        done.store(true, std::memory_order_release);
+    });
+    // Chunks the lanes can have appended, minus chunks reclaimed, sampled
+    // live. Ingest runs at most one ingest queue (1024 events by default)
+    // ahead of the lanes, and each lane has at most one partial chunk, so
+    // this over-counts resident lane chunks by a constant.
+    std::size_t peak_resident = 0;
+    std::size_t samples = 0;
+    while (!done.load(std::memory_order_acquire)) {
+        const auto snap = srv.registry().snapshot();
+        const auto ingested = counter(snap, obs::sid::kEventsIngested);
+        const auto reclaimed = counter(snap, obs::sid::kShardChunksReclaimed);
+        const std::size_t appended = ingested / kChunk + kLaneSymbols;
+        if (appended > reclaimed) peak_resident = std::max(peak_resident, appended - reclaimed);
+        ++samples;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    client.join();
+
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(harness::partitioned_oracle(kRisingPairPerSymbol, wire),
+                          out.results, "k=0 sharded S=3");
+    EXPECT_GT(samples, 0u);
+    EXPECT_LE(peak_resident, 4 * kLaneSymbols + 4);
+
+    // Liveness (§12): the series moved mid-stream, in the session's scope.
+    ASSERT_EQ(out.stats_json.size(), 1u);
+    const std::string& j = out.stats_json.front();
+    const auto scope = j.find("\"session\":{");
+    ASSERT_NE(scope, std::string::npos);
+    const std::string key = "\"shard_chunks_reclaimed\":";
+    const auto at = j.find(key, scope);
+    ASSERT_NE(at, std::string::npos) << j.substr(0, 200);
+    EXPECT_GT(std::strtoull(j.c_str() + at + key.size(), nullptr, 10), 0u);
+
+    srv.stop();
+    EXPECT_GE(counter(srv.registry().snapshot(), obs::sid::kShardChunksReclaimed),
+              hot_events(wire) / kChunk - 2);
 }

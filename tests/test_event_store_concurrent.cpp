@@ -82,6 +82,126 @@ TEST(EventStoreChunks, MoveTransfersContentsAndLeavesSourceEmpty) {
     EXPECT_EQ(a.size(), 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Directory geometry: chunks hang off 4 KiB directory pages the writer
+// allocates on demand; a page boundary every kPageEvents events.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kChunk = event::EventStore::kChunkSize;
+constexpr std::size_t kPageEvents = event::EventStore::kPageSize * kChunk;
+constexpr std::size_t kTopBytes =
+    event::EventStore::kMaxPages * sizeof(std::atomic<event::Event*>);
+constexpr std::size_t kPageBytes = event::EventStore::kPageSize * sizeof(std::atomic<event::Event*>);
+
+void append_n(event::EventStore& store, std::size_t n) {
+    for (std::size_t i = store.size(); n > 0; ++i, --n) {
+        event::Event e;
+        e.ts = static_cast<event::Timestamp>(i);
+        store.append(e);
+    }
+}
+
+}  // namespace
+
+TEST(EventStoreDirectory, AppendAtAndRangeAcrossAPageBoundary) {
+    event::EventStore store;
+    append_n(store, kPageEvents + 10);
+    EXPECT_EQ(store.directory_bytes(), kTopBytes + 2 * kPageBytes);
+    for (std::size_t i = kPageEvents - kChunk - 3; i < store.size(); ++i) {
+        ASSERT_EQ(store.at(i).seq, i);
+        ASSERT_EQ(store.at(i).ts, static_cast<event::Timestamp>(i));
+    }
+    const auto r = store.range(kPageEvents - 5, kPageEvents + 4);
+    ASSERT_EQ(r.size(), 10u);
+    std::size_t i = kPageEvents - 5;
+    for (const auto& e : r) EXPECT_EQ(e.seq, i++);
+    EXPECT_EQ(&r.back(), &store.at(kPageEvents + 4));
+}
+
+TEST(EventStoreDirectory, ReleaseAcrossAPageBoundaryFreesThePage) {
+    event::EventStore store;
+    append_n(store, kPageEvents + 2 * kChunk + 7);
+    // Everything but the first page's last chunk: the page stays.
+    EXPECT_EQ(store.release_chunks_below(kPageEvents - 1),
+              event::EventStore::kPageSize - 1);
+    EXPECT_EQ(store.directory_bytes(), kTopBytes + 2 * kPageBytes);
+    EXPECT_EQ(store.at(kPageEvents - 1).seq, kPageEvents - 1);
+    // Across the boundary: the last chunk of page 0 and the first of page 1;
+    // page 0 goes with its last chunk.
+    EXPECT_EQ(store.release_chunks_below(kPageEvents + kChunk + 3), 2u);
+    EXPECT_EQ(store.released_chunks(), event::EventStore::kPageSize + 1);
+    EXPECT_EQ(store.directory_bytes(), kTopBytes + kPageBytes);
+    EXPECT_EQ(store.at(kPageEvents + kChunk).seq, kPageEvents + kChunk);
+    EXPECT_EQ(store.range(kPageEvents + kChunk, store.size() - 1).size(), kChunk + 7);
+    // The writer keeps appending past the freed page.
+    append_n(store, kChunk);
+    EXPECT_EQ(store.at(store.size() - 1).seq, store.size() - 1);
+}
+
+TEST(EventStoreDirectory, EmptyStoreOwnsOnlyKilobytes) {
+    event::EventStore store;
+    EXPECT_EQ(store.directory_bytes(), kTopBytes);
+    EXPECT_LE(store.directory_bytes(), 4u * 1024);
+    // The first event brings one page and one chunk, not a whole directory.
+    append_n(store, 1);
+    EXPECT_EQ(store.directory_bytes(), kTopBytes + kPageBytes);
+    EXPECT_LE(store.directory_bytes() + kChunk * sizeof(event::Event), 64u * 1024);
+}
+
+TEST(EventStoreDirectory, MovedFromStoreIsEmptyAndCheap) {
+    event::EventStore a;
+    append_n(a, kChunk + 3);
+    const event::Event* addr = &a.at(kChunk);
+    event::EventStore b = std::move(a);
+    EXPECT_EQ(b.size(), kChunk + 3);
+    EXPECT_EQ(&b.at(kChunk), addr);  // chunks change owner, never move
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a.directory_bytes(), kTopBytes);  // no page, no chunk left behind
+
+    event::EventStore c;
+    append_n(c, 2);
+    c = std::move(b);  // frees c's own chunk and page, takes b's
+    EXPECT_EQ(c.size(), kChunk + 3);
+    EXPECT_EQ(b.directory_bytes(), kTopBytes);
+    append_n(a, 1);  // the moved-from store is reusable
+    EXPECT_EQ(a.at(0).seq, 0u);
+}
+
+// A reader chases the writer across a directory page boundary and frees the
+// chunks it has passed (it is the store's only reader): the writer allocates
+// pages and chunks while the releaser frees older ones. Under TSan every
+// access must be ordered by the frontier's release/acquire pair.
+TEST(EventStoreConcurrent, ChasingReleaserAcrossAPageBoundary) {
+    event::EventStore store;
+    constexpr std::size_t kTotal = kPageEvents + 3 * kChunk + 11;
+    std::atomic<bool> failed{false};
+    std::size_t freed = 0;
+    std::thread reader([&store, &failed, &freed] {
+        std::size_t seen = 0;
+        while (seen < kTotal) {
+            const std::size_t frontier = store.size();
+            for (std::size_t i = seen; i < frontier; ++i) {
+                const auto& e = store.at(i);
+                if (e.seq != i || e.ts != static_cast<event::Timestamp>(i)) {
+                    failed.store(true, std::memory_order_relaxed);
+                    return;
+                }
+            }
+            seen = frontier;
+            // Keep one event behind: the last one read stays addressable.
+            if (seen > 0) freed += store.release_chunks_below(seen - 1);
+        }
+    });
+    append_n(store, kTotal);
+    store.close();
+    reader.join();
+    EXPECT_FALSE(failed.load());
+    EXPECT_EQ(freed, (kTotal - 1) / kChunk);
+    EXPECT_EQ(store.directory_bytes(), kTopBytes + kPageBytes);
+}
+
 // One writer, several readers chasing the frontier: every event a reader can
 // see (seq < size()) must be fully published — seq assigned, payload intact —
 // and its address must never change.

@@ -127,7 +127,7 @@ TEST(StreamHub, LateSubscriberReplaysFullHistory) {
 TEST(StreamHub, SequentialSubscriberReclaimsMidStream) {
     server::CepServer srv;
     srv.start();
-    // Several chunks (chunk = 4096 events), all published before the BYE.
+    // Twenty store chunks (chunk = 1024 events), all published before the BYE.
     const auto wire = wire_events(5 * 4096, 31);
 
     harness::PublisherClient pub("127.0.0.1", srv.port(), "rolling");
@@ -470,8 +470,8 @@ TEST(StreamHub, SharedPlaneCountersDecodeOnceShareCompilesReclaimChunks) {
     if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
     server::CepServer srv;
     srv.start();
-    // Two EventStore chunks and change (chunk = 4096 events): completion-time
-    // pin advancement can free the first two.
+    // Eight EventStore chunks and change (chunk = 1024 events): completion-
+    // time pin advancement can free the first eight.
     const auto wire = wire_events(9000, 77);
     std::size_t stream_bytes = 0;
     {
