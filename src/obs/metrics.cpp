@@ -94,8 +94,8 @@ constexpr BuiltinDef kBuiltins[] = {
     {"quantum_ns", Kind::Histogram, "run_quantum duration"},
     {"splitter_cycle_ns", Kind::Histogram, "one splitter cycle"},
     {"egress_stall_ns", Kind::Histogram, "parked on egress credit to next quantum"},
-    {"lane_depth", Kind::Histogram, "destination shard queue depth per ingest"},
-    {"lane_skew", Kind::Histogram, "max-min lane queue depth, sampled"},
+    {"lane_depth", Kind::Histogram, "published-minus-processed events per shard, per publish"},
+    {"lane_skew", Kind::Histogram, "max-min lane depth over shards, per publish"},
     {"detector_window_events", Kind::Histogram, "events fed per completed window"},
     {"lane_migrations", Kind::Counter, "key lanes migrated between shards"},
     {"reshards", Kind::Counter, "accepted re-shard routing epochs"},

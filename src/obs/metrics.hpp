@@ -135,8 +135,8 @@ enum : std::uint32_t {
     kQuantumNs,             // run_quantum duration
     kSplitterCycleNs,       // one maintenance+scheduling cycle
     kEgressStallNs,         // parked-on-egress-credit → next quantum
-    kLaneDepth,             // destination shard's queued events, per ingest
-    kLaneSkew,              // max-min queued over a session's lanes, sampled
+    kLaneDepth,             // each shard's published-minus-processed events, per publish
+    kLaneSkew,              // max-min lane depth over a session's shards, per publish
     kDetectorWindowEvents,  // events fed per completed window
     // --- elastic partitioning (DESIGN.md §13) -------------------------------
     kLaneMigrations,  // key lanes handed between shards (steals + reshards)

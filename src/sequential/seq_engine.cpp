@@ -31,6 +31,7 @@ struct SeqStepper::Impl {
     std::vector<query::WindowInfo> windows;
     std::size_t next = 0;
     event::Seq frontier_seen = 0;  // frontier of the last drain
+    bool closed_seen = false;      // the last drain saw end-of-stream
     event::ConsumedSeqs consumed;
     detect::Detector detector;
     detect::Feedback fb;
@@ -48,6 +49,7 @@ struct SeqStepper::Impl {
         windows.erase(windows.begin(), windows.begin() + static_cast<std::ptrdiff_t>(next));
         next = 0;
         frontier_seen = frontier;
+        closed_seen = closed;
         assigner.poll(store, frontier, closed, windows);
         std::size_t processed = 0;
         while (next < windows.size()) {
@@ -104,6 +106,12 @@ struct SeqStepper::Impl {
         return wm;
     }
 
+    event::Seq processed() const {
+        if (next < windows.size() && (closed_seen || windows[next].last < frontier_seen))
+            return windows[next].first;
+        return frontier_seen;
+    }
+
     SeqResult finish() { return std::move(result); }
 };
 
@@ -131,6 +139,8 @@ bool SeqStepper::finished() const {
 }
 
 event::Seq SeqStepper::low_watermark() const { return impl_->low_watermark(); }
+
+event::Seq SeqStepper::processed() const { return impl_->processed(); }
 
 SeqStepper::Footprint SeqStepper::footprint() const {
     return {impl_->windows.capacity(), impl_->consumed.capacity_words()};

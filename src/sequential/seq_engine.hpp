@@ -84,6 +84,13 @@ public:
     // Everything below it may be reclaimed by whoever owns the store.
     event::Seq low_watermark() const;
 
+    // How far processing has caught up with arrival (DESIGN.md §9 ingest
+    // credit): the first seq of the oldest fully-arrived window the last
+    // drain left unprocessed, or the frontier it saw when none is pending.
+    // Not the watermark: a window still arriving counts as caught up, so a
+    // window wider than the ingest cap never withholds its own events.
+    event::Seq processed() const;
+
     // Test hook: allocated state the pass keeps — window slots and consumed-
     // set bitmap words. Bounded by the window span, not the stream length.
     struct Footprint {

@@ -78,13 +78,19 @@ SessionStatus ServerSession::on_readable(net::IoBackend& io) {
             } catch (const std::exception& e) {
                 // Corrupt frame: framing is lost, the session is
                 // unrecoverable — but only this session (ERROR + disconnect).
+                publish_ingest();
                 return fail(std::string("corrupt frame: ") + e.what(), /*send_error=*/true);
             }
             if (!frame) break;  // mid-frame tail — need more bytes
             shard_->add(obs::Series{obs::sid::kIngestFramesStaged}, 1);
             const auto status = dispatch(std::move(*frame));
-            if (status != SessionStatus::Open) return status;
+            if (status != SessionStatus::Open) {
+                publish_ingest();
+                return status;
+            }
         }
+        // The staged frames of a ResumeRead re-entry go out as one hand-off.
+        publish_ingest();
         net::IoBackend::ReadView view;
         const auto rs = io.read(fd_, view);
         if (rs == net::IoBackend::ReadStatus::Again)
@@ -116,9 +122,10 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
     // to the scatter fast path as soon as the reader drains.
     constexpr std::size_t kStageChunk = 4096;
     std::size_t pos = 0;
-    std::size_t appended = 0;     // unsharded scatter slots pending publish
     std::uint64_t scattered = 0;  // DATA frames decoded in place (§12)
-    const auto flush_counters = [this, &scattered] {
+    // Every exit hands the view's events over in one publish (§10/§14).
+    const auto flush = [this, &scattered] {
+        publish_ingest();
         if (scattered == 0) return;
         shard_->add(obs::Series{obs::sid::kIngestFramesScatter}, scattered);
         scattered = 0;
@@ -133,8 +140,7 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
             try {
                 st = net::scatter_data(data, size, pos, dv);
             } catch (const std::exception& e) {
-                publish_ingest(appended);
-                flush_counters();
+                flush();
                 return fail(std::string("corrupt frame: ") + e.what(), /*send_error=*/true);
             }
             if (st == net::ScatterStatus::Data) {
@@ -144,20 +150,14 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
                 event::Event ev = data::make_quote(
                     vocab_, dv.ts, vocab_.schema->intern_subject(dv.symbol_view()),
                     dv.open, dv.close, dv.volume);
-                SessionStatus status;
-                if (sharded_) {
-                    status = ingest_sharded(std::move(ev));
-                } else {
-                    status = ingest_store(std::move(ev));
-                    ++appended;
-                }
+                const SessionStatus status =
+                    sharded_ ? ingest_sharded(std::move(ev)) : ingest_store(std::move(ev));
                 if (status != SessionStatus::Open) {
                     // Pausing mid-view: the unread tail must survive until
                     // ResumeRead — stage it (the one place the bulk path
                     // still copies, and only under backpressure).
                     stage_tail(data, size, pos);
-                    publish_ingest(appended);
-                    flush_counters();
+                    flush();
                     return status;
                 }
                 continue;
@@ -185,30 +185,28 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
             try {
                 frame = reader_.poll();
             } catch (const std::exception& e) {
-                publish_ingest(appended);
-                flush_counters();
+                flush();
                 return fail(std::string("corrupt frame: ") + e.what(), /*send_error=*/true);
             }
             if (!frame) break;  // partial — feed the next chunk
             shard_->add(obs::Series{obs::sid::kIngestFramesStaged}, 1);
-            // Control frames may close the store (BYE) or snapshot counters
-            // (STATS): publish the scatter slots first so they observe them.
-            publish_ingest(appended);
             const auto status = dispatch(std::move(*frame));
             if (status != SessionStatus::Open) {
-                flush_counters();
                 if (status == SessionStatus::Paused) stage_tail(data, size, pos);
+                flush();
                 return status;
             }
             if (reader_.empty()) break;  // back to the scatter fast path
         }
     }
-    publish_ingest(appended);
-    flush_counters();
+    flush();
     return SessionStatus::Open;
 }
 
 SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
+    // Control frames may close the store (BYE) or snapshot counters (STATS):
+    // hand the DATA before them over first so they observe it.
+    if (!std::holds_alternative<net::WireQuote>(frame)) publish_ingest();
     switch (state_) {
         case State::AwaitHello:
             if (auto* hello = std::get_if<net::HelloFrame>(&frame))
@@ -227,12 +225,10 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
                 // Staged-path DATA (rare: a frame split across reads, or one
                 // riding behind a control frame). Symbol interning stays on
                 // the reactor thread (§8) either way: the engine only ever
-                // sees interned ids. Accounting matches the scatter path.
-                if (sharded_) return ingest_sharded(net::from_wire(*quote, vocab_));
-                const auto status = ingest_store(net::from_wire(*quote, vocab_));
-                std::size_t one = 1;
-                publish_ingest(one);
-                return status;
+                // sees interned ids. Accounting and the publish cadence
+                // match the scatter path.
+                return sharded_ ? ingest_sharded(net::from_wire(*quote, vocab_))
+                                : ingest_store(net::from_wire(*quote, vocab_));
             }
             if (std::get_if<net::StatsFrame>(&frame)) return on_stats();
             if (std::get_if<net::ByeFrame>(&frame)) {
@@ -275,6 +271,7 @@ SessionStatus ServerSession::ingest_store(event::Event&& ev) {
     event::Event& slot = st.append_slot();
     ev.seq = slot.seq;
     slot = std::move(ev);
+    ++unpublished_;
     if (role_ == SessionRole::Publisher) {
         // A published stream is unpaced (§15 honest limit): there is no
         // single `accepted_` to pace against — each subscriber reads at its
@@ -296,23 +293,17 @@ SessionStatus ServerSession::ingest_store(event::Event&& ev) {
 }
 
 SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
-    // §10: the reactor routes straight into the shard queues (the router
-    // must see arrivals in global order, and this is the only thread that
-    // does). A worker-side abort may close the input before the reactor
-    // learns the session failed — the engine reports those trailing events
-    // as dropped, and the session must not account for them: no arrival
-    // stamp, no counters, no wakeup (the shard id of a dropped event is
-    // meaningless).
-    const auto info = sharded_->ingest(std::move(ev));
+    // §10: the reactor routes into the engine's per-shard staging batches
+    // (the router must see arrivals in global order, and this is the only
+    // thread that does); publish_ingest hands them over once per read. A
+    // worker-side abort may close the input before the reactor learns the
+    // session failed — the engine reports those trailing events as dropped,
+    // and the session must not account for them: no arrival stamp, no
+    // counters.
+    const auto info = sharded_->route(std::move(ev));
     if (info.dropped) return SessionStatus::Open;
     stamp_arrival();
-    shard_->add(obs::Series{obs::sid::kEventsIngested}, 1);
-    if (obs::enabled()) {
-        shard_->observe(obs::Series{obs::sid::kLaneDepth}, info.queued);
-        if (info.shard < lane_peaks_.size())
-            shard_->set_peak(lane_peaks_[info.shard], info.queued);
-        sample_lane_skew();
-    }
+    ++unpublished_;
     // §13: adaptivity decisions run on the reactor (= the feeder thread), so
     // route-table edits are synchronous with routing — no lock spans the
     // decision. This is the only call site that migrates, so the ledger is
@@ -326,7 +317,6 @@ SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
                     after.keys_moved - before.keys_moved);
         shard_->add(obs::Series{obs::sid::kReshards}, after.reshards - before.reshards);
     }
-    wake_lane(info.shard, &Lane::on_input);
     if (info.queued >= limits_.ingest_queue_events) {
         shard_->add(obs::Series{obs::sid::kIngestPauses}, 1);
         return SessionStatus::Paused;
@@ -334,11 +324,20 @@ SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
     return SessionStatus::Open;
 }
 
-void ServerSession::publish_ingest(std::size_t& appended) {
-    if (appended == 0) return;
+void ServerSession::publish_ingest() {
+    if (unpublished_ == 0) return;
+    const std::size_t n = std::exchange(unpublished_, 0);
+    if (sharded_) {
+        // One hand-off per touched shard; the engine wakes each of those
+        // lanes once through its shard waker. (A §13 wave may have published
+        // part of the read already — it is counted here all the same.)
+        sharded_->publish();
+        shard_->add(obs::Series{obs::sid::kEventsIngested}, n);
+        observe_lane_depths();
+        return;
+    }
     ingest_target().publish_appends();
-    shard_->add(obs::Series{obs::sid::kEventsIngested}, appended);
-    appended = 0;
+    shard_->add(obs::Series{obs::sid::kEventsIngested}, n);
     if (role_ == SessionRole::Publisher) {
         // §15 fan-out: one frontier publish wakes every parked subscriber
         // engine. Each wake passes the §9 barrier on that subscriber's own
@@ -697,6 +696,8 @@ SessionStatus ServerSession::drain_lingering(net::IoBackend& io) {
 }
 
 void ServerSession::close_ingestion(bool close_store) {
+    // Reactor paths hand over what they ingested before closing behind it.
+    if (close_store) publish_ingest();
     {
         const std::lock_guard<std::mutex> lock(ingest_mutex_);
         if (ingest_closed_) return;
@@ -812,17 +813,15 @@ void ServerSession::observe_result_latency(const event::ComplexEvent& ce,
         shard_->observe(obs::Series{obs::sid::kFirstResultLatencyNs}, now - first);
 }
 
-void ServerSession::sample_lane_skew() {
-    if (skew_countdown_ > 0) {
-        --skew_countdown_;
-        return;
-    }
-    skew_countdown_ = kSkewSampleEvery - 1;
+void ServerSession::observe_lane_depths() {
+    if (!obs::enabled()) return;
     std::size_t mn = ~std::size_t{0};
     std::size_t mx = 0;
-    const auto span = tasks_expected_.load(std::memory_order_relaxed);
+    const std::uint32_t span = sharded_->task_span();
     for (std::uint32_t s = 0; s < span; ++s) {
         const std::size_t d = sharded_->shard_queue_depth(s);
+        shard_->observe(obs::Series{obs::sid::kLaneDepth}, d);
+        if (s < lane_peaks_.size()) shard_->set_peak(lane_peaks_[s], d);
         mn = std::min(mn, d);
         mx = std::max(mx, d);
     }
@@ -844,7 +843,7 @@ std::size_t ServerSession::accept_ingest() {
     const std::uint64_t accepted = accepted_.load(std::memory_order_relaxed);
     const std::uint64_t n =
         std::min<std::uint64_t>(frontier - accepted, limits_.batch_events);
-    if (n > 0) accepted_.store(accepted + n, std::memory_order_release);
+    if (n > 0) accepted_.store(accepted + n, std::memory_order_seq_cst);
     resume_read_if_low();
     return static_cast<std::size_t>(n);
 }
@@ -853,12 +852,12 @@ bool ServerSession::ingest_above_low() const {
     // In-flight: events handed over that no lane has accepted yet.
     const std::uint64_t in_flight =
         sharded_ ? sharded_->queued_total()
-                 : ingest_target().size() - accepted_.load(std::memory_order_acquire);
+                 : ingest_target().size() - accepted_.load(std::memory_order_seq_cst);
     return in_flight >= limits_.ingest_queue_events / 2;
 }
 
 void ServerSession::resume_read_if_low() {
-    if (!ingest_above_low() && read_paused_.exchange(false, std::memory_order_acq_rel))
+    if (!ingest_above_low() && read_paused_.exchange(false, std::memory_order_seq_cst))
         hooks_.post(id_, SessionCmd::ResumeRead);
 }
 
@@ -1056,13 +1055,18 @@ ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
         if (res.shard_finished) return LaneStep::LaneDone;
         return res.idle ? LaneStep::Idle : LaneStep::Busy;
     }
-    const std::size_t pulled = accept_ingest();
     if (stepper_) {
         const bool more = stepper_->drain(limits_.quantum_windows);
+        // k = 0 credit follows processing (§9): in-flight is frontier −
+        // processed, so a stepper slower than its client pauses the socket
+        // instead of letting the store grow ahead of the watermark.
+        accepted_.store(stepper_->processed(), std::memory_order_seq_cst);
+        resume_read_if_low();
         reclaim_behind(stepper_->low_watermark());
         if (stepper_->finished()) return LaneStep::AllDone;
         return more ? LaneStep::Busy : LaneStep::Idle;
     }
+    const std::size_t pulled = accept_ingest();
     const auto p = runtime_->step();
     if (p.done) return LaneStep::AllDone;
     // step() reports quiescence explicitly: the scheduling loop reached a

@@ -24,13 +24,15 @@
 // state machine — the engine state needs no locks). The two sides meet:
 //
 //   * Ingest (§14 scatter path): the reactor decodes DATA frames straight out
-//     of the backend's read view into the session's EventStore — one copy off
-//     the socket, no intermediate event queue. Backpressure is a pacing
-//     counter: the worker advances `accepted_` by at most a batch per step;
-//     when the frontier runs ahead of it by the high watermark the reactor
-//     pauses the *reader*, never a thread. Control frames and partial frame
-//     tails still stage through the FrameReader (the copied-byte path, which
-//     the §12 counters keep visibly rare).
+//     of the backend's read view into the session's EventStore (or the
+//     sharded engine's staging batches) — one copy off the socket, published
+//     once per read view. Backpressure is a pacing counter: the worker
+//     stores what its engine has processed into `accepted_` (a k = 0
+//     stepper) or advances it by at most a batch per step (k > 0); when the
+//     frontier runs ahead of it by the high watermark the reactor pauses the
+//     *reader*, never a thread. Control frames and partial frame tails still
+//     stage through the FrameReader (the copied-byte path, which the §12
+//     counters keep visibly rare).
 //   * Egress: the task appends encoded RESULT/BYE frames into an EgressRing
 //     when it has credit; both sides flush non-blockingly with one vectored
 //     send per burst; an over-cap ring parks the *task*, never a worker.
@@ -192,9 +194,13 @@ public:
 
     // Resume-read gate, owned by the reactor: true while the reactor has
     // stopped reading this fd (set on Paused, cleared when ResumeRead is
-    // applied). The task uses it to post ResumeRead exactly once.
+    // applied). The task uses it to post ResumeRead exactly once. seq_cst:
+    // the reactor stores it and then loads the in-flight count, the task
+    // publishes its credit and then exchanges it — a store-load pair each
+    // way, where anything weaker lets both sides miss the other and strands
+    // a paused session whose lanes all parked.
     void set_read_paused(bool paused) noexcept {
-        read_paused_.store(paused, std::memory_order_release);
+        read_paused_.store(paused, std::memory_order_seq_cst);
     }
     bool read_paused() const noexcept {
         return read_paused_.load(std::memory_order_acquire);
@@ -313,11 +319,16 @@ private:
     // Returns Paused once in-flight (frontier + pending - accepted) hits the
     // high watermark.
     SessionStatus ingest_store(event::Event&& ev);
-    // Routes one decoded quote into the sharded engine's lanes (§10), with
-    // the per-lane accounting, reshard pacing (§13) and park/wake protocol.
+    // Routes one decoded quote into the sharded engine's staging batches
+    // (§10), with reshard pacing (§13). Returns Paused once routed-but-
+    // unprocessed events, staged ones included, hit the high watermark.
     SessionStatus ingest_sharded(event::Event&& ev);
-    // Release-publishes `appended` scatter slots and wakes a parked lane.
-    void publish_ingest(std::size_t& appended);
+    // Hands over everything ingested since the last call, then wakes each
+    // lane with new input once: release-publishes the scatter slots, or
+    // publishes the sharded staging batches and observes the lane depths.
+    // Called at the end of every read view, before a pause, before a
+    // control frame is dispatched and before close.
+    void publish_ingest();
     // The store this session appends to / steps over: the hub entry's shared
     // store for publisher and subscriber roles, the private store_ otherwise.
     event::EventStore& ingest_target() noexcept {
@@ -333,8 +344,8 @@ private:
     // this thread sees its flag, never neither) — then wake parked lanes.
     void wake_input_lanes();
 
-    // Worker side: advances accepted_ by at most batch_events toward the
-    // frontier (ingest pacing). Returns slots accepted this call.
+    // Worker side, k > 0: advances accepted_ by at most batch_events toward
+    // the frontier (ingest pacing). Returns slots accepted this call.
     std::size_t accept_ingest();
     // Posts ResumeRead once in-flight drops below the low watermark (exactly
     // once per pause — the read_paused_ exchange is the dedup).
@@ -364,9 +375,10 @@ private:
     void stamp_arrival();
     void observe_result_latency(const event::ComplexEvent& ce,
                                 std::uint64_t prev_results);
-    // Max-min queued events over the session's shard lanes, sampled every
-    // kSkewSampleEvery-th ingest (reactor side, sharded sessions only).
-    void sample_lane_skew();
+    // Per-shard depth (lane_depth, lane_depth_peak{shard}) and its max-min
+    // over the lanes (lane_skew), once per publish (reactor side, sharded
+    // sessions only).
+    void observe_lane_depths();
     // Observes kEgressStallNs if the lane's previous quantum parked on
     // egress credit.
     void note_stall_end(std::uint64_t& stamp);
@@ -451,10 +463,12 @@ private:
     std::size_t reshard_countdown_ = 0;  // reactor-only decision pacing
 
     // Ingest pacing (§14, unsharded): the reactor appends straight into
-    // store_ (frontier = store_.size()); the worker advances accepted_ by at
-    // most a batch per step. in-flight = frontier - accepted_ is the queue
-    // depth the watermarks bound. ingest_mutex_ orders the park handshake
-    // (see publish_ingest) and guards ingest_closed_.
+    // store_ (frontier = store_.size()); the worker stores the stepper's
+    // processed() (k = 0) or advances accepted_ by at most a batch per step
+    // (k > 0). in-flight = frontier - accepted_ is the queue depth the
+    // watermarks bound. ingest_mutex_ orders the park handshake (see
+    // publish_ingest) and guards ingest_closed_.
+    std::size_t unpublished_ = 0;  // reactor-only: ingested, not yet published
     mutable std::mutex ingest_mutex_;
     bool ingest_closed_ = false;
     std::atomic<std::uint64_t> accepted_{0};
@@ -478,12 +492,10 @@ private:
     // simply miss their observation, they never block ingest. Empty when obs
     // is disabled.
     static constexpr std::size_t kArrivalCap = std::size_t{1} << 16;
-    static constexpr std::size_t kSkewSampleEvery = 64;
     mutable std::mutex arrival_mutex_;
     std::deque<std::uint64_t> arrival_ns_;
     std::uint64_t arrival_base_ = 0;   // seq of arrival_ns_.front()
     std::uint64_t first_data_ns_ = 0;  // first DATA arrival stamp
-    std::size_t skew_countdown_ = 0;   // reactor-only sampling counter
 
     std::atomic<bool> abort_requested_{false};
     // Single-winner outcome latch: a session with an engine is counted

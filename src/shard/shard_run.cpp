@@ -17,8 +17,11 @@ std::vector<event::ComplexEvent> run_sharded_inline(
     std::size_t fed = 0;
     while (fed < events.size()) {
         const std::size_t end = std::min(events.size(), fed + std::max<std::size_t>(feed_chunk, 1));
-        for (; fed < end; ++fed) engine.ingest(events[fed]);
+        for (; fed < end; ++fed) engine.route(events[fed]);
+        // Waves armed here find the chunk still staged (arm_migration
+        // publishes it ahead of its marker).
         if (schedule) schedule(engine, fed);
+        engine.publish();
         for (std::uint32_t s = 0; s < engine.shards(); ++s)
             engine.step_shard(s, step_events);
     }
@@ -73,10 +76,8 @@ void PooledShardRun::start() {
 }
 
 ShardedEngine::IngestInfo PooledShardRun::ingest(event::Event e) {
-    const auto info = engine_->ingest(std::move(e));
-    // A dropped event (benign abort race) enqueued nothing: no wakeup.
-    if (!info.dropped) wake(info.shard);
-    return info;
+    // The publish wakes the event's shard through the shard waker.
+    return engine_->ingest(std::move(e));
 }
 
 void PooledShardRun::close() {

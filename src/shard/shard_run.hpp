@@ -16,13 +16,15 @@
 
 namespace spectre::shard {
 
-// Single-threaded sharded run with an adversarially boring schedule: feed
-// `feed_chunk` events, round-robin one bounded step per shard, repeat; then
-// close and step until finished. Exercises every merge-bound path without
-// threads — output must be byte-identical to reference_partitioned_run.
-// `schedule`, when set, runs on the feeder between feed chunks (with the
-// number of events fed so far) so tests can inject reshard()/migrate_key()
-// waves at chosen stream positions — the §13 migration differential.
+// Single-threaded sharded run with an adversarially boring schedule: route
+// `feed_chunk` events, publish them as one hand-off, round-robin one bounded
+// step per shard, repeat; then close and step until finished. Exercises
+// every merge-bound path without threads — output must be byte-identical to
+// reference_partitioned_run. `schedule`, when set, runs on the feeder after
+// each chunk is routed and before it is published (with the number of
+// events fed so far) so tests can inject reshard()/migrate_key() waves at
+// chosen stream positions, over staged arrivals — the §13 migration
+// differential.
 std::vector<event::ComplexEvent> run_sharded_inline(
     const detect::CompiledQuery& cq, ShardedConfig cfg,
     const std::vector<event::Event>& events, std::size_t feed_chunk = 7,
@@ -45,7 +47,8 @@ public:
     // Registers the shard tasks and schedules their first quanta. Call once.
     void start();
 
-    // Feeder side (one thread): route an event and wake its shard's task.
+    // Feeder side (one thread): route and publish one event; the publish
+    // wakes its shard's task through the shard waker.
     // Returns the engine's routing info (shard, depth, dropped) so callers
     // can publish lane-depth metrics and drive a ReshardController.
     ShardedEngine::IngestInfo ingest(event::Event e);

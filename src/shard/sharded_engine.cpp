@@ -48,8 +48,7 @@ struct ShardedEngine::Pending {
     Kind kind = Kind::Arrival;
     event::Seq g = 0;
     std::uint32_t key = 0;
-    std::uint32_t to = 0;     // Migrate only: destination slot
-    std::uint32_t epoch = 0;  // routing epoch that enqueued this entry
+    std::uint32_t to = 0;  // Migrate only: destination slot
     event::Event e;
 };
 
@@ -59,17 +58,23 @@ struct ShardedEngine::TaggedResult {
 };
 
 struct ShardedEngine::ShardState {
-    // `mutex` guards the feeder↔task queue, the merger-visible progress
+    // `mutex` guards the feeder↔task inbox, the merger-visible progress
     // fields, the task→merger result buffer, and the migration mailbox.
     mutable std::mutex mutex;
-    std::deque<Pending> queue;
-    // Authoritative end-of-input gate for THIS shard's queue: set under the
-    // lock by close_input(), checked under the lock by ingest() — so no
+    // Published arrivals and migration markers in FIFO (= ascending g)
+    // order. publish() appends a staged batch whole; the task takes all of
+    // it in one swap.
+    std::vector<Pending> inbox;
+    // Authoritative end-of-input gate for THIS shard's inbox: set under the
+    // lock by close_input(), checked under the lock by publish() — so no
     // event can slip in behind the close, and the EOS drain can begin the
-    // moment the queue is observed empty with this set. (The engine-level
+    // moment the inbox is observed empty with this set. (The engine-level
     // atomic is only the cheap unfenced pre-check.)
     bool input_closed = false;
-    MergeTag inflight = kInfTag;  // tag being processed right now
+    // Lower bound on every tag the task took but has not processed: the
+    // first unprocessed batch entry's g, set at the swap and re-published at
+    // the end of each step (kInfTag once the batch is done).
+    MergeTag inflight = kInfTag;
     bool eos_started = false;
     bool eos_done = false;
     std::uint32_t eos_key = 0;  // lower bound on future EOS tags
@@ -80,8 +85,21 @@ struct ShardedEngine::ShardState {
     std::unordered_set<std::uint32_t> awaited;
     std::vector<std::unique_ptr<KeyLane>> incoming;
 
+    // Published-minus-processed arrivals: the feeder adds at publish, the
+    // task subtracts at the end of each step (shard_queue_depth).
+    std::atomic<std::size_t> depth{0};
+
+    // Feeder-private: arrivals routed here since the last publish().
+    std::vector<Pending> staged;
+
     // Task-private (only the owning shard task touches these; the lane sinks
     // run on the task thread during a drain).
+    std::vector<Pending> batch;  // the inbox taken at the last swap
+    std::size_t batch_pos = 0;   // first unprocessed entry of `batch`
+    // `awaited` was non-empty at the swap (or since): only then can a batch
+    // arrival belong to a lane in transit — arrivals routed to a migrating
+    // key's destination are published after its awaited entry exists.
+    bool batch_awaits = false;
     std::map<std::uint32_t, std::unique_ptr<KeyLane>> lanes;  // by key index
     std::uint32_t eos_next_key = 0;
     MergeTag current_tag;
@@ -109,7 +127,12 @@ ShardedEngine::ShardedEngine(const detect::CompiledQuery* cq, ShardedConfig cfg,
 
 ShardedEngine::~ShardedEngine() = default;
 
-ShardedEngine::IngestInfo ShardedEngine::ingest(event::Event e) {
+ShardedEngine::IngestInfo ShardedEngine::route(event::Event e) {
+    // A worker-side abort may close the input concurrently with the feeder
+    // (server failure paths): a trailing event is dropped, never staged.
+    // publish() re-checks each shard's gate under its lock, so one that
+    // slips past this pre-check is dropped there.
+    if (input_closed()) return IngestInfo{0, queued_total() + staged_, /*dropped=*/true};
     const auto bits = key_bits(e, cq_->query().partition);
     const auto [it, fresh] =
         key_index_.try_emplace(bits, static_cast<std::uint32_t>(key_index_.size()));
@@ -122,38 +145,64 @@ ShardedEngine::IngestInfo ShardedEngine::ingest(event::Event e) {
         key_heat_.push_back(0);
     }
     const std::uint32_t shard = key_route_[key].shard;
-    event::Seq g;
-    {
-        const std::lock_guard<std::mutex> lock(shards_[shard]->mutex);
-        // A worker-side abort may close the input concurrently with the
-        // feeder (server failure paths); the per-shard gate makes the race
-        // benign — a trailing event is dropped, never enqueued behind an
-        // EOS drain (which would break merge-tag ordering) and never fatal.
-        // The `dropped` flag tells the caller nothing was enqueued, so it
-        // must not notify the shard task or stamp an arrival.
-        if (shards_[shard]->input_closed) {
-            IngestInfo info{shard, queued_.load(std::memory_order_acquire)};
-            info.dropped = true;
-            return info;
-        }
-        g = next_g_++;
-        shards_[shard]->queue.push_back(Pending{Pending::Kind::Arrival, g, key,
-                                                0, key_route_[key].epoch,
-                                                std::move(e)});
-    }
+    ShardState& sh = *shards_[shard];
+    if (sh.staged.empty()) touched_.push_back(shard);
+    sh.staged.push_back(Pending{Pending::Kind::Arrival, next_g_++, key, 0, std::move(e)});
+    ++staged_;
     ++key_heat_[key];
     ++shard_heat_[shard];
-    const std::size_t queued = queued_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    // Publish after the push: a merger that reads frontier_ >= g+1 and finds
-    // the shard's queue empty knows event g was already processed.
-    frontier_.store(g + 1, std::memory_order_release);
-    return IngestInfo{shard, queued};
+    return IngestInfo{shard, queued_total() + staged_};
+}
+
+std::size_t ShardedEngine::publish() {
+    if (touched_.empty()) return 0;
+    // Count before the hand-off: a task that processes the batch at once
+    // must never subtract below zero. Dropped batches give theirs back.
+    queued_.fetch_add(staged_, std::memory_order_seq_cst);
+    std::size_t handed = 0;
+    for (const std::uint32_t s : touched_) {
+        ShardState& sh = *shards_[s];
+        const std::size_t n = sh.staged.size();
+        sh.depth.fetch_add(n, std::memory_order_relaxed);
+        bool dropped = false;
+        {
+            const std::lock_guard<std::mutex> lock(sh.mutex);
+            // The per-shard gate makes the close race benign: a batch behind
+            // the close would break merge-tag ordering against the EOS drain.
+            dropped = sh.input_closed;
+            if (!dropped && sh.inbox.empty())
+                sh.inbox.swap(sh.staged);  // the common case: no copy
+            else if (!dropped)
+                sh.inbox.insert(sh.inbox.end(), std::make_move_iterator(sh.staged.begin()),
+                                std::make_move_iterator(sh.staged.end()));
+        }
+        sh.staged.clear();
+        if (dropped) {
+            sh.depth.fetch_sub(n, std::memory_order_relaxed);
+            queued_.fetch_sub(n, std::memory_order_seq_cst);
+            continue;
+        }
+        handed += n;
+        if (waker_) waker_(s);
+    }
+    touched_.clear();
+    staged_ = 0;
+    // Publish after the hand-off: a merger that reads frontier_ >= g+1 and
+    // finds the shard's inbox empty knows event g was already taken.
+    frontier_.store(next_g_, std::memory_order_release);
+    return handed;
+}
+
+ShardedEngine::IngestInfo ShardedEngine::ingest(event::Event e) {
+    IngestInfo info = route(std::move(e));
+    if (!info.dropped) info.dropped = publish() == 0;
+    return info;
 }
 
 void ShardedEngine::close_input() {
     // Engine-level flag first (the merger's bound logic and idle pre-checks
     // read it), then the authoritative per-shard gates: once a shard's gate
-    // is set under its lock, no further ingest can enqueue there, so an EOS
+    // is set under its lock, no further publish can reach there, so an EOS
     // result can never be followed by a smaller arrival tag.
     closed_.store(true, std::memory_order_release);
     for (const auto& shp : shards_) {
@@ -175,6 +224,9 @@ bool ShardedEngine::migrations_allowed() const {
 bool ShardedEngine::arm_migration(std::uint32_t key, std::uint32_t to) {
     const std::uint32_t from = key_route_[key].shard;
     if (from == to) return false;
+    // Staged arrivals go first: the marker must follow every arrival routed
+    // under the old placement, or the lane would leave without them.
+    publish();
     // Destination first: the awaited entry must exist before the source task
     // can possibly deposit the lane, or the install could race ahead of it
     // and leave the key blocked forever.
@@ -195,8 +247,7 @@ bool ShardedEngine::arm_migration(std::uint32_t key, std::uint32_t to) {
             marker.g = next_g_;
             marker.key = key;
             marker.to = to;
-            marker.epoch = epoch_;
-            shards_[from]->queue.push_back(std::move(marker));
+            shards_[from]->inbox.push_back(std::move(marker));
             armed = true;
         }
     }
@@ -308,13 +359,14 @@ bool ShardedEngine::shard_parkable(std::uint32_t s) const {
     const ShardState& sh = *shards_[s];
     const std::lock_guard<std::mutex> lock(sh.mutex);
     if (!sh.incoming.empty()) return false;  // lanes ready to install
-    if (!sh.queue.empty()) {
+    if (sh.batch_pos < sh.batch.size()) {
         // Only a head arrival blocked on a lane in transit may park; the
         // deposit wakes the task through the shard waker.
-        const Pending& h = sh.queue.front();
+        const Pending& h = sh.batch[sh.batch_pos];
         return h.kind == Pending::Kind::Arrival && sh.awaited.count(h.key) != 0;
     }
-    if (!sh.input_closed) return true;   // idle: ingest/close will wake
+    if (!sh.inbox.empty()) return false;  // published since the step
+    if (!sh.input_closed) return true;    // idle: publish/close will wake
     if (!sh.awaited.empty()) return true;  // handoff in flight: waker will wake
     return sh.eos_done;  // EOS work remains → keep running
 }
@@ -340,8 +392,7 @@ ShardedEngine::LaneFootprint ShardedEngine::lane_footprint() const {
 }
 
 std::size_t ShardedEngine::shard_queue_depth(std::uint32_t s) const {
-    const std::lock_guard<std::mutex> lock(shards_[s]->mutex);
-    return shards_[s]->queue.size();
+    return shards_[s]->depth.load(std::memory_order_relaxed);
 }
 
 std::unique_ptr<ShardedEngine::KeyLane> ShardedEngine::make_lane(
@@ -393,6 +444,7 @@ void ShardedEngine::install_incoming(ShardState& sh) {
         if (sh.incoming.empty()) return;
         arrived.swap(sh.incoming);
         for (const auto& lane : arrived) sh.awaited.erase(lane->key);
+        if (sh.awaited.empty()) sh.batch_awaits = false;
     }
     for (auto& lane : arrived) {
         sh.lanes[lane->key] = std::move(lane);
@@ -407,8 +459,8 @@ void ShardedEngine::migrate_out(ShardState& sh, const Pending& p) {
         lane = std::move(it->second);
         sh.lanes.erase(it);
     } else {
-        // Key routed here but no arrival processed yet (all still queued at
-        // the destination): hand over a fresh empty lane.
+        // Key routed here but no arrival processed yet (all still pending
+        // at the destination): hand over a fresh empty lane.
         lane = make_lane(sh, p.key);
     }
     ShardState& dest = *shards_[p.to];
@@ -495,6 +547,26 @@ bool ShardedEngine::eos_step(ShardState& sh, std::size_t& budget) {
     return false;
 }
 
+bool ShardedEngine::take_inbox(ShardState& sh) {
+    sh.batch.clear();
+    sh.batch_pos = 0;
+    const std::lock_guard<std::mutex> lock(sh.mutex);
+    if (sh.inbox.empty()) return false;
+    // The swap hands the inbox our spent batch's capacity: steady state
+    // allocates nothing.
+    sh.batch.swap(sh.inbox);
+    // Visible to the merger in the same critical section the entries leave
+    // the inbox: results for the batch stay pending until this advances.
+    sh.inflight = MergeTag{sh.batch.front().g, 0};
+    if (!sh.awaited.empty()) sh.batch_awaits = true;
+    return true;
+}
+
+bool ShardedEngine::awaiting(ShardState& sh, std::uint32_t key) const {
+    const std::lock_guard<std::mutex> lock(sh.mutex);
+    return sh.awaited.count(key) != 0;
+}
+
 ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
                                                     std::size_t max_events) {
     StepResult r;
@@ -502,47 +574,23 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
     std::size_t budget = max_events > 0 ? max_events : 1;
     while (budget > 0) {
         install_incoming(sh);
-        bool have = false;
-        bool blocked = false;
-        Pending p;
-        {
-            const std::lock_guard<std::mutex> lock(sh.mutex);
-            if (!sh.queue.empty()) {
-                Pending& head = sh.queue.front();
-                if (head.kind == Pending::Kind::Arrival &&
-                    sh.awaited.count(head.key) != 0) {
-                    // This key's lane is still in transit toward us;
-                    // processing the arrival on a fresh lane would fork the
-                    // sub-stream. Park — the deposit wakes us.
-                    blocked = true;
-                } else {
-                    p = std::move(head);
-                    sh.queue.pop_front();
-                    if (p.kind == Pending::Kind::Arrival)
-                        // Visible to the merger before the queue entry
-                        // disappears: results for p.g are still pending
-                        // until we clear this.
-                        sh.inflight = MergeTag{p.g, p.key};
-                    have = true;
-                }
-            }
-        }
-        if (blocked) {
-            r.blocked = true;
-            r.idle = true;
-            break;
-        }
-        if (have) {
+        if (sh.batch_pos < sh.batch.size() || take_inbox(sh)) {
+            Pending& p = sh.batch[sh.batch_pos];
             if (p.kind == Pending::Kind::Migrate) {
                 migrate_out(sh, p);  // markers are budget-free
+                ++sh.batch_pos;
                 continue;
             }
-            process_event(sh, std::move(p));
-            {
-                const std::lock_guard<std::mutex> lock(sh.mutex);
-                sh.inflight = kInfTag;
+            if (sh.batch_awaits && awaiting(sh, p.key)) {
+                // This key's lane is still in transit toward us; processing
+                // the arrival on a fresh lane would fork the sub-stream.
+                // Park — the deposit wakes us.
+                r.blocked = true;
+                r.idle = true;
+                break;
             }
-            queued_.fetch_sub(1, std::memory_order_acq_rel);
+            process_event(sh, std::move(p));
+            ++sh.batch_pos;
             ++r.events;
             --budget;
             continue;
@@ -553,27 +601,27 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
         }
         bool done = false;
         bool can_eos = false;
-        bool queue_empty = true;
+        bool inbox_empty = true;
         bool handoff_pending = false;
         bool mailbox_full = false;
         {
             const std::lock_guard<std::mutex> lock(sh.mutex);
             done = sh.eos_done;
-            queue_empty = sh.queue.empty();
+            inbox_empty = sh.inbox.empty();
             handoff_pending = !sh.awaited.empty();
             mailbox_full = !sh.incoming.empty();
             // The per-shard gate, not the engine-level flag, authorizes the
-            // EOS drain: once it is set (under this lock) no ingest can
-            // enqueue here, so an EOS tag can never be followed by a
-            // smaller arrival tag. A lane still in transit toward us also
-            // vetoes EOS — its (EOS, key) results must not be skipped.
-            can_eos = sh.input_closed && queue_empty && !handoff_pending &&
+            // EOS drain: once it is set (under this lock) no publish can
+            // reach here, so an EOS tag can never be followed by a smaller
+            // arrival tag. A lane still in transit toward us also vetoes
+            // EOS — its (EOS, key) results must not be skipped.
+            can_eos = sh.input_closed && inbox_empty && !handoff_pending &&
                       !mailbox_full;
             if (!done && can_eos) sh.eos_started = true;
         }
         if (done) break;
         if (!can_eos) {
-            if (!queue_empty || mailbox_full) continue;  // raced-in work — go take it
+            if (!inbox_empty || mailbox_full) continue;  // raced-in work — go take it
             if (handoff_pending) {
                 r.blocked = true;  // deposit (or rollback) wakes us
                 r.idle = true;
@@ -583,6 +631,19 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
             break;
         }
         eos_step(sh, budget);
+    }
+    // Publish the step's progress once: the merger's bound for this shard
+    // moves to the next unprocessed entry, and the backlog counters drop by
+    // what the step processed.
+    {
+        const std::lock_guard<std::mutex> lock(sh.mutex);
+        sh.inflight = sh.batch_pos < sh.batch.size()
+                          ? MergeTag{sh.batch[sh.batch_pos].g, 0}
+                          : kInfTag;
+    }
+    if (r.events > 0) {
+        sh.depth.fetch_sub(r.events, std::memory_order_relaxed);
+        queued_.fetch_sub(r.events, std::memory_order_seq_cst);
     }
     merge_locked(r);
     {
@@ -594,11 +655,11 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
 
 void ShardedEngine::merge_locked(StepResult& r) {
     const std::lock_guard<std::mutex> merge_lock(merge_mutex_);
-    // Frontier before queues AND before the span: an event routed before
-    // this load is either still queued/inflight (bounding below) or fully
-    // processed (its results already pushed) — and because the feeder grows
-    // task_span_ before routing anything to a new slot, any such event's
-    // slot is inside the span loaded next.
+    // Frontier before inboxes AND before the span: an event published
+    // before this load is either still in an inbox or a batch (bounding
+    // below) or fully processed (its results already pushed) — and because
+    // the feeder grows task_span_ before routing anything to a new slot, any
+    // such event's slot is inside the span loaded next.
     const event::Seq frontier = frontier_.load(std::memory_order_acquire);
     const std::uint32_t span = task_span_.load(std::memory_order_acquire);
     const bool closed = input_closed();
@@ -625,7 +686,7 @@ void ShardedEngine::merge_locked(StepResult& r) {
             b = MergeTag{kEosG, t.eos_key};
             eos_all_done = false;
         } else {
-            if (!t.queue.empty()) b = MergeTag{t.queue.front().g, 0};
+            if (!t.inbox.empty()) b = MergeTag{t.inbox.front().g, 0};
             if (t.inflight < b) b = t.inflight;
             // Even after close a not-yet-EOS shard is bounded by the
             // frontier, not by the EOS band — a trailing arrival may still

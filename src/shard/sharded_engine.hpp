@@ -20,8 +20,9 @@
 // (EOS, key) for an end-of-stream one. A sharded run produces the exact same
 // tagged results per key (same lane code, same sub-stream); the merger
 // releases a result only once no shard can still produce a smaller tag —
-// tracked by per-shard lower bounds (head of the shard's pending queue, the
-// tag in flight, the router frontier for an idle shard, the EOS key cursor) —
+// tracked by per-shard lower bounds (head of the shard's inbox, the first
+// unprocessed tag of the task's batch, the router frontier for an idle shard,
+// the EOS key cursor) —
 // and emits in ascending tag order. Constituent seqs are translated back to
 // global stream positions on the way out (event::MappedStore), so the output
 // is indistinguishable from an engine that saw the whole stream.
@@ -99,15 +100,27 @@ public:
     // --- feeder side (exactly one thread) -----------------------------------
 
     struct IngestInfo {
-        std::uint32_t shard = 0;  // where the event went (notify its task)
-        std::size_t queued = 0;   // total pending events after the push
+        std::uint32_t shard = 0;  // where the event was routed
+        // Routed but not yet processed after this call, summed over every
+        // shard and counting the events still staged (ingest backpressure).
+        std::size_t queued = 0;
         // The benign abort-race drop: input closed under the feeder, the
-        // event was NOT enqueued. Callers must skip wakeup / arrival-stamp /
+        // event was NOT staged. Callers must skip arrival-stamp and
         // backpressure bookkeeping for this event.
         bool dropped = false;
     };
-    // Routes one event to its key's shard. Must not be called after
+    // Routes one event: assigns its global seq g, looks up its key's shard
+    // and appends it to that shard's feeder-private staging batch. Nothing
+    // reaches a shard task until publish(). Must not be called after
     // close_input().
+    IngestInfo route(event::Event e);
+    // Hands every staged batch over: one lock per touched shard, whose inbox
+    // takes the batch whole, then one queued_total() add and one frontier
+    // release. Wakes each touched shard once through the shard waker.
+    // Returns the events handed over (staged events that met a closed shard
+    // gate are dropped instead).
+    std::size_t publish();
+    // route() then publish() — one hand-off per event (tests, PooledShardRun).
     IngestInfo ingest(event::Event e);
 
     // Publishes end-of-stream (idempotent). Callers then notify every shard
@@ -117,9 +130,12 @@ public:
         return closed_.load(std::memory_order_acquire);
     }
 
-    // Total events routed but not yet processed (ingest backpressure).
+    // Events published but not yet processed, over every shard (ingest
+    // backpressure; staged events are not in it). seq_cst, like the step's
+    // subtract: the server's pause double-check is a store-load pair
+    // (ServerSession::set_read_paused).
     std::size_t queued_total() const noexcept {
-        return queued_.load(std::memory_order_acquire);
+        return queued_.load(std::memory_order_seq_cst);
     }
 
     // --- elastic partitioning (feeder thread; DESIGN.md §13) ----------------
@@ -165,10 +181,10 @@ public:
         return key_route_[key].shard;
     }
 
-    // Called (from a shard task) when a migration deposits a lane into shard
-    // `s`'s mailbox or a rolled-back wave un-blocks it: the driver must wake
-    // shard `s`'s task. Set before the shard tasks start; may be invoked
-    // from any shard task thread.
+    // Called when publish() hands shard `s` arrivals (feeder thread), or
+    // when a migration deposits a lane into its mailbox or a rolled-back wave
+    // un-blocks it (any shard task thread): the driver must wake shard `s`'s
+    // task. Set before the shard tasks start.
     void set_shard_waker(std::function<void(std::uint32_t)> waker) {
         waker_ = std::move(waker);
     }
@@ -183,15 +199,16 @@ public:
         bool all_finished = false;   // every shard done and every result merged
     };
     // One bounded quantum of shard `s`: install any migrated-in lanes,
-    // process up to `max_events` pending arrivals (append to lane, drain
-    // lane to quiescence, tag results), hand off migrated-out lanes, run the
-    // end-of-stream drains once the input closed, then merge. Never blocks
-    // on I/O; serialize calls per shard (the pool's task state machine
-    // already does).
+    // process up to `max_events` arrivals of the task's batch (append to
+    // lane, drain lane to quiescence, tag results) — taking the whole inbox
+    // in one swap whenever the batch runs out — hand off migrated-out lanes,
+    // run the end-of-stream drains once the input closed, publish progress,
+    // then merge. Never blocks on I/O; serialize calls per shard (the pool's
+    // task state machine already does).
     StepResult step_shard(std::uint32_t s, std::size_t max_events);
 
-    // Park predicate for shard `s`'s task: nothing to do until an ingest, a
-    // close, or a lane handoff (waker) arrives.
+    // Park predicate for shard `s`'s task (call from that task): nothing to
+    // do until a publish, a close, or a lane handoff (waker) arrives.
     bool shard_parkable(std::uint32_t s) const;
 
     bool finished() const noexcept {
@@ -221,8 +238,9 @@ public:
     };
     LaneFootprint lane_footprint() const;
 
-    // Pending arrivals queued on shard `s` right now (lock-taken; the live
-    // lane-depth signal adaptive re-sharding consumes).
+    // Arrivals published to shard `s` and not yet processed (the live
+    // lane-depth signal adaptive re-sharding consumes). Updated once per
+    // publish and once per step, so it counts a task's batch too.
     std::size_t shard_queue_depth(std::uint32_t s) const;
 
 private:
@@ -258,6 +276,11 @@ private:
     std::unique_ptr<KeyLane> make_lane(ShardState& owner, std::uint32_t key);
     KeyLane& get_lane(ShardState& sh, std::uint32_t key);
     void process_event(ShardState& sh, Pending&& p);
+    // Task side: swaps the shard's inbox into the exhausted batch under one
+    // lock. False when nothing was published.
+    bool take_inbox(ShardState& sh);
+    // Task side: is `key`'s lane still in transit toward this shard?
+    bool awaiting(ShardState& sh, std::uint32_t key) const;
     void drain_lane_quiescent(KeyLane& lane);
     // Runs end-of-stream lane drains for up to `budget` units; returns false
     // once the budget is exhausted with work left.
@@ -291,9 +314,11 @@ private:
     std::uint64_t steals_ = 0;
     std::uint64_t keys_moved_ = 0;
     event::Seq next_g_ = 0;
+    std::vector<std::uint32_t> touched_;  // shards with a staged batch
+    std::size_t staged_ = 0;              // events staged over all shards
 
     // Published router frontier: every event with g < frontier_ is visible in
-    // its shard's queue (or beyond); idle shards can produce nothing below it.
+    // its shard's inbox (or beyond); idle shards can produce nothing below it.
     std::atomic<event::Seq> frontier_{0};
     std::atomic<std::uint32_t> active_shards_;
     std::atomic<std::uint32_t> task_span_;

@@ -359,6 +359,33 @@ TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
               kChunks - kResidentBound);
 }
 
+// k = 0 ingest credit follows processing, not the watermark (DESIGN.md §9):
+// a window wider than the ingest cap must still fill. The stepper counts a
+// window that is still arriving as caught up, so the reactor keeps reading
+// until the window is whole, pauses while it is processed, and resumes
+// behind it — a watermark-gated credit would stall the first window forever.
+TEST(ServerReclaim, WindowWiderThanTheIngestCapStillStreams) {
+    constexpr std::size_t kCap = 1024;
+    const server::ServerConfig cfg =
+        server::ServerConfigBuilder{}.ingest_queue_events(kCap).build();
+    server::CepServer srv(cfg);
+    srv.start();
+
+    const char* kWide =
+        "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
+        "WITHIN 4096 EVENTS FROM EVERY 1024 EVENTS CONSUME ALL";
+    const auto wire = wire_events(16 * 1024, 17);
+    const auto out =
+        harness::LoadGenClient("127.0.0.1", srv.port()).run_one(make_session(kWide, 0, wire));
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(sequential_ground_truth(kWide, wire), out.results,
+                          "k=0 window wider than the ingest cap");
+    EXPECT_FALSE(out.results.empty());
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_failed, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // MappedStore::release_below: the lane's store chunks and mapping rows go,
 // the rest of the mapping keeps translating, monotonicity still holds.

@@ -607,6 +607,92 @@ TEST(CepServer, ShrinkEnabledAdaptiveSessionStaysByteIdentical) {
     EXPECT_EQ(srv.stats().sessions_failed, 0u);
 }
 
+// One hand-off per read (§10): the reactor routes a read view's DATA frames
+// into per-shard staging batches and publishes them once, waking each lane
+// it handed work to once. The pool then runs a bounded number of quanta per
+// read — not one wakeup per routed event, which a lane that keeps up with
+// its share of the stream would turn into one quantum per event.
+TEST(CepServer, ShardedSessionWakesEachLaneOncePerRead) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    constexpr std::uint64_t kEvents = 40000;
+    constexpr std::uint32_t kShards = 8;
+    // The watermark sits above the whole stream: every publish is a read
+    // view's end, none a pause.
+    const server::ServerConfig cfg = server::ServerConfigBuilder{}
+                                         .pool_workers(2)
+                                         .ingest_queue_events(2 * kEvents)
+                                         .build();
+    server::CepServer srv(cfg);
+    srv.start();
+
+    // Cheap detection — a window opens only on a sharp rise — so a lane
+    // keeps up with its share of a read and parks between arrivals: the
+    // shape where a per-event wakeup costs one quantum per event.
+    const char* kSparse =
+        "PATTERN (A B) DEFINE A AS A.close > A.open * 1.003, B AS B.close < B.open "
+        "WITHIN 6 EVENTS FROM A PARTITION BY SUBJECT CONSUME ALL";
+    auto spec = make_session(kSparse, 0, wire_events(kEvents, 4242, /*symbols=*/32));
+    spec.shards = kShards;
+
+    harness::LoadGenClient client("127.0.0.1", srv.port());
+    const auto out = client.run_one(spec);
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    EXPECT_FALSE(out.results.empty());
+    expect_byte_identical(
+        harness::partitioned_oracle(spec.query, spec.events, /*hello_key=*/""),
+        out.results, "wake-once-per-read");
+    srv.stop();
+
+    const auto snap = srv.registry().snapshot();
+    const auto quanta = counter(snap, obs::sid::kPoolQuanta);
+    const auto reads = counter(snap, obs::sid::kIngestReads);
+    ASSERT_GT(reads, 0u);
+    EXPECT_LE(quanta, 4 * reads * kShards + 16) << "quanta=" << quanta << " reads=" << reads;
+}
+
+// The lane-depth series stay meaningful with task-private batches (§12): a
+// shard's depth counts what was published to it and not yet processed,
+// batch included, observed once per publish. Mid-stream, the hot shard's
+// peak is live and bounded by the ingest watermark plus one read view.
+TEST(CepServer, ShardedLaneDepthPeakIsLiveAndBounded) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    constexpr std::size_t kCap = 1024;
+    const server::ServerConfig cfg = server::ServerConfigBuilder{}
+                                         .pool_workers(2)
+                                         .ingest_queue_events(kCap)
+                                         .build();
+    server::CepServer srv(cfg);
+    srv.start();
+
+    const char* kPartitioned =
+        "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
+        "WITHIN 12 EVENTS FROM EVERY 4 EVENTS PARTITION BY SUBJECT CONSUME ALL";
+    auto spec = make_session(kPartitioned, 0, wire_events(20000, 2024, /*symbols=*/4));
+    spec.shards = 3;
+    spec.stats_after = 10000;
+
+    harness::LoadGenClient client("127.0.0.1", srv.port());
+    const auto out = client.run_one(spec);
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(
+        harness::partitioned_oracle(spec.query, spec.events, /*hello_key=*/""),
+        out.results, "lane-depth-mid-stream");
+    srv.stop();
+
+    ASSERT_EQ(out.stats_json.size(), 1u);
+    const std::string& j = out.stats_json.front();
+    std::uint64_t hot = 0;
+    for (int s = 0; s < 3; ++s)
+        hot = std::max(hot, session_value(j, "lane_depth_peak{shard=\\\"" +
+                                                 std::to_string(s) + "\\\"}"));
+    // One read view: the backend's 64 KiB buffer of the smallest DATA frames.
+    const std::uint64_t one_read = 64 * 1024 / (1 + net::kWireQuoteHeaderBytes);
+    EXPECT_GT(hot, 0u) << j;
+    EXPECT_LE(hot, kCap + one_read) << j;
+}
+
 // Lane runtimes of a sharded speculative session publish concurrently, from
 // several workers, into the one session shard (§10/§12): the registry's sums
 // must come out exact — every complex event counted once, one speculative

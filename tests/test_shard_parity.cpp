@@ -14,6 +14,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "data/nyse_synth.hpp"
@@ -146,6 +147,34 @@ TEST(ShardParity, InlineShardedRunsMatchReferenceForEveryShardCount) {
                                      std::to_string(shards) + " k=" +
                                      std::to_string(instances) + " n=" + std::to_string(n) +
                                      " syms=" + std::to_string(symbols));
+            }
+        }
+    }
+}
+
+// The publish cadence is invisible (§10): routing N events and handing them
+// over as one batch per touched shard — N = 1 is the per-event hand-off, N =
+// 1000 more than the stream of some keys — must leave the merged stream
+// byte-identical for every shard count and engine kind.
+TEST(ShardParity, EveryPublishCadenceMatchesReference) {
+    const auto vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    const auto events = make_stream(vocab, 1500, 64, /*symbols=*/10);
+    for (const auto* text : kPartitionedQueries) {
+        const auto cq = compile(text, vocab);
+        const auto ref = shard::reference_partitioned_run(cq, events);
+        for (const std::uint32_t instances : {0u, 2u}) {
+            for (const std::uint32_t shards : {1u, 3u, 8u}) {
+                for (const std::size_t every : {1u, 7u, 64u, 1000u}) {
+                    shard::ShardedConfig cfg;
+                    cfg.shards = shards;
+                    cfg.instances = instances;
+                    const auto got = shard::run_sharded_inline(
+                        cq, cfg, events, /*feed_chunk=*/every, /*step_events=*/16);
+                    expect_identical(ref, got,
+                                     std::string(text) + " S=" + std::to_string(shards) +
+                                         " k=" + std::to_string(instances) +
+                                         " publish every " + std::to_string(every));
+                }
             }
         }
     }
@@ -290,6 +319,65 @@ TEST(ShardParity, ExplicitGrowStealShrinkScheduleIsInvisible) {
         expect_identical(ref, got, std::string("query: ") + text);
         EXPECT_GT(accepted, 0u) << text;  // the schedule must not be vacuous
     }
+}
+
+// Waves armed over staged arrivals (§10/§13): route() leaves an event in its
+// shard's staging batch until publish(), so a migrate_key()/steal_hottest()
+// may fire while the moving key still has arrivals staged under the old
+// placement. arm_migration publishes them ahead of its marker; otherwise the
+// lane would leave without them and the sub-stream would fork.
+TEST(ShardParity, WavesArmedOverStagedArrivalsMatchReference) {
+    const auto vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    const auto events = make_stream(vocab, 1200, 31, /*symbols=*/6);
+    std::uint64_t moved = 0;
+    for (const auto* text : kPartitionedQueries) {
+        const auto cq = compile(text, vocab);
+        const auto ref = shard::reference_partitioned_run(cq, events);
+        for (const std::uint32_t instances : {0u, 1u}) {
+            shard::ShardedConfig cfg;
+            cfg.shards = 3;
+            cfg.max_shards = 4;
+            cfg.instances = instances;
+            std::vector<event::ComplexEvent> out;
+            shard::ShardedEngine engine(&cq, cfg, [&out](event::ComplexEvent&& ce) {
+                out.push_back(std::move(ce));
+            });
+            // Dense key index = first-appearance order, as the router assigns it.
+            std::unordered_map<event::SubjectId, std::uint32_t> dense;
+            const auto step_all = [&engine] {
+                for (std::uint32_t s = 0; s < engine.shards(); ++s) engine.step_shard(s, 5);
+            };
+            std::size_t fed = 0;
+            for (const auto& e : events) {
+                const std::uint32_t key =
+                    dense.try_emplace(e.subject, static_cast<std::uint32_t>(dense.size()))
+                        .first->second;
+                const auto info = engine.route(e);
+                ASSERT_FALSE(info.dropped);
+                ++fed;
+                // The arrival just routed is staged (publishes land on
+                // multiples of 64, waves on multiples of 40 but not 64).
+                if (fed % 40 == 0 && fed % 64 != 0) {
+                    const std::uint32_t to = (info.shard + 1) % cfg.max_shards;
+                    if ((fed / 40) % 2 == 0)
+                        engine.migrate_key(key, to);
+                    else
+                        engine.steal_hottest(info.shard, to);
+                }
+                if (fed % 64 == 0) {
+                    engine.publish();
+                    step_all();
+                }
+            }
+            engine.publish();
+            engine.close_input();
+            while (!engine.finished()) step_all();
+            moved += engine.migration_stats().keys_moved;
+            expect_identical(ref, out,
+                             std::string(text) + " k=" + std::to_string(instances));
+        }
+    }
+    EXPECT_GT(moved, 10u);  // the waves must not all be refused
 }
 
 // Randomized migration-point differential (the ISSUE's acceptance gate):
