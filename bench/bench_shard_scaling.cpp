@@ -10,7 +10,6 @@
 // wrong merge. Expected shape: eps grows with S on a multi-core box (each
 // shard is an independent pool task); on one core the rows tie — the win is
 // concurrency, not per-core speed.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -129,125 +128,11 @@ int main() {
     std::printf("\n");
     for (const auto& row : json_rows) row.print();
 
-    // --- E-shard-skew: key-skew lane stealing vs static hashing (§13) ------
-    //
-    // One symbol carries ~80% of the stream; under static hashing its shard
-    // also hosts every co-resident key, so the hottest slot processes well
-    // over 80% of all events. With feeder-driven stealing the cold
-    // co-residents migrate off until the hot key holds its shard alone —
-    // hot_share should drop toward the 0.8 floor (one key is never split).
-    // Parity stays the hard gate in both modes. On a single core the eps
-    // columns tie (the win is balance, i.e. multi-core headroom).
-    std::printf("\n");
-    harness::print_header("E-shard-skew",
-                          "one 80%-hot key: static hashing vs lane stealing, S=4");
-    const std::uint64_t skew_n = bench::scaled(40'000);
-    std::vector<event::Event> skewed;
-    {
-        // 4-of-5 interleave of a single-symbol stream into a multi-symbol
-        // background: the hot symbol ends at ~80% + its background share.
-        data::NyseSynthConfig hot_gen;
-        hot_gen.events = (skew_n * 4) / 5;
-        hot_gen.symbols = 1;
-        hot_gen.seed = 7;
-        data::NyseSynthConfig cold_gen;
-        cold_gen.events = skew_n - hot_gen.events;
-        cold_gen.symbols = 16;
-        cold_gen.seed = 8;
-        const auto hot = data::generate_nyse(vocab, hot_gen);
-        const auto cold = data::generate_nyse(vocab, cold_gen);
-        std::size_t hi = 0, ci = 0;
-        while (hi < hot.size() || ci < cold.size()) {
-            for (int r = 0; r < 4 && hi < hot.size(); ++r) skewed.push_back(hot[hi++]);
-            if (ci < cold.size()) skewed.push_back(cold[ci++]);
-        }
-    }
-    const auto skew_ref = shard::reference_partitioned_run(cq, skewed);
-
-    harness::Table skew_table({"mode", "shards", "steals", "keys moved", "hot share",
-                               "throughput (candlestick)", "parity"});
-    std::vector<harness::JsonLine> skew_json;
-    for (const bool steal : {false, true}) {
-        const std::uint32_t shards = 4;
-        std::vector<double> eps_samples;
-        shard::ShardedEngine::MigrationStats mig;
-        double hot_share = 0.0;
-        for (int rep = 0; rep < 2; ++rep) {
-            server::EnginePool pool(pool_workers);
-            pool.start();
-            std::vector<event::ComplexEvent> out;
-            std::mutex out_mutex;
-            shard::ShardedConfig cfg;
-            cfg.shards = shards;
-            shard::ShardedEngine engine(&cq, cfg, [&](event::ComplexEvent&& ce) {
-                const std::lock_guard<std::mutex> lock(out_mutex);
-                out.push_back(std::move(ce));
-            });
-            shard::PooledShardRun run(&engine, &pool, /*id_base=*/1);
-
-            // Feeder-side balance signal: per-shard routed-event counts from
-            // the IngestInfo every ingest returns — the same live signal the
-            // server's ReshardController reads off the metrics plane.
-            std::vector<std::uint64_t> routed(shards, 0);
-            const auto t0 = std::chrono::steady_clock::now();
-            run.start();
-            std::size_t fed = 0;
-            for (const auto& e : skewed) {
-                const auto info = run.ingest(e);
-                if (!info.dropped) ++routed[info.shard];
-                if (steal && ++fed % 2000 == 0) {
-                    std::uint32_t hot_s = 0, cold_s = 0;
-                    for (std::uint32_t s = 1; s < shards; ++s) {
-                        if (routed[s] > routed[hot_s]) hot_s = s;
-                        if (routed[s] < routed[cold_s]) cold_s = s;
-                    }
-                    if (hot_s != cold_s) engine.steal_hottest(hot_s, cold_s);
-                }
-            }
-            run.close();
-            run.wait();
-            const double secs =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                    .count();
-            pool.stop();
-
-            eps_samples.push_back(static_cast<double>(skewed.size()) / secs);
-            mig = engine.migration_stats();
-            const std::uint64_t total = skew_n ? skew_n : 1;
-            hot_share = static_cast<double>(
-                            *std::max_element(routed.begin(), routed.end())) /
-                        static_cast<double>(total);
-            if (!harness::results_identical(skew_ref, out)) {
-                parity_ok = false;
-                std::fprintf(stderr, "PARITY BREAK (skew): mode=%s expected %zu, got %zu\n",
-                             steal ? "steal" : "static", skew_ref.size(), out.size());
-            }
-        }
-        skew_table.row({steal ? "steal" : "static", std::to_string(shards),
-                        std::to_string(mig.steals), std::to_string(mig.keys_moved),
-                        harness::fmt_double(hot_share, 3),
-                        harness::fmt_candle(eps_samples), parity_ok ? "ok" : "BROKEN"});
-        skew_json.emplace_back(harness::JsonLine("E-shard-skew")
-                                   .field("mode", steal ? "steal" : "static")
-                                   .field("shards", static_cast<int>(shards))
-                                   .field("events", skew_n)
-                                   .field("steals", mig.steals)
-                                   .field("keys_moved", mig.keys_moved)
-                                   .field("hot_share", hot_share)
-                                   .field("eps_p50", util::percentile(eps_samples, 50))
-                                   .field("parity_ok", parity_ok ? 1 : 0));
-    }
-    skew_table.print();
-    std::printf("\n");
-    for (const auto& row : skew_json) row.print();
-
     std::printf(
         "\nexpected shape: eps_p50 increases with shards on a multi-core pool —\n"
         "each shard is an independent cooperative task, so one hot session\n"
-        "spreads over the workers. hardware threads here: %u. In the skew\n"
-        "section, steal mode's hot_share drops toward the 0.8 floor (the hot\n"
-        "key itself is never split) while static stays above it. Parity is\n"
-        "the hard gate: any break exits non-zero.\n",
+        "spreads over the workers. hardware threads here: %u. Parity is the\n"
+        "hard gate: any break exits non-zero.\n",
         std::thread::hardware_concurrency());
     return parity_ok ? 0 : 1;
 }

@@ -58,9 +58,6 @@ NON_IDENTITY = {
     "result_latency_ns_p50", "result_latency_ns_p99", "first_result_ns_p50",
     "pool_queue_wait_ns_p50", "quantum_ns_p50", "egress_stall_ns_p99",
     "splitter_cycle_ns_p50",
-    # Elastic partitioning (DESIGN.md §13): migration ledger + balance, all
-    # measured — the E-shard-skew rows key by mode/shards only.
-    "steals", "keys_moved", "reshards", "hot_share",
     # Connection-scale rows (DESIGN.md §14): the idle-session count follows
     # SPECTRE_BENCH_SCALE and RLIMIT_NOFILE, so the scale-invariant `shape`
     # field keys the row and everything else is measured.

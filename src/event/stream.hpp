@@ -257,8 +257,7 @@ inline const Event& EventRange::operator[](std::size_t i) const {
 // Concurrency: the wrapped store() keeps the full EventStore single-writer/
 // multi-reader contract, but the seq MAPPING is owning-thread only — append,
 // release_below and to_parent()/translate() must run on the same thread (a
-// §10 lane's shard task does all three; a migrating lane is handed over
-// whole, under the destination shard's mutex).
+// §10 lane's shard task does all three).
 class MappedStore {
 public:
     // Appends `e` (its seq is overwritten with the local position) and

@@ -17,7 +17,7 @@
 // Byte order on the wire is exactly append order, whatever the coalescing
 // schedule: a flush boundary never lands inside the stream in a way the peer
 // can observe (TCP is a byte stream; the iovec only changes how many bytes
-// one syscall carries). That is why the §10/§13 byte-identical RESULT parity
+// one syscall carries). That is why the §10 byte-identical RESULT parity
 // gates hold over every flush schedule.
 //
 // Thread-safety: none here — the owner serializes (ServerSession holds its

@@ -97,8 +97,6 @@ constexpr BuiltinDef kBuiltins[] = {
     {"lane_depth", Kind::Histogram, "published-minus-processed events per shard, per publish"},
     {"lane_skew", Kind::Histogram, "max-min lane depth over shards, per publish"},
     {"detector_window_events", Kind::Histogram, "events fed per completed window"},
-    {"lane_migrations", Kind::Counter, "key lanes migrated between shards"},
-    {"reshards", Kind::Counter, "accepted re-shard routing epochs"},
     {"ingest_wire_bytes", Kind::Counter, "DATA-path bytes read off session sockets"},
     {"ingest_copied_bytes", Kind::Counter, "ingest bytes staged through FrameReader"},
     {"ingest_reads", Kind::Counter, "backend read() calls returning data"},

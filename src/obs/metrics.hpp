@@ -138,9 +138,6 @@ enum : std::uint32_t {
     kLaneDepth,             // each shard's published-minus-processed events, per publish
     kLaneSkew,              // max-min lane depth over a session's shards, per publish
     kDetectorWindowEvents,  // events fed per completed window
-    // --- elastic partitioning (DESIGN.md §13) -------------------------------
-    kLaneMigrations,  // key lanes handed between shards (steals + reshards)
-    kReshards,        // accepted reshard() routing-epoch changes
     // --- zero-copy ingest / vectored egress (DESIGN.md §14) -----------------
     // The byte-accounting pair: wire bytes are every DATA-path byte read off
     // a session socket; copied bytes are the subset that took a staging copy

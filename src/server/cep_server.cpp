@@ -46,9 +46,10 @@ CepServer::CepServer(ServerConfig config)
     : config_(config), pool_(config.pool_workers) {
     // Per-shard-index depth peaks (§12) must be registered before any
     // session's shard exists — a shard only carries cells for series known
-    // at its creation. Bounded by the shard limit, not by session churn.
-    const int lane_max = std::min(config_.session.max_shards, 16);
-    for (int s = 0; s < lane_max; ++s)
+    // at its creation. One per index a HELLO may ask for (max_shards, which
+    // ServerConfigBuilder::build() keeps within the series table), never
+    // more with session churn.
+    for (int s = 0; s < config_.session.max_shards; ++s)
         registry_.add("lane_depth_peak{shard=\"" + std::to_string(s) + "\"}",
                       obs::Kind::PeakGauge, "peak queued events on this shard index");
     server_shard_ = registry_.make_shard();

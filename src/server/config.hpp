@@ -1,11 +1,11 @@
 // Builder-style configuration surface for the CEP server (DESIGN.md §15's
-// API-redesign sweep). The raw structs — ServerConfig, SessionLimits, and
-// shard::ReshardPolicy nested inside it — stay plain aggregates so existing
-// code keeps compiling, but new code should come through ServerConfigBuilder:
-// one fluent chain covering every knob, with build() validating the combined
-// result once instead of each call site re-learning which field combinations
-// are nonsense (a quantum of zero steps, an ingest watermark of zero, a
-// reshard grow target below the starting width, ...).
+// API-redesign sweep). The raw structs — ServerConfig and the SessionLimits
+// nested inside it — stay plain aggregates so existing code keeps compiling,
+// but new code should come through ServerConfigBuilder: one fluent chain
+// covering every knob, with build() validating the combined result once
+// instead of each call site re-learning which field combinations are
+// nonsense (a quantum of zero steps, an ingest watermark of zero, more
+// shards than the metrics table has per-shard series for, ...).
 //
 // How the layers map at runtime:
 //   ServerConfig            → reactor + pool shape (ports, backlog, workers,
@@ -17,12 +17,12 @@
 //                             .batch_events); quantum_windows bounds the
 //                             sequential stepper's windows per step. One
 //                             builder chain reaches all three config structs.
-//   SessionLimits.reshard   → §13 elastic partitioning policy (default off).
 #pragma once
 
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "server/cep_server.hpp"
 
 namespace spectre::server {
@@ -85,32 +85,9 @@ public:
         return *this;
     }
 
-    // --- §13 elastic partitioning (SessionLimits.reshard) ----------------
-    ServerConfigBuilder& reshard_every_events(std::size_t n) {
-        cfg_.session.reshard.decide_every_events = n;
-        return *this;
-    }
-    ServerConfigBuilder& reshard_steal(std::uint64_t min_peak, double ratio) {
-        cfg_.session.reshard.steal_min_peak = min_peak;
-        cfg_.session.reshard.steal_skew_ratio = ratio;
-        return *this;
-    }
-    ServerConfigBuilder& reshard_grow(std::uint32_t shards_to,
-                                      std::uint64_t min_peak) {
-        cfg_.session.reshard.grow_shards_to = shards_to;
-        cfg_.session.reshard.grow_min_peak = min_peak;
-        return *this;
-    }
-    ServerConfigBuilder& reshard_shrink(std::uint64_t max_peak,
-                                        std::uint32_t after_windows) {
-        cfg_.session.reshard.shrink_max_peak = max_peak;
-        cfg_.session.reshard.shrink_after_windows = after_windows;
-        return *this;
-    }
-
     // Validate the combined result. Throws std::invalid_argument naming the
     // offending knob — configuration mistakes should fail at construction,
-    // not as a wedged server or a silently static shard layout.
+    // not as a wedged server or a per-shard series that never moves.
     ServerConfig build() const {
         const SessionLimits& s = cfg_.session;
         require(cfg_.backlog > 0, "backlog must be positive");
@@ -118,6 +95,11 @@ public:
         require(cfg_.session_sndbuf >= 0, "session_sndbuf must be >= 0");
         require(s.max_instances > 0, "max_instances must be positive");
         require(s.max_shards > 0, "max_shards must be positive");
+        // The server registers one lane_depth_peak{shard=...} series per
+        // shard index beside the builtin schema, in a fixed-size table.
+        require(static_cast<std::size_t>(s.max_shards) <=
+                    obs::kMaxSeries - obs::sid::kCount,
+                "max_shards exceeds the metrics table's per-shard series");
         require(s.batch_events > 0, "batch_events must be positive");
         require(s.quantum_steps > 0, "quantum_steps must be positive");
         require(s.quantum_windows > 0, "quantum_windows must be positive");
@@ -125,18 +107,6 @@ public:
                 "ingest_queue_events must be positive");
         require(s.egress_buffer_bytes > 0,
                 "egress_buffer_bytes must be positive");
-        const shard::ReshardPolicy& r = s.reshard;
-        if (r.decide_every_events > 0) {
-            require(r.steal_skew_ratio >= 1.0,
-                    "reshard steal_skew_ratio must be >= 1.0");
-            require(r.grow_shards_to == 0 ||
-                        r.grow_shards_to <=
-                            static_cast<std::uint32_t>(s.max_shards),
-                    "reshard grow_shards_to exceeds max_shards");
-            require(r.shrink_max_peak == 0 || r.shrink_after_windows > 0,
-                    "reshard shrink_after_windows must be positive when "
-                    "shrinking is enabled");
-        }
         return cfg_;
     }
 

@@ -304,19 +304,6 @@ SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
     if (info.dropped) return SessionStatus::Open;
     stamp_arrival();
     ++unpublished_;
-    // §13: adaptivity decisions run on the reactor (= the feeder thread), so
-    // route-table edits are synchronous with routing — no lock spans the
-    // decision. This is the only call site that migrates, so the ledger is
-    // published as the decision's delta.
-    if (controller_ && --reshard_countdown_ == 0) {
-        reshard_countdown_ = limits_.reshard.decide_every_events;
-        const auto before = sharded_->migration_stats();
-        apply_reshard_decision();
-        const auto after = sharded_->migration_stats();
-        shard_->add(obs::Series{obs::sid::kLaneMigrations},
-                    after.keys_moved - before.keys_moved);
-        shard_->add(obs::Series{obs::sid::kReshards}, after.reshards - before.reshards);
-    }
     if (info.queued >= limits_.ingest_queue_events) {
         shard_->add(obs::Series{obs::sid::kIngestPauses}, 1);
         return SessionStatus::Paused;
@@ -329,8 +316,7 @@ void ServerSession::publish_ingest() {
     const std::size_t n = std::exchange(unpublished_, 0);
     if (sharded_) {
         // One hand-off per touched shard; the engine wakes each of those
-        // lanes once through its shard waker. (A §13 wave may have published
-        // part of the read already — it is counted here all the same.)
+        // lanes once through its shard waker.
         sharded_->publish();
         shard_->add(obs::Series{obs::sid::kEventsIngested}, n);
         observe_lane_depths();
@@ -401,33 +387,19 @@ void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards)
         cfg.shards = lanes = std::max<std::uint32_t>(shards, 1);
         cfg.instances = instances_;
         cfg.batch_events = limits_.batch_events;
-        // Elastic partitioning (§13): with an active policy the engine gets
-        // slot capacity up to the server's shard cap so the controller can
-        // grow the active width mid-stream; off, capacity == shards (the
-        // static pre-§13 layout, no extra state).
-        const bool elastic = limits_.reshard.decide_every_events > 0;
-        if (elastic)
-            cfg.max_shards = static_cast<std::uint32_t>(limits_.max_shards);
         sharded_ = std::make_unique<shard::ShardedEngine>(cq_.get(), cfg,
                                                           std::move(sink));
         sharded_->bind_obs(shard_.get());
-        const std::uint32_t slots = sharded_->shards();  // capacity, >= cfg.shards
         // Per-shard-index depth peaks (§12): the server pre-registered these
-        // names before any session shard existed, so add() only resolves ids.
-        lane_peaks_.reserve(slots);
-        for (std::uint32_t s = 0; s < slots; ++s)
+        // names (one per index below max_shards) before any session shard
+        // existed, so add() only resolves ids.
+        lane_peaks_.reserve(lanes);
+        for (std::uint32_t s = 0; s < lanes; ++s)
             lane_peaks_.push_back(registry_->add(
                 "lane_depth_peak{shard=\"" + std::to_string(s) + "\"}",
                 obs::Kind::PeakGauge));
-        // Lane handoffs are deposited by source lanes on worker threads. A
-        // slot whose lane is not registered yet never parked, so waking it
-        // is a no-op; its first scheduled quantum installs the mailbox.
+        // Each publish wakes the lanes it handed arrivals to.
         sharded_->set_shard_waker([this](std::uint32_t s) { wake_lane(s, &Lane::on_input); });
-        if (elastic && slots > 1 && obs::enabled()) {
-            controller_ = std::make_unique<shard::ReshardController>(
-                shard_.get(), lane_peaks_, limits_.reshard);
-            reshard_countdown_ = limits_.reshard.decide_every_events;
-        }
     } else if (instances_ == 0) {
         // k = 0 subscribes the sequential reference engine — the ground
         // truth the parallel runtime must match byte-for-byte.
@@ -451,10 +423,7 @@ void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards)
     // The runtimes above are bound even under SPECTRE_OBS_OFF: engine stats
     // are counters, published by every step (§11/§12).
     if (instances_ > 0) shard_->add(obs::Series{obs::sid::kSchedSessions}, 1);
-    // Every slot's lane exists up front: growth (§13) must never reallocate
-    // what worker threads are reading.
-    const std::uint32_t slots = sharded_ ? sharded_->shards() : 1;
-    for (std::uint32_t s = 0; s < slots; ++s)
+    for (std::uint32_t s = 0; s < lanes; ++s)
         lanes_.push_back(std::make_unique<Lane>(this, s));
     state_ = State::Streaming;
     task_registered_ = true;
@@ -817,11 +786,10 @@ void ServerSession::observe_lane_depths() {
     if (!obs::enabled()) return;
     std::size_t mn = ~std::size_t{0};
     std::size_t mx = 0;
-    const std::uint32_t span = sharded_->task_span();
-    for (std::uint32_t s = 0; s < span; ++s) {
+    for (std::uint32_t s = 0; s < sharded_->shards(); ++s) {
         const std::size_t d = sharded_->shard_queue_depth(s);
         shard_->observe(obs::Series{obs::sid::kLaneDepth}, d);
-        if (s < lane_peaks_.size()) shard_->set_peak(lane_peaks_[s], d);
+        shard_->set_peak(lane_peaks_[s], d);
         mn = std::min(mn, d);
         mx = std::max(mx, d);
     }
@@ -1111,43 +1079,6 @@ ServerSession::Quantum ServerSession::finish_engine() {
     egress_try_flush();
     request_watch_write();
     return Quantum::Done;
-}
-
-// --- sharded session (§10) --------------------------------------------------
-
-void ServerSession::apply_reshard_decision() {
-    const auto d = controller_->decide(sharded_->active_shards());
-    switch (d.kind) {
-        case shard::ReshardDecision::Kind::None:
-            return;
-        case shard::ReshardDecision::Kind::Steal:
-            // One hot key hops to the coldest slot; the engine refuses the
-            // wave if one is already in flight or the stream closed.
-            sharded_->steal_hottest(d.hot, d.cold);
-            return;
-        case shard::ReshardDecision::Kind::Grow: {
-            const auto target =
-                std::min<std::uint32_t>(d.new_shards, sharded_->shards());
-            if (!sharded_->reshard(target)) return;
-            // Register lanes for the newly active slots. Order matters: the
-            // engine already published the grown task span, and any handoff
-            // waker for an unregistered lane is a no-op, so registering now
-            // (which schedules the first quantum) closes the gap.
-            const auto span = sharded_->task_span();
-            for (std::uint32_t s = tasks_expected_.load(std::memory_order_relaxed);
-                 s < span; ++s)
-                hooks_.register_task(shard_task_id(id_, s), lanes_[s].get());
-            tasks_expected_.store(span, std::memory_order_release);
-            return;
-        }
-        case shard::ReshardDecision::Kind::Shrink:
-            // Routing-only change (§13): new keys hash over the narrower
-            // width; the slots above it keep their lanes and drain whatever
-            // they already queued (task_span stays monotone — tasks_expected_
-            // is untouched, the drained slots just finish and park for good).
-            sharded_->reshard(d.new_shards);
-            return;
-    }
 }
 
 ServerSession::Quantum ServerSession::engine_failed(const std::string& what) {

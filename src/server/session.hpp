@@ -19,7 +19,7 @@
 //
 // Threading (§9/§14): the reactor runs on_readable()/flush_egress()/abort();
 // the session's engine runs as one pool task per lane — one lane for an
-// unsharded or subscriber session, one per shard slot for a sharded one —
+// unsharded or subscriber session, one per shard for a sharded one —
 // and one worker at a time runs a given lane (serialized by the pool's task
 // state machine — the engine state needs no locks). The two sides meet:
 //
@@ -61,7 +61,6 @@
 #include "sequential/seq_engine.hpp"
 #include "server/engine_pool.hpp"
 #include "server/stream_hub.hpp"
-#include "shard/reshard_controller.hpp"
 #include "shard/sharded_engine.hpp"
 #include "spectre/runtime.hpp"
 
@@ -104,11 +103,6 @@ struct SessionLimits {
     // Egress credit: while more than this many bytes are buffered for a slow
     // result reader, the engine task parks (§9 backpressure).
     std::size_t egress_buffer_bytes = 256 * 1024;
-    // Elastic partitioning (§13): when decide_every_events > 0, every
-    // sharded session gets slot capacity up to max_shards and a
-    // ReshardController driving steal/grow migrations off the live lane
-    // metrics. Default off — static hashing, the pre-§13 behavior.
-    shard::ReshardPolicy reshard{};
 };
 
 // What a session is to the shared ingest plane (DESIGN.md §15). HELLO v1 and
@@ -255,7 +249,7 @@ private:
 
     // One engine task on the pool (§9/§10). Every lane runs the same quantum
     // loop (run_lane) and park protocol; only step_lane/lane_parkable know
-    // which engine is behind it. Lane `index` is shard slot `index` of a
+    // which engine is behind it. Lane `index` is shard `index` of a
     // sharded session, or the single lane 0 of any other.
     struct Lane final : EngineTask {
         Lane(ServerSession* s, std::uint32_t i) : session(s), index(i) {}
@@ -320,8 +314,8 @@ private:
     // high watermark.
     SessionStatus ingest_store(event::Event&& ev);
     // Routes one decoded quote into the sharded engine's staging batches
-    // (§10), with reshard pacing (§13). Returns Paused once routed-but-
-    // unprocessed events, staged ones included, hit the high watermark.
+    // (§10). Returns Paused once routed-but-unprocessed events, staged ones
+    // included, hit the high watermark.
     SessionStatus ingest_sharded(event::Event&& ev);
     // Hands over everything ingested since the last call, then wakes each
     // lane with new input once: release-publishes the scatter slots, or
@@ -403,11 +397,6 @@ private:
     Quantum finish_engine();  // BYE (first caller), counters, Done
     Quantum engine_failed(const std::string& what);
     void request_watch_write();
-    // Elastic partitioning (§13, reactor thread — the reactor IS the
-    // feeder): ask the controller for a decision over the last window and
-    // apply it (steal a lane, or grow the active width and register the new
-    // slots' lanes on the pool).
-    void apply_reshard_decision();
 
     const std::uint64_t id_;
     const int fd_;
@@ -419,11 +408,11 @@ private:
     State state_ = State::AwaitHello;
     net::FrameReader reader_;
     // Reactor-thread-only bookkeeping (no locks needed) — except
-    // tasks_expected_, which worker-side teardown loops also read while the
-    // reactor may be growing it (§13), hence the atomic.
+    // tasks_expected_, which worker threads also read (wake_lanes), hence
+    // the atomic.
     bool input_done_ = false;
     bool lingering_ = false;
-    std::atomic<std::uint32_t> tasks_expected_{0};  // live lane count (§10/§13)
+    std::atomic<std::uint32_t> tasks_expected_{0};  // live lane count (§10)
     std::uint32_t tasks_done_ = 0;
     std::uint32_t armed_mask_ = 0;
 
@@ -443,9 +432,8 @@ private:
     StreamHub::EntryPtr hub_entry_;
     event::ChunkPins::Cursor pin_cursor_ = event::ChunkPins::kInvalidCursor;
 
-    // Engine: exactly one of the three after HELLO, driven by lanes_ —
-    // allocated at slot capacity up front (a §13 grow registers more of them
-    // but never reallocates what worker threads are reading).
+    // Engine: exactly one of the three after HELLO, driven by lanes_ — one
+    // per shard, allocated and registered once at HELLO.
     event::EventStore store_;
     std::unique_ptr<sequential::SeqStepper> stepper_;
     event::Seq reclaimed_floor_ = 0;  // lane-private: last chunk floor reclaimed
@@ -456,11 +444,6 @@ private:
     // HELLO against names the server pre-registered, e.g.
     // lane_depth_peak{shard="3"}. Reactor-written.
     std::vector<obs::Series> lane_peaks_;
-    // Elastic partitioning (§13): reactor-owned migration policy over the
-    // windowed lane_depth_peak series; null when the policy is off or the
-    // session is unsharded.
-    std::unique_ptr<shard::ReshardController> controller_;
-    std::size_t reshard_countdown_ = 0;  // reactor-only decision pacing
 
     // Ingest pacing (§14, unsharded): the reactor appends straight into
     // store_ (frontier = store_.size()); the worker stores the stepper's

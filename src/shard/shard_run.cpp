@@ -9,8 +9,7 @@ namespace spectre::shard {
 std::vector<event::ComplexEvent> run_sharded_inline(
     const detect::CompiledQuery& cq, ShardedConfig cfg,
     const std::vector<event::Event>& events, std::size_t feed_chunk,
-    std::size_t step_events,
-    const std::function<void(ShardedEngine&, std::size_t)>& schedule) {
+    std::size_t step_events) {
     std::vector<event::ComplexEvent> out;
     ShardedEngine engine(&cq, cfg,
                          [&out](event::ComplexEvent&& ce) { out.push_back(std::move(ce)); });
@@ -18,9 +17,6 @@ std::vector<event::ComplexEvent> run_sharded_inline(
     while (fed < events.size()) {
         const std::size_t end = std::min(events.size(), fed + std::max<std::size_t>(feed_chunk, 1));
         for (; fed < end; ++fed) engine.route(events[fed]);
-        // Waves armed here find the chunk still staged (arm_migration
-        // publishes it ahead of its marker).
-        if (schedule) schedule(engine, fed);
         engine.publish();
         for (std::uint32_t s = 0; s < engine.shards(); ++s)
             engine.step_shard(s, step_events);
@@ -60,9 +56,7 @@ PooledShardRun::~PooledShardRun() = default;
 void PooledShardRun::start() {
     SPECTRE_REQUIRE(!started_, "PooledShardRun::start called twice");
     started_ = true;
-    // Lane handoffs (§13) are deposited by source shard tasks; the waker
-    // runs on those worker threads and must flip the destination's park
-    // flag before notifying — same protocol as the feeder-side wakeups.
+    // Each publish wakes the shards it handed arrivals to.
     engine_->set_shard_waker([this](std::uint32_t s) { wake(s); });
     for (std::uint32_t s = 0; s < engine_->shards(); ++s) {
         pool_->add(id_base_ + s, tasks_[s].get(), [this](std::uint64_t) {

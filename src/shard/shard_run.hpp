@@ -1,12 +1,11 @@
 // Drivers for ShardedEngine outside the server (DESIGN.md §10): the
-// deterministic inline runner the differential tests schedule by hand, and
-// the pooled runner that scales one hot partitioned stream across an
-// EnginePool's workers — S shard tasks on N threads, no thread per shard —
-// which is what bench_shard_scaling measures.
+// deterministic inline runner the differential tests drive at chosen publish
+// and step cadences, and the pooled runner that scales one hot partitioned
+// stream across an EnginePool's workers — S shard tasks on N threads, no
+// thread per shard — which is what bench_shard_scaling measures.
 #pragma once
 
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -20,16 +19,11 @@ namespace spectre::shard {
 // `feed_chunk` events, publish them as one hand-off, round-robin one bounded
 // step per shard, repeat; then close and step until finished. Exercises
 // every merge-bound path without threads — output must be byte-identical to
-// reference_partitioned_run. `schedule`, when set, runs on the feeder after
-// each chunk is routed and before it is published (with the number of
-// events fed so far) so tests can inject reshard()/migrate_key() waves at
-// chosen stream positions, over staged arrivals — the §13 migration
-// differential.
+// reference_partitioned_run.
 std::vector<event::ComplexEvent> run_sharded_inline(
     const detect::CompiledQuery& cq, ShardedConfig cfg,
     const std::vector<event::Event>& events, std::size_t feed_chunk = 7,
-    std::size_t step_events = 3,
-    const std::function<void(ShardedEngine&, std::size_t)>& schedule = {});
+    std::size_t step_events = 3);
 
 // Runs a ShardedEngine's S shards as cooperative tasks on an existing
 // (started) EnginePool. The feeder thread calls ingest()/close(); wait()
@@ -48,9 +42,8 @@ public:
     void start();
 
     // Feeder side (one thread): route and publish one event; the publish
-    // wakes its shard's task through the shard waker.
-    // Returns the engine's routing info (shard, depth, dropped) so callers
-    // can publish lane-depth metrics and drive a ReshardController.
+    // wakes its shard's task through the shard waker. Returns the engine's
+    // routing info (shard, depth, dropped).
     ShardedEngine::IngestInfo ingest(event::Event e);
     // End-of-stream: wake every shard for its EOS drain.
     void close();
@@ -61,7 +54,7 @@ private:
     struct Task final : server::EngineTask {
         PooledShardRun* run = nullptr;
         std::uint32_t shard = 0;
-        server::ParkFlag parked;  // idle until an ingest, close or handoff
+        server::ParkFlag parked;  // idle until an ingest or close
         Quantum run_quantum() override;
     };
     // Wakes shard `s`'s task if it parked (§9 take-before-notify).

@@ -1,6 +1,5 @@
 #include "shard/sharded_engine.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <iterator>
 
@@ -29,26 +28,18 @@ std::uint64_t key_bits(const event::Event& e, const query::PartitionBy& part) {
 }  // namespace
 
 // One key's independent sub-stream and engine — the semantic unit of
-// partitioned detection, and the unit of migration (§13): the whole object
-// moves between shards, MappedStore and stepper/runtime state intact. Owned
-// and driven by exactly one shard task at a time; `owner` names it.
+// partitioned detection. Owned and driven by the one shard task its key
+// hashes to.
 struct ShardedEngine::KeyLane {
-    std::uint32_t key = 0;
-    ShardState* owner = nullptr;  // result sink targets the current owner
     event::MappedStore store;
     std::unique_ptr<sequential::SeqStepper> stepper;  // instances == 0
     std::unique_ptr<core::SpectreRuntime> runtime;    // instances > 0
 };
 
+// One routed arrival: global seq, dense key, event.
 struct ShardedEngine::Pending {
-    enum class Kind : std::uint8_t {
-        Arrival,  // one routed event
-        Migrate,  // hand lane `key` to shard `to` (consumes no g)
-    };
-    Kind kind = Kind::Arrival;
     event::Seq g = 0;
     std::uint32_t key = 0;
-    std::uint32_t to = 0;  // Migrate only: destination slot
     event::Event e;
 };
 
@@ -59,11 +50,10 @@ struct ShardedEngine::TaggedResult {
 
 struct ShardedEngine::ShardState {
     // `mutex` guards the feeder↔task inbox, the merger-visible progress
-    // fields, the task→merger result buffer, and the migration mailbox.
+    // fields and the task→merger result buffer.
     mutable std::mutex mutex;
-    // Published arrivals and migration markers in FIFO (= ascending g)
-    // order. publish() appends a staged batch whole; the task takes all of
-    // it in one swap.
+    // Published arrivals in FIFO (= ascending g) order. publish() appends a
+    // staged batch whole; the task takes all of it in one swap.
     std::vector<Pending> inbox;
     // Authoritative end-of-input gate for THIS shard's inbox: set under the
     // lock by close_input(), checked under the lock by publish() — so no
@@ -79,11 +69,6 @@ struct ShardedEngine::ShardState {
     bool eos_done = false;
     std::uint32_t eos_key = 0;  // lower bound on future EOS tags
     std::deque<TaggedResult> results;
-    // Migration handoff (§13), both mutex-guarded: keys whose lane is in
-    // transit toward this shard (their arrivals must not be processed yet),
-    // and the mailbox the source task deposits the lane into.
-    std::unordered_set<std::uint32_t> awaited;
-    std::vector<std::unique_ptr<KeyLane>> incoming;
 
     // Published-minus-processed arrivals: the feeder adds at publish, the
     // task subtracts at the end of each step (shard_queue_depth).
@@ -96,10 +81,6 @@ struct ShardedEngine::ShardState {
     // run on the task thread during a drain).
     std::vector<Pending> batch;  // the inbox taken at the last swap
     std::size_t batch_pos = 0;   // first unprocessed entry of `batch`
-    // `awaited` was non-empty at the swap (or since): only then can a batch
-    // arrival belong to a lane in transit — arrivals routed to a migrating
-    // key's destination are published after its awaited entry exists.
-    bool batch_awaits = false;
     std::map<std::uint32_t, std::unique_ptr<KeyLane>> lanes;  // by key index
     std::uint32_t eos_next_key = 0;
     MergeTag current_tag;
@@ -107,22 +88,16 @@ struct ShardedEngine::ShardState {
 
 ShardedEngine::ShardedEngine(const detect::CompiledQuery* cq, ShardedConfig cfg,
                              event::ResultSink sink)
-    : cq_(cq),
-      cfg_(cfg),
-      slot_count_(std::max(cfg.shards, cfg.max_shards)),
-      sink_(std::move(sink)),
-      active_shards_(cfg.shards),
-      task_span_(cfg.shards) {
+    : cq_(cq), cfg_(cfg), sink_(std::move(sink)) {
     SPECTRE_REQUIRE(cq_ != nullptr, "ShardedEngine needs a compiled query");
     SPECTRE_REQUIRE(cq_->query().partition.active(),
                     "ShardedEngine needs a query with PARTITION BY");
     SPECTRE_REQUIRE(cfg_.shards >= 1, "ShardedEngine needs at least one shard");
     SPECTRE_REQUIRE(static_cast<bool>(sink_), "ShardedEngine needs a result sink");
-    shards_.reserve(slot_count_);
-    for (std::size_t s = 0; s < slot_count_; ++s)
+    shards_.reserve(cfg_.shards);
+    for (std::uint32_t s = 0; s < cfg_.shards; ++s)
         shards_.push_back(std::make_unique<ShardState>());
-    shard_heat_.assign(slot_count_, 0);
-    epochs_.push_back(EpochRecord{0, cfg_.shards});
+    merge_scratch_.resize(cfg_.shards);
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -137,20 +112,13 @@ ShardedEngine::IngestInfo ShardedEngine::route(event::Event e) {
     const auto [it, fresh] =
         key_index_.try_emplace(bits, static_cast<std::uint32_t>(key_index_.size()));
     const std::uint32_t key = it->second;
-    if (fresh) {
-        const std::uint32_t active = active_shards_.load(std::memory_order_relaxed);
-        key_route_.push_back(RouteEntry{
-            static_cast<std::uint32_t>(splitmix64(bits) % active), epoch_});
-        key_bits_.push_back(bits);
-        key_heat_.push_back(0);
-    }
-    const std::uint32_t shard = key_route_[key].shard;
+    if (fresh)
+        key_shard_.push_back(static_cast<std::uint32_t>(splitmix64(bits) % cfg_.shards));
+    const std::uint32_t shard = key_shard_[key];
     ShardState& sh = *shards_[shard];
     if (sh.staged.empty()) touched_.push_back(shard);
-    sh.staged.push_back(Pending{Pending::Kind::Arrival, next_g_++, key, 0, std::move(e)});
+    sh.staged.push_back(Pending{next_g_++, key, std::move(e)});
     ++staged_;
-    ++key_heat_[key];
-    ++shard_heat_[shard];
     return IngestInfo{shard, queued_total() + staged_};
 }
 
@@ -211,168 +179,17 @@ void ShardedEngine::close_input() {
     }
 }
 
-// --- elastic partitioning (feeder thread; DESIGN.md §13) --------------------
-
-bool ShardedEngine::migrations_allowed() const {
-    // One wave at a time: a reshard racing a lane still in transit could
-    // strand it (the in-flight lane's destination decision predates the new
-    // epoch). And never after close: the EOS drains are placement-final.
-    return migrations_inflight_.load(std::memory_order_acquire) == 0 &&
-           !input_closed();
-}
-
-bool ShardedEngine::arm_migration(std::uint32_t key, std::uint32_t to) {
-    const std::uint32_t from = key_route_[key].shard;
-    if (from == to) return false;
-    // Staged arrivals go first: the marker must follow every arrival routed
-    // under the old placement, or the lane would leave without them.
-    publish();
-    // Destination first: the awaited entry must exist before the source task
-    // can possibly deposit the lane, or the install could race ahead of it
-    // and leave the key blocked forever.
-    {
-        const std::lock_guard<std::mutex> lock(shards_[to]->mutex);
-        shards_[to]->awaited.insert(key);
-    }
-    migrations_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    bool armed = false;
-    {
-        const std::lock_guard<std::mutex> lock(shards_[from]->mutex);
-        if (!shards_[from]->input_closed) {
-            Pending marker;
-            marker.kind = Pending::Kind::Migrate;
-            // Markers consume no g (g values must match the reference run
-            // event-for-event); next_g_ is a sound merge lower bound for a
-            // FIFO position ahead of every future arrival.
-            marker.g = next_g_;
-            marker.key = key;
-            marker.to = to;
-            shards_[from]->inbox.push_back(std::move(marker));
-            armed = true;
-        }
-    }
-    if (!armed) {
-        // Input closed under us (worker-side abort racing the feeder): roll
-        // back; the lane finishes where it is. Wake the destination — it may
-        // already be parked waiting on the awaited entry at EOS.
-        {
-            const std::lock_guard<std::mutex> lock(shards_[to]->mutex);
-            shards_[to]->awaited.erase(key);
-        }
-        migrations_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        if (waker_) waker_(to);
-        return false;
-    }
-    key_route_[key] = RouteEntry{to, epoch_};
-    const std::uint64_t h = key_heat_[key];
-    shard_heat_[from] -= std::min(shard_heat_[from], h);
-    shard_heat_[to] += h;
-    ++keys_moved_;
-    if (waker_) waker_(from);  // the marker is work even if no arrival follows
-    return true;
-}
-
-bool ShardedEngine::reshard(std::uint32_t new_shards) {
-    if (new_shards == 0 || new_shards > shards()) return false;
-    if (new_shards == active_shards_.load(std::memory_order_relaxed)) return false;
-    if (!migrations_allowed()) return false;
-    ++epoch_;
-    // Span before routing: the merger loads frontier (acquire) before span,
-    // so any event it can see routed under the new width also shows it the
-    // grown span.
-    if (new_shards > task_span_.load(std::memory_order_relaxed))
-        task_span_.store(new_shards, std::memory_order_release);
-    active_shards_.store(new_shards, std::memory_order_release);
-    epochs_.push_back(EpochRecord{next_g_, new_shards});
-    for (std::uint32_t k = 0; k < key_route_.size(); ++k) {
-        const auto to =
-            static_cast<std::uint32_t>(splitmix64(key_bits_[k]) % new_shards);
-        if (to != key_route_[k].shard) arm_migration(k, to);
-    }
-    ++reshards_;
-    return true;
-}
-
-bool ShardedEngine::steal_hottest(std::uint32_t from, std::uint32_t to) {
-    const std::uint32_t span = task_span();
-    if (from >= span || to >= span || from == to) return false;
-    if (!migrations_allowed()) return false;
-    // Only a key lighter than the load gap improves the max: moving one
-    // hotter just re-pins `to`. An 80%-hot key is therefore never bounced;
-    // its cold co-residents drain away until it holds the shard alone.
-    const std::uint64_t gap = shard_heat_[from] > shard_heat_[to]
-                                  ? shard_heat_[from] - shard_heat_[to]
-                                  : 0;
-    std::uint32_t best = kNoKey;
-    std::uint64_t best_heat = 0;
-    for (std::uint32_t k = 0; k < key_route_.size(); ++k) {
-        if (key_route_[k].shard != from) continue;
-        const std::uint64_t h = key_heat_[k];
-        if (h >= gap) continue;
-        if (best == kNoKey || h > best_heat) {
-            best = k;
-            best_heat = h;
-        }
-    }
-    decay_heat();  // heat is a windowed signal: halve at every decision
-    if (best == kNoKey) return false;
-    ++epoch_;
-    if (!arm_migration(best, to)) return false;
-    epochs_.push_back(
-        EpochRecord{next_g_, active_shards_.load(std::memory_order_relaxed)});
-    ++steals_;
-    return true;
-}
-
-bool ShardedEngine::migrate_key(std::uint32_t key, std::uint32_t to) {
-    if (key >= key_route_.size() || to >= task_span()) return false;
-    if (key_route_[key].shard == to) return false;
-    if (!migrations_allowed()) return false;
-    ++epoch_;
-    if (!arm_migration(key, to)) return false;
-    epochs_.push_back(
-        EpochRecord{next_g_, active_shards_.load(std::memory_order_relaxed)});
-    ++steals_;
-    return true;
-}
-
-void ShardedEngine::decay_heat() {
-    // Recompute shard sums from the halved key heats so per-shard residue
-    // can never outlive the keys that produced it.
-    std::fill(shard_heat_.begin(), shard_heat_.end(), 0);
-    for (std::uint32_t k = 0; k < key_heat_.size(); ++k) {
-        key_heat_[k] >>= 1;
-        shard_heat_[key_route_[k].shard] += key_heat_[k];
-    }
-}
-
-ShardedEngine::MigrationStats ShardedEngine::migration_stats() const noexcept {
-    MigrationStats m;
-    m.reshards = reshards_;
-    m.steals = steals_;
-    m.keys_moved = keys_moved_;
-    m.epoch = epoch_;
-    return m;
-}
-
 bool ShardedEngine::shard_parkable(std::uint32_t s) const {
+    // Called after an idle step, so the task's batch is exhausted.
     const ShardState& sh = *shards_[s];
     const std::lock_guard<std::mutex> lock(sh.mutex);
-    if (!sh.incoming.empty()) return false;  // lanes ready to install
-    if (sh.batch_pos < sh.batch.size()) {
-        // Only a head arrival blocked on a lane in transit may park; the
-        // deposit wakes the task through the shard waker.
-        const Pending& h = sh.batch[sh.batch_pos];
-        return h.kind == Pending::Kind::Arrival && sh.awaited.count(h.key) != 0;
-    }
     if (!sh.inbox.empty()) return false;  // published since the step
     if (!sh.input_closed) return true;    // idle: publish/close will wake
-    if (!sh.awaited.empty()) return true;  // handoff in flight: waker will wake
     return sh.eos_done;  // EOS work remains → keep running
 }
 
 std::uint32_t ShardedEngine::key_count() const {
-    return static_cast<std::uint32_t>(key_route_.size());
+    return static_cast<std::uint32_t>(key_shard_.size());
 }
 
 ShardedEngine::LaneFootprint ShardedEngine::lane_footprint() const {
@@ -395,21 +212,15 @@ std::size_t ShardedEngine::shard_queue_depth(std::uint32_t s) const {
     return shards_[s]->depth.load(std::memory_order_relaxed);
 }
 
-std::unique_ptr<ShardedEngine::KeyLane> ShardedEngine::make_lane(
-    ShardState& owner, std::uint32_t key) {
+std::unique_ptr<ShardedEngine::KeyLane> ShardedEngine::make_lane(ShardState& owner) {
     auto lane = std::make_unique<KeyLane>();
     KeyLane* lp = lane.get();
-    lp->key = key;
-    lp->owner = &owner;
     // The lane sink runs on the owning shard task's thread mid-drain:
     // translate constituents back to global stream positions, then hand the
     // result to the merger tagged with the trigger currently being
-    // processed. `owner` is re-pointed on migration (by the source task,
-    // before the deposit), so a moved lane's results land in its new
-    // shard's buffer under that shard's tags.
-    event::ResultSink lane_sink = [lp](event::ComplexEvent&& ce) {
+    // processed.
+    event::ResultSink lane_sink = [lp, sh = &owner](event::ComplexEvent&& ce) {
         lp->store.translate(ce.constituents);
-        ShardState* sh = lp->owner;
         const std::lock_guard<std::mutex> lock(sh->mutex);
         sh->results.push_back(TaggedResult{sh->current_tag, std::move(ce)});
     };
@@ -433,45 +244,8 @@ std::unique_ptr<ShardedEngine::KeyLane> ShardedEngine::make_lane(
 ShardedEngine::KeyLane& ShardedEngine::get_lane(ShardState& sh, std::uint32_t key) {
     auto it = sh.lanes.find(key);
     if (it == sh.lanes.end())
-        it = sh.lanes.emplace(key, make_lane(sh, key)).first;
+        it = sh.lanes.emplace(key, make_lane(sh)).first;
     return *it->second;
-}
-
-void ShardedEngine::install_incoming(ShardState& sh) {
-    std::vector<std::unique_ptr<KeyLane>> arrived;
-    {
-        const std::lock_guard<std::mutex> lock(sh.mutex);
-        if (sh.incoming.empty()) return;
-        arrived.swap(sh.incoming);
-        for (const auto& lane : arrived) sh.awaited.erase(lane->key);
-        if (sh.awaited.empty()) sh.batch_awaits = false;
-    }
-    for (auto& lane : arrived) {
-        sh.lanes[lane->key] = std::move(lane);
-        migrations_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-}
-
-void ShardedEngine::migrate_out(ShardState& sh, const Pending& p) {
-    std::unique_ptr<KeyLane> lane;
-    const auto it = sh.lanes.find(p.key);
-    if (it != sh.lanes.end()) {
-        lane = std::move(it->second);
-        sh.lanes.erase(it);
-    } else {
-        // Key routed here but no arrival processed yet (all still pending
-        // at the destination): hand over a fresh empty lane.
-        lane = make_lane(sh, p.key);
-    }
-    ShardState& dest = *shards_[p.to];
-    // Re-point before the deposit: the destination's mutex publishes the
-    // write, and only the destination task touches the lane afterwards.
-    lane->owner = &dest;
-    {
-        const std::lock_guard<std::mutex> lock(dest.mutex);
-        dest.incoming.push_back(std::move(lane));
-    }
-    if (waker_) waker_(p.to);
 }
 
 void ShardedEngine::drain_lane_quiescent(KeyLane& lane) {
@@ -558,13 +332,7 @@ bool ShardedEngine::take_inbox(ShardState& sh) {
     // Visible to the merger in the same critical section the entries leave
     // the inbox: results for the batch stay pending until this advances.
     sh.inflight = MergeTag{sh.batch.front().g, 0};
-    if (!sh.awaited.empty()) sh.batch_awaits = true;
     return true;
-}
-
-bool ShardedEngine::awaiting(ShardState& sh, std::uint32_t key) const {
-    const std::lock_guard<std::mutex> lock(sh.mutex);
-    return sh.awaited.count(key) != 0;
 }
 
 ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
@@ -573,23 +341,8 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
     ShardState& sh = *shards_[s];
     std::size_t budget = max_events > 0 ? max_events : 1;
     while (budget > 0) {
-        install_incoming(sh);
         if (sh.batch_pos < sh.batch.size() || take_inbox(sh)) {
-            Pending& p = sh.batch[sh.batch_pos];
-            if (p.kind == Pending::Kind::Migrate) {
-                migrate_out(sh, p);  // markers are budget-free
-                ++sh.batch_pos;
-                continue;
-            }
-            if (sh.batch_awaits && awaiting(sh, p.key)) {
-                // This key's lane is still in transit toward us; processing
-                // the arrival on a fresh lane would fork the sub-stream.
-                // Park — the deposit wakes us.
-                r.blocked = true;
-                r.idle = true;
-                break;
-            }
-            process_event(sh, std::move(p));
+            process_event(sh, std::move(sh.batch[sh.batch_pos]));
             ++sh.batch_pos;
             ++r.events;
             --budget;
@@ -602,31 +355,20 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
         bool done = false;
         bool can_eos = false;
         bool inbox_empty = true;
-        bool handoff_pending = false;
-        bool mailbox_full = false;
         {
             const std::lock_guard<std::mutex> lock(sh.mutex);
             done = sh.eos_done;
             inbox_empty = sh.inbox.empty();
-            handoff_pending = !sh.awaited.empty();
-            mailbox_full = !sh.incoming.empty();
             // The per-shard gate, not the engine-level flag, authorizes the
             // EOS drain: once it is set (under this lock) no publish can
             // reach here, so an EOS tag can never be followed by a smaller
-            // arrival tag. A lane still in transit toward us also vetoes
-            // EOS — its (EOS, key) results must not be skipped.
-            can_eos = sh.input_closed && inbox_empty && !handoff_pending &&
-                      !mailbox_full;
+            // arrival tag.
+            can_eos = sh.input_closed && inbox_empty;
             if (!done && can_eos) sh.eos_started = true;
         }
         if (done) break;
         if (!can_eos) {
-            if (!inbox_empty || mailbox_full) continue;  // raced-in work — go take it
-            if (handoff_pending) {
-                r.blocked = true;  // deposit (or rollback) wakes us
-                r.idle = true;
-                break;
-            }
+            if (!inbox_empty) continue;  // raced-in work — go take it
             r.idle = true;  // close in flight, gate not set yet — re-run on notify
             break;
         }
@@ -655,13 +397,11 @@ ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
 
 void ShardedEngine::merge_locked(StepResult& r) {
     const std::lock_guard<std::mutex> merge_lock(merge_mutex_);
-    // Frontier before inboxes AND before the span: an event published
-    // before this load is either still in an inbox or a batch (bounding
-    // below) or fully processed (its results already pushed) — and because
-    // the feeder grows task_span_ before routing anything to a new slot, any
-    // such event's slot is inside the span loaded next.
+    // Frontier before inboxes: an event published before this load is
+    // either still in an inbox or a batch (bounding below) or fully
+    // processed (its results already pushed).
     const event::Seq frontier = frontier_.load(std::memory_order_acquire);
-    const std::uint32_t span = task_span_.load(std::memory_order_acquire);
+    const std::size_t span = shards_.size();
     const bool closed = input_closed();
 
     // One lock round per shard: compute its lower bound AND splice off the
@@ -670,7 +410,6 @@ void ShardedEngine::merge_locked(StepResult& r) {
     // whole buffer here and merging locally keeps the release loop lock-free
     // — O(results) work under merge_mutex_ only, not O(results × shards)
     // lock traffic.
-    if (merge_scratch_.size() < span) merge_scratch_.resize(span);
     auto& pending = merge_scratch_;
     MergeTag min_bound = kInfTag;
     bool eos_all_done = closed;

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -532,59 +533,15 @@ TEST(CepServer, StatsMissReportedWhenStreamTruncates) {
     srv.stop();
 }
 
-// Elastic partitioning end to end (§13): a sharded session under an active
-// ReshardPolicy — grow and steal waves firing off live lane metrics while a
-// skewed stream (one symbol dominating) flows — must stay byte-identical to
-// the partitioned oracle. Adaptivity may only move lanes, never results.
-TEST(CepServer, AdaptiveReshardingSessionStaysByteIdentical) {
-    const server::ServerConfig cfg = server::ServerConfigBuilder{}
-                                          .pool_workers(2)
-                                          .quantum_steps(4)
-                                          .reshard_every_events(50)  // policy ON
-                                          .reshard_steal(1, 1.5)
-                                          .reshard_grow(4, 4)
-                                          .build();
-    server::CepServer srv(cfg);
-    srv.start();
-
-    const char* kPartitioned =
-        "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
-        "WITHIN 12 EVENTS FROM EVERY 4 EVENTS PARTITION BY SUBJECT CONSUME ALL";
-    // Skewed input: few symbols means one shard starts with most of the
-    // load under S=2 static hashing — exactly what the controller targets.
-    auto spec = make_session(kPartitioned, 1, wire_events(1200, 555, /*symbols=*/6));
-    spec.shards = 2;
-
-    harness::LoadGenClient client("127.0.0.1", srv.port());
-    const auto out = client.run_one(spec);
-
-    ASSERT_TRUE(out.error.empty()) << out.error;
-    ASSERT_TRUE(out.completed);
-    expect_byte_identical(
-        harness::partitioned_oracle(spec.query, spec.events, /*hello_key=*/""),
-        out.results, "adaptive-resharding");
-
-    // The migration ledger is published on the unified metrics plane.
-    const std::string scrape = http_scrape(srv.admin_port());
-    EXPECT_NE(scrape.find("spectre_lane_migrations"), std::string::npos);
-    EXPECT_NE(scrape.find("spectre_reshards"), std::string::npos);
-
-    srv.stop();
-    EXPECT_EQ(srv.stats().sessions_failed, 0u);
-    EXPECT_EQ(srv.stats().sessions_completed, 1u);
-}
-
-// The §13 shrink leg end to end: a generous shrink policy (every window is
-// "quiet") keeps halving the active width while grow pressure pushes it back
-// up — the width oscillates, the results must not move. Closes ROADMAP's
-// "controller never shrinks" honest limit.
-TEST(CepServer, ShrinkEnabledAdaptiveSessionStaysByteIdentical) {
+// Every shard index a HELLO may ask for has a live depth-peak series: the
+// server registers one per index below max_shards before any session's
+// metrics shard exists, so a 20-shard session's lanes 16..19 publish too.
+TEST(CepServer, LaneDepthPeakIsLivePastShardIndexFifteen) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    constexpr std::uint32_t kShards = 20;
     const server::ServerConfig cfg = server::ServerConfigBuilder{}
                                          .pool_workers(2)
-                                         .quantum_steps(4)
-                                         .reshard_every_events(40)   // policy ON
-                                         .reshard_grow(4, 2)
-                                         .reshard_shrink(1 << 20, 2) // everything is quiet
+                                         .max_shards(static_cast<int>(kShards))
                                          .build();
     server::CepServer srv(cfg);
     srv.start();
@@ -592,19 +549,36 @@ TEST(CepServer, ShrinkEnabledAdaptiveSessionStaysByteIdentical) {
     const char* kPartitioned =
         "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
         "WITHIN 12 EVENTS FROM EVERY 4 EVENTS PARTITION BY SUBJECT CONSUME ALL";
-    auto spec = make_session(kPartitioned, 1, wire_events(1500, 777, /*symbols=*/8));
-    spec.shards = 4;
+    auto spec = make_session(kPartitioned, 0, wire_events(20000, 1616, /*symbols=*/200));
+    spec.shards = kShards;
 
     harness::LoadGenClient client("127.0.0.1", srv.port());
     const auto out = client.run_one(spec);
-
     ASSERT_TRUE(out.error.empty()) << out.error;
     ASSERT_TRUE(out.completed);
     expect_byte_identical(
         harness::partitioned_oracle(spec.query, spec.events, /*hello_key=*/""),
-        out.results, "shrink-enabled");
+        out.results, "twenty-shards");
+
+    const std::string scrape = http_scrape(srv.admin_port());
+    std::uint64_t high = 0;
+    for (std::uint32_t s = 16; s < kShards; ++s)
+        high = std::max(high, series_value(scrape, "spectre_lane_depth_peak{shard=\"" +
+                                                       std::to_string(s) + "\"}"));
+    EXPECT_GT(high, 0u) << scrape;
     srv.stop();
     EXPECT_EQ(srv.stats().sessions_failed, 0u);
+}
+
+// A max_shards the metrics table cannot give one series per index is a
+// configuration error at build(), not a throw on the reactor at HELLO.
+TEST(CepServer, MaxShardsBeyondTheSeriesTableIsRejected) {
+    const int fits = static_cast<int>(obs::kMaxSeries - obs::sid::kCount);
+    EXPECT_NO_THROW(server::ServerConfigBuilder{}.max_shards(fits).build());
+    EXPECT_THROW(server::ServerConfigBuilder{}.max_shards(fits + 1).build(),
+                 std::invalid_argument);
+    EXPECT_THROW(server::ServerConfigBuilder{}.max_shards(1 << 20).build(),
+                 std::invalid_argument);
 }
 
 // One hand-off per read (§10): the reactor routes a read view's DATA frames
