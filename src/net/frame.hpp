@@ -87,7 +87,7 @@ inline double get_double(const std::vector<std::uint8_t>& buf, std::size_t& off)
 }
 
 // Raw-pointer variants for the scatter-decode path (DESIGN.md §14), which
-// parses frames in place from a backend-owned read view rather than from a
+// parses frames in place from a reactor-owned read view rather than from a
 // staged vector. The caller bounds-checks `p + sizeof(T)`.
 template <typename T>
 T get_raw(const std::uint8_t* p) {

@@ -182,7 +182,7 @@ event::ComplexEvent from_result_frame(const ResultFrame& r);
 //
 // Scatter mode (DESIGN.md §14): the reader is also the *staging* half of the
 // zero-copy ingest path. While empty(), the caller decodes DATA frames in
-// place from its backend-owned read view with scatter_data() below; only
+// place from its reactor-owned read view with scatter_data() below; only
 // control frames and the partial frame at a view's tail are fed here. The
 // invariant that keeps the two paths equivalent: bytes enter the reader in
 // wire order and the caller never scatters while empty() is false, so frame

@@ -99,7 +99,7 @@ constexpr BuiltinDef kBuiltins[] = {
     {"detector_window_events", Kind::Histogram, "events fed per completed window"},
     {"ingest_wire_bytes", Kind::Counter, "DATA-path bytes read off session sockets"},
     {"ingest_copied_bytes", Kind::Counter, "ingest bytes staged through FrameReader"},
-    {"ingest_reads", Kind::Counter, "backend read() calls returning data"},
+    {"ingest_reads", Kind::Counter, "reactor read() calls returning data"},
     {"ingest_frames_scatter", Kind::Counter, "DATA frames decoded in place"},
     {"ingest_frames_staged", Kind::Counter, "frames decoded via the staging path"},
     {"egress_writevs", Kind::Counter, "vectored egress flush syscalls"},

@@ -146,7 +146,7 @@ enum : std::uint32_t {
     // the server tests.
     kIngestWireBytes,
     kIngestCopiedBytes,
-    kIngestReads,          // backend read() calls that returned data
+    kIngestReads,          // reactor read() calls that returned data
     kIngestFramesScatter,  // DATA frames decoded in place from a read view
     kIngestFramesStaged,   // frames decoded via the FrameReader staging path
     kEgressWritevs,        // vectored egress flush syscalls

@@ -62,24 +62,19 @@ CepServer::CepServer(ServerConfig config)
         net::listen_loopback(config_.admin_port, config_.backlog, admin_port_);
     set_nonblocking(admin_listen_fd_);
 
-    // The I/O engine (§14): epoll by default; Uring probes at runtime and
-    // falls back, so construction never fails over the backend choice.
-    io_ = net::make_io_backend(config_.io_backend);
-    if (!io_->add(listen_fd_, kListenTag, net::IoBackend::kRead))
-        fail("IoBackend add(listen)");
-    if (!io_->add(admin_listen_fd_, kAdminListenTag, net::IoBackend::kRead))
-        fail("IoBackend add(admin listen)");
+    if (!io_.add(listen_fd_, kListenTag, net::Reactor::kRead)) fail("Reactor add(listen)");
+    if (!io_.add(admin_listen_fd_, kAdminListenTag, net::Reactor::kRead))
+        fail("Reactor add(admin listen)");
     linger_timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
     if (linger_timer_fd_ < 0) fail("timerfd_create");
-    if (!io_->add(linger_timer_fd_, kLingerTimerTag, net::IoBackend::kRead))
-        fail("IoBackend add(linger timer)");
+    if (!io_.add(linger_timer_fd_, kLingerTimerTag, net::Reactor::kRead))
+        fail("Reactor add(linger timer)");
 }
 
 CepServer::~CepServer() {
     stop();
     for (auto& [id, conn] : admin_conns_) ::close(conn.fd);
     admin_conns_.clear();
-    io_.reset();  // before the fds it may still reference
     if (linger_timer_fd_ >= 0) ::close(linger_timer_fd_);
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (admin_listen_fd_ >= 0) ::close(admin_listen_fd_);
@@ -150,7 +145,7 @@ ServerStats CepServer::stats() const {
     return s;
 }
 
-void CepServer::wake() { io_->wake(); }
+void CepServer::wake() { io_.wake(); }
 
 void CepServer::post_cmd(std::uint64_t id, SessionCmd cmd) {
     {
@@ -163,11 +158,11 @@ void CepServer::post_cmd(std::uint64_t id, SessionCmd cmd) {
 void CepServer::reactor_loop() {
     std::array<net::IoEvent, 64> events;
     while (!stopping_.load(std::memory_order_acquire)) {
-        const int n = io_->wait(events.data(), static_cast<int>(events.size()));
-        if (n < 0) break;  // backend unusable — shutting down
+        const int n = io_.wait(events.data(), static_cast<int>(events.size()));
+        if (n < 0) break;  // epoll unusable — shutting down
         for (int i = 0; i < n; ++i) {
             const net::IoEvent& ev = events[static_cast<std::size_t>(i)];
-            if (ev.tag == net::IoBackend::kWakeTag)
+            if (ev.tag == net::Reactor::kWakeTag)
                 drain_wake_and_commands();
             else if (ev.tag == kListenTag)
                 accept_clients();
@@ -215,13 +210,11 @@ void CepServer::accept_clients() {
         auto session = std::make_unique<ServerSession>(
             id, fd, config_.session, &registry_, registry_.make_shard(),
             std::move(hooks), &hub_, &compile_cache_);
-        // kStream binds the fd to the backend's buffered ingest path (§14):
-        // uring arms multishot recv into its provided buffer ring here.
-        if (!io_->add(fd, id, net::IoBackend::kRead | net::IoBackend::kStream)) {
+        if (!io_.add(fd, id, net::Reactor::kRead)) {
             // Registration failed — drop the connection, keep the server.
             continue;  // session destructor closes fd (and retires the shard)
         }
-        session->set_armed_mask(net::IoBackend::kRead);
+        session->set_armed_mask(net::Reactor::kRead);
         server_shard_->add(obs::Series{obs::sid::kSessionsAccepted}, 1);
         server_shard_->add(obs::Series{obs::sid::kSessionsLive}, 1);
         sessions_.emplace(id, std::move(session));
@@ -238,7 +231,7 @@ void CepServer::accept_admin_clients() {
             return;  // EAGAIN or a transient failure — nothing to accept
         }
         const auto id = next_session_id_++;
-        if (!io_->add(fd, id, net::IoBackend::kRead)) {
+        if (!io_.add(fd, id, net::Reactor::kRead)) {
             ::close(fd);
             continue;
         }
@@ -251,7 +244,7 @@ void CepServer::accept_admin_clients() {
 void CepServer::close_admin(std::uint64_t id) {
     const auto it = admin_conns_.find(id);
     if (it == admin_conns_.end()) return;
-    io_->del(it->second.fd);
+    io_.del(it->second.fd);
     ::close(it->second.fd);
     admin_conns_.erase(it);
 }
@@ -307,7 +300,7 @@ void CepServer::handle_admin_event(std::uint64_t id, const net::IoEvent& event) 
                        "Connection: close\r\n\r\n";
             conn.out += body;
         }
-        io_->mod(conn.fd, id, net::IoBackend::kWrite);
+        io_.mod(conn.fd, id, net::Reactor::kWrite);
     }
     if (conn.out.empty()) return;
     // Flush the response; close when done (Connection: close semantics).
@@ -337,7 +330,7 @@ void CepServer::handle_session_event(std::uint64_t id, const net::IoEvent& event
         if (it == sessions_.end()) return;
         ServerSession& s = *it->second;
         if (!s.egress_pending()) {
-            io_->del(s.fd());
+            io_.del(s.fd());
             s.set_armed_mask(0);
         }
     }
@@ -348,9 +341,9 @@ void CepServer::handle_readable(std::uint64_t id) {
     if (it == sessions_.end()) return;  // reaped earlier this batch
     ServerSession& s = *it->second;
     if (s.input_done()) return;
-    // on_readable drains the backend until Again (scatter-decoding DATA
+    // on_readable drains the reactor until Again (scatter-decoding DATA
     // frames straight into the session's store, §14).
-    for (;;) switch (s.on_readable(*io_)) {
+    for (;;) switch (s.on_readable(io_)) {
         case SessionStatus::Open:
             update_interest(s);
             return;
@@ -468,7 +461,7 @@ void CepServer::destroy_session(SessionMap::iterator it) {
     // closing its stream) — fail each one after the erase, so a subscriber
     // reaped inside the loop can't invalidate our iterator.
     const std::vector<ServerSession*> to_fail = it->second->hub_detach();
-    io_->del(it->second->fd());  // may already be detached — harmless
+    io_.del(it->second->fd());  // may already be detached — harmless
     server_shard_->sub(obs::Series{obs::sid::kSessionsLive}, 1);
     sessions_.erase(it);
     for (ServerSession* sub : to_fail) {
@@ -510,12 +503,12 @@ void CepServer::arm_linger_timer() {
 
 void CepServer::update_interest(ServerSession& s) {
     std::uint32_t mask = 0;
-    if (!s.input_done() && !s.read_paused()) mask |= net::IoBackend::kRead;
-    if (s.egress_pending()) mask |= net::IoBackend::kWrite;
+    if (!s.input_done() && !s.read_paused()) mask |= net::Reactor::kRead;
+    if (s.egress_pending()) mask |= net::Reactor::kWrite;
     if (mask == s.armed_mask()) return;
     // mod may fail with ENOENT after an ERR/HUP detach; that fd is done
     // delivering events, so the stale mask is harmless.
-    if (io_->mod(s.fd(), s.id(), mask)) s.set_armed_mask(mask);
+    if (io_.mod(s.fd(), s.id(), mask)) s.set_armed_mask(mask);
 }
 
 }  // namespace spectre::server

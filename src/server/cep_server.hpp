@@ -8,7 +8,7 @@
 // Architecture (one box per thread):
 //
 //    ┌ reactor ───────────────────────────────┐   ┌ engine pool ───────────┐
-//    │ IoBackend (epoll or io_uring, §14):    │   │ N workers multiplexing │
+//    │ epoll Reactor (§14):                   │   │ N workers multiplexing │
 //    │ listen fd, wake, every session fd.     │──▶│ every session's engine │
 //    │ Accepts clients, reads bytes, decodes  │   │ task in bounded quanta │
 //    │ typed frames, drives each session's    │◀──│ (§9); a waiting task   │
@@ -40,7 +40,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/io_backend.hpp"
+#include "net/reactor.hpp"
 #include "obs/metrics.hpp"
 #include "server/engine_pool.hpp"
 #include "server/session.hpp"
@@ -61,9 +61,6 @@ struct ServerConfig {
     // (auto-tuned). Tests shrink it so egress backpressure engages at the
     // configured cap instead of hiding inside megabytes of socket buffer.
     int session_sndbuf = 0;
-    // Reactor I/O engine (§14). Uring falls back to epoll when the kernel
-    // (or sandbox) refuses io_uring; SPECTRE_IO_BACKEND=epoll|uring overrides.
-    net::IoBackendKind io_backend = net::IoBackendKind::Epoll;
     SessionLimits session{};
 };
 
@@ -125,9 +122,8 @@ public:
     // tests may snapshot it directly instead of going through a socket.
     obs::Registry& registry() noexcept { return registry_; }
 
-    // The I/O engine actually driving the reactor ("epoll" or "io_uring") —
-    // a Uring request that fell back reports "epoll" here.
-    const char* io_backend_name() const noexcept { return io_->name(); }
+    // The reactor's readiness primitive, printed by hosts at start.
+    const char* io_backend_name() const noexcept { return "epoll"; }
 
     // Spawns the reactor thread and the engine pool. Call once.
     void start();
@@ -179,10 +175,10 @@ private:
     std::uint16_t port_ = 0;
     std::uint16_t admin_port_ = 0;
 
-    // The reactor's I/O engine (§14). Owns the readiness primitive, the wake
-    // channel and the ingest read buffers; the reactor thread is the only
-    // caller of everything except wake().
-    std::unique_ptr<net::IoBackend> io_;
+    // The reactor's epoll set (§14). Owns the wake channel and the ingest
+    // read buffer; the reactor thread is the only caller of everything
+    // except wake().
+    net::Reactor io_;
 
     // Declared before the pool and the sessions: both hold shards of (and
     // pointers into) the registry, so it must be destroyed last. The server
@@ -210,7 +206,7 @@ private:
     std::uint64_t next_session_id_ = 3;  // 0 = listen, 1 = linger timer, 2 = admin listen
 
     // Half-closed rejected handshakes awaiting EOF, oldest deadline first;
-    // linger_timer_fd_ (a timerfd on the reactor's backend) fires at the
+    // linger_timer_fd_ (a timerfd in the reactor's epoll set) fires at the
     // front deadline.
     int linger_timer_fd_ = -1;
     std::deque<std::pair<std::chrono::steady_clock::time_point, std::uint64_t>> lingering_;

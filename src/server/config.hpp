@@ -9,7 +9,7 @@
 //
 // How the layers map at runtime:
 //   ServerConfig            → reactor + pool shape (ports, backlog, workers,
-//                             socket buffers, io backend).
+//                             socket buffers).
 //   SessionLimits           → per-session engine shape; ServerSession turns
 //                             batch_events into core::RuntimeConfig
 //                             .batch_events and .quantum_budget for the
@@ -48,10 +48,6 @@ public:
     }
     ServerConfigBuilder& session_sndbuf(int bytes) {
         cfg_.session_sndbuf = bytes;
-        return *this;
-    }
-    ServerConfigBuilder& io_backend(net::IoBackendKind k) {
-        cfg_.io_backend = k;
         return *this;
     }
 

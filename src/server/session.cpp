@@ -66,7 +66,7 @@ ServerSession::~ServerSession() {
 
 // --- reactor side: ingest (§14 scatter path) --------------------------------
 
-SessionStatus ServerSession::on_readable(net::IoBackend& io) {
+SessionStatus ServerSession::on_readable(net::Reactor& io) {
     if (lingering_) return drain_lingering(io);
     for (;;) {
         // Frames already staged first: a ResumeRead re-entry must not wait
@@ -91,12 +91,12 @@ SessionStatus ServerSession::on_readable(net::IoBackend& io) {
         }
         // The staged frames of a ResumeRead re-entry go out as one hand-off.
         publish_ingest();
-        net::IoBackend::ReadView view;
+        net::Reactor::ReadView view;
         const auto rs = io.read(fd_, view);
-        if (rs == net::IoBackend::ReadStatus::Again)
+        if (rs == net::Reactor::ReadStatus::Again)
             return SessionStatus::Open;  // drained for now
-        if (rs == net::IoBackend::ReadStatus::Eof) return on_end_of_input();
-        if (rs == net::IoBackend::ReadStatus::Error)
+        if (rs == net::Reactor::ReadStatus::Eof) return on_end_of_input();
+        if (rs == net::Reactor::ReadStatus::Error)
             // Peer reset / transport error: the client is gone, so there is
             // nobody to send ERROR to.
             return fail(std::string("read failed: ") + std::strerror(io.read_error()),
@@ -145,7 +145,7 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
             }
             if (st == net::ScatterStatus::Data) {
                 ++scattered;
-                // The symbol view points into the backend's buffer — intern
+                // The symbol view points into the reactor's buffer — intern
                 // it now; nothing of the view outlives this iteration.
                 event::Event ev = data::make_quote(
                     vocab_, dv.ts, vocab_.schema->intern_subject(dv.symbol_view()),
@@ -653,12 +653,12 @@ SessionStatus ServerSession::fail(const std::string& message, bool send_error) {
     return SessionStatus::Finished;
 }
 
-SessionStatus ServerSession::drain_lingering(net::IoBackend& io) {
+SessionStatus ServerSession::drain_lingering(net::Reactor& io) {
     for (;;) {
-        net::IoBackend::ReadView view;
+        net::Reactor::ReadView view;
         const auto rs = io.read(fd_, view);
-        if (rs == net::IoBackend::ReadStatus::Data) continue;  // discarded
-        if (rs == net::IoBackend::ReadStatus::Again) return SessionStatus::Open;
+        if (rs == net::Reactor::ReadStatus::Data) continue;  // discarded
+        if (rs == net::Reactor::ReadStatus::Again) return SessionStatus::Open;
         lingering_ = false;  // EOF or a transport error: the peer is done
         return SessionStatus::Finished;
     }

@@ -24,7 +24,7 @@
 // state machine — the engine state needs no locks). The two sides meet:
 //
 //   * Ingest (§14 scatter path): the reactor decodes DATA frames straight out
-//     of the backend's read view into the session's EventStore (or the
+//     of the reactor's read view into the session's EventStore (or the
 //     sharded engine's staging batches) — one copy off the socket, published
 //     once per read view. Backpressure is a pacing counter: the worker
 //     stores what its engine has processed into `accepted_` (a k = 0
@@ -55,7 +55,7 @@
 #include "event/chunk_pins.hpp"
 #include "event/stream.hpp"
 #include "net/egress_ring.hpp"
-#include "net/io_backend.hpp"
+#include "net/reactor.hpp"
 #include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "sequential/seq_engine.hpp"
@@ -119,7 +119,7 @@ enum class SessionStatus {
 };
 
 // Commands a session posts to the reactor from a pool worker (applied on the
-// reactor thread, which owns the backend's interest sets).
+// reactor thread, which owns the epoll interest sets).
 enum class SessionCmd : std::uint8_t {
     ResumeRead,  // ingest drained below the low watermark
     WatchWrite,  // egress bytes pending — arm write interest
@@ -157,10 +157,10 @@ public:
     // --- reactor side --------------------------------------------------------
 
     // The fd is readable (or a ResumeRead re-entry): polls frames already
-    // staged, then drains the backend's read views for this fd (§14 scatter
+    // staged, then drains the reactor's read views for this fd (§14 scatter
     // decode), dispatching every frame. Never throws — any failure fails
     // this session only.
-    SessionStatus on_readable(net::IoBackend& io);
+    SessionStatus on_readable(net::Reactor& io);
 
     // The fd is writable: flush buffered egress bytes. Returns true when the
     // flush made credit available or emptied the buffer (the reactor then
@@ -208,7 +208,7 @@ public:
     // Reactor bookkeeping: input side finished (EOF / BYE'd out / failed).
     bool input_done() const noexcept { return input_done_; }
     void set_input_done() noexcept { input_done_ = true; }
-    // Backend interest currently armed for this fd (IoBackend mask bits).
+    // Epoll interest currently armed for this fd (Reactor mask bits).
     std::uint32_t armed_mask() const noexcept { return armed_mask_; }
     void set_armed_mask(std::uint32_t mask) noexcept { armed_mask_ = mask; }
     // The reactor handled this session's WatchWrite command; the task may
@@ -293,7 +293,7 @@ private:
     // socket down `shut_how` (SHUT_WR for a lingering close).
     void teardown(int shut_how);
     // Lingering input drain: discard until Again (Open) or EOF (Finished).
-    SessionStatus drain_lingering(net::IoBackend& io);
+    SessionStatus drain_lingering(net::Reactor& io);
     // `close_store` only from reactor dispatch paths (BYE / clean EOF): the
     // reactor is the sole appender, so no append can race the close. Abort
     // paths (worker-side engine failure, server stop) never close the store
@@ -303,7 +303,7 @@ private:
     void count_failed_once();
 
     // Scatter ingest (§14, reactor thread).
-    // Walks one backend read view: DATA frames decode in place into the
+    // Walks one reactor read view: DATA frames decode in place into the
     // store (unsharded) or a stack event routed to the sharded engine;
     // control frames and partial tails stage through reader_.
     SessionStatus consume_view(const std::uint8_t* data, std::size_t size);

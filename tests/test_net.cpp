@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -16,7 +15,7 @@
 
 #include "data/nyse_synth.hpp"
 #include "net/egress_ring.hpp"
-#include "net/io_backend.hpp"
+#include "net/reactor.hpp"
 #include "net/session.hpp"
 #include "net/tcp.hpp"
 
@@ -677,17 +676,16 @@ TEST(Scatter, SplitAtEveryBoundaryMatchesStagedDecode) {
 }
 
 // ---------------------------------------------------------------------------
-// IoBackend (§14): the same stream lifecycle driven through both reactor
-// backends — bytes in order, clean EOF, cross-thread wake. The uring test
-// self-skips where the kernel (or a sandbox) refuses io_uring.
+// Reactor (§14): the stream lifecycle — bytes in order, clean EOF,
+// cross-thread wake — and fd reuse.
 
 namespace {
 
-void exercise_stream(IoBackend& io) {
+void exercise_stream(Reactor& io) {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
     const int rfd = sv[0], wfd = sv[1];
-    ASSERT_TRUE(io.add(rfd, 7, IoBackend::kRead | IoBackend::kStream));
+    ASSERT_TRUE(io.add(rfd, 7, Reactor::kRead));
 
     std::vector<std::uint8_t> pattern(256 * 1024);
     for (std::size_t i = 0; i < pattern.size(); ++i)
@@ -724,14 +722,14 @@ void exercise_stream(IoBackend& io) {
         for (int i = 0; i < n; ++i) {
             if (events[i].tag != 7) continue;
             for (;;) {
-                IoBackend::ReadView view;
+                Reactor::ReadView view;
                 const auto rs = io.read(rfd, view);
-                if (rs == IoBackend::ReadStatus::Data) {
+                if (rs == Reactor::ReadStatus::Data) {
                     got.insert(got.end(), view.data, view.data + view.size);
                     continue;
                 }
-                if (rs == IoBackend::ReadStatus::Eof) saw_eof = true;
-                ASSERT_NE(rs, IoBackend::ReadStatus::Error)
+                if (rs == Reactor::ReadStatus::Eof) saw_eof = true;
+                ASSERT_NE(rs, Reactor::ReadStatus::Error)
                     << std::strerror(io.read_error());
                 break;
             }
@@ -741,7 +739,7 @@ void exercise_stream(IoBackend& io) {
         if (!toggled && got.size() > pattern.size() / 2) {
             toggled = true;
             ASSERT_TRUE(io.mod(rfd, 7, 0));
-            ASSERT_TRUE(io.mod(rfd, 7, IoBackend::kRead));
+            ASSERT_TRUE(io.mod(rfd, 7, Reactor::kRead));
         }
     }
     ASSERT_TRUE(saw_eof) << "stream never reached EOF";
@@ -763,7 +761,7 @@ void exercise_stream(IoBackend& io) {
         const int n = io.wait(events, 8);  // blocks; 0 only on EINTR
         ASSERT_GE(n, 0);
         for (int i = 0; i < n; ++i)
-            if (events[i].tag == IoBackend::kWakeTag) woke = true;
+            if (events[i].tag == Reactor::kWakeTag) woke = true;
     }
     waker.join();
     EXPECT_TRUE(woke);
@@ -771,18 +769,18 @@ void exercise_stream(IoBackend& io) {
 
 // Reads everything `tag` has ready once wait() reports it; false on EOF or
 // error, or when it never became readable.
-bool read_ready(IoBackend& io, int fd, std::uint64_t tag, std::string& got) {
+bool read_ready(Reactor& io, int fd, std::uint64_t tag, std::string& got) {
     for (int spin = 0; spin < 1000; ++spin) {
         IoEvent events[8];
         const int n = io.wait(events, 8);
         if (n < 0) return false;
         for (int i = 0; i < n; ++i) {
             if (events[i].tag != tag) continue;
-            IoBackend::ReadView view;
-            IoBackend::ReadStatus rs;
-            while ((rs = io.read(fd, view)) == IoBackend::ReadStatus::Data)
+            Reactor::ReadView view;
+            Reactor::ReadStatus rs;
+            while ((rs = io.read(fd, view)) == Reactor::ReadStatus::Data)
                 got.append(reinterpret_cast<const char*>(view.data), view.size);
-            return rs == IoBackend::ReadStatus::Again;
+            return rs == Reactor::ReadStatus::Again;
         }
     }
     return false;
@@ -792,11 +790,11 @@ bool read_ready(IoBackend& io, int fd, std::uint64_t tag, std::string& got) {
 // registration must see only its own bytes, and tearing it down must release
 // the socket (the peer sees EOF) — nothing the old registration left in
 // flight may attach to it.
-void exercise_fd_reuse(IoBackend& io) {
+void exercise_fd_reuse(Reactor& io) {
     int first[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, first), 0);
     const int fd = first[0];
-    ASSERT_TRUE(io.add(fd, 1, IoBackend::kRead | IoBackend::kStream));
+    ASSERT_TRUE(io.add(fd, 1, Reactor::kRead));
     ASSERT_EQ(::send(first[1], "x", 1, MSG_NOSIGNAL), 1);
     std::string got;
     ASSERT_TRUE(read_ready(io, fd, 1, got));
@@ -811,16 +809,13 @@ void exercise_fd_reuse(IoBackend& io) {
         ASSERT_EQ(::dup2(second[0], fd), fd);
         ::close(second[0]);
     }
-    ASSERT_TRUE(io.add(fd, 2, IoBackend::kRead | IoBackend::kStream));
+    ASSERT_TRUE(io.add(fd, 2, Reactor::kRead));
     ASSERT_EQ(::send(second[1], "yz", 2, MSG_NOSIGNAL), 2);
     got.clear();
     ASSERT_TRUE(read_ready(io, fd, 2, got)) << "reused fd reported EOF or error";
     EXPECT_EQ(got, "yz");
     io.del(fd);
     ::close(fd);
-    io.wake();  // one more wait() pass submits whatever teardown del queued
-    IoEvent events[8];
-    ASSERT_GE(io.wait(events, 8), 0);
 
     pollfd pfd{second[1], POLLIN, 0};
     ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "reused socket still held open";
@@ -831,57 +826,14 @@ void exercise_fd_reuse(IoBackend& io) {
 
 }  // namespace
 
-TEST(IoBackend, EpollFdReuseSeesOnlyTheNewSocket) {
-    const auto io = make_epoll_backend();
-    ASSERT_NE(io, nullptr);
-    exercise_fd_reuse(*io);
+TEST(Reactor, FdReuseSeesOnlyTheNewSocket) {
+    Reactor io;
+    exercise_fd_reuse(io);
 }
 
-TEST(IoBackend, UringFdReuseSeesOnlyTheNewSocket) {
-    if (!uring_supported()) GTEST_SKIP() << "io_uring unavailable on this kernel";
-    const auto io = make_uring_backend();
-    ASSERT_NE(io, nullptr);
-    exercise_fd_reuse(*io);
-}
-
-TEST(IoBackend, EpollStreamsBytesInOrder) {
-    const auto io = make_epoll_backend();
-    ASSERT_NE(io, nullptr);
-    EXPECT_STREQ(io->name(), "epoll");
-    exercise_stream(*io);
-}
-
-TEST(IoBackend, UringStreamsBytesInOrder) {
-    if (!uring_supported()) GTEST_SKIP() << "io_uring unavailable on this kernel";
-    const auto io = make_uring_backend();
-    ASSERT_NE(io, nullptr);
-    EXPECT_STREQ(io->name(), "io_uring");
-    exercise_stream(*io);
-}
-
-TEST(IoBackend, FactoryHonorsKindAndFallsBack) {
-    // SPECTRE_IO_BACKEND overrides the requested kind (that is how the CI
-    // uring leg re-runs every suite); without it the kind wins.
-    const char* env = std::getenv("SPECTRE_IO_BACKEND");
-    const std::string forced = env ? env : "";
-
-    const auto epoll = make_io_backend(IoBackendKind::Epoll);
-    ASSERT_NE(epoll, nullptr);
-    if (forced.empty()) {
-        EXPECT_STREQ(epoll->name(), "epoll");
-    } else if (forced == "uring" && uring_supported()) {
-        EXPECT_STREQ(epoll->name(), "io_uring");
-    }
-
-    // A Uring request never yields nullptr: it is io_uring where supported
-    // and the epoll fallback everywhere else.
-    const auto uring = make_io_backend(IoBackendKind::Uring);
-    ASSERT_NE(uring, nullptr);
-    if (forced == "epoll" || !uring_supported()) {
-        EXPECT_STREQ(uring->name(), "epoll");
-    } else {
-        EXPECT_STREQ(uring->name(), "io_uring");
-    }
+TEST(Reactor, StreamsBytesInOrder) {
+    Reactor io;
+    exercise_stream(io);
 }
 
 TEST(FrameReader, TailNeedNamesExactCompletionBytes) {

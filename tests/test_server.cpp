@@ -725,14 +725,13 @@ TEST(CepServer, SequentialAndSpectreSessionsAgree) {
 
 // ---------------------------------------------------------------------------
 // Zero-copy ingest + vectored egress (DESIGN.md §14): the byte-accounting
-// counters assert the bulk DATA path takes exactly one copy off the socket,
-// and the io_uring backend is held to the same byte-parity bar as epoll.
+// counters assert the bulk DATA path takes exactly one copy off the socket.
 // ---------------------------------------------------------------------------
 
 TEST(CepServer, ScatterIngestTakesOneCopyOffTheSocket) {
     constexpr std::uint64_t kEvents = 4000;
     // The one-copy invariant is a *hot-path* property: an ingest pause must
-    // stage the view's unread tail (the backend recycles its buffer on the
+    // stage the view's unread tail (the reactor recycles its buffer on the
     // next read), which is a deliberate copy under backpressure. Keep the
     // watermark above the whole burst so this test measures the un-paused
     // path the counters are meant to assert.
@@ -772,71 +771,6 @@ TEST(CepServer, ScatterIngestTakesOneCopyOffTheSocket) {
     EXPECT_GT(counter(snap, obs::sid::kEgressBytesSent), 0u);
 }
 
-TEST(CepServer, UringBackendMatchesSequentialByteForByte) {
-    if (!net::uring_supported()) GTEST_SKIP() << "io_uring unavailable on this kernel";
-    const server::ServerConfig cfg = server::ServerConfigBuilder{}
-                                         .io_backend(net::IoBackendKind::Uring)
-                                         .build();
-    server::CepServer srv(cfg);
-    ASSERT_STREQ(srv.io_backend_name(), "io_uring");
-    srv.start();
-
-    // The acceptance-test mix — engines, mid-stream waits, an interleaved
-    // STATS control frame — driven through the uring reactor.
-    std::vector<harness::LoadGenSession> specs(4);
-    specs[0] = make_session(kRisingPairQuery, 0, wire_events(600, 101), /*wait_result_after=*/300);
-    specs[1] = make_session(kRisingTripleQuery, 2, wire_events(500, 202), /*wait_result_after=*/250);
-    specs[2] = make_session(kFallingPairQuery, 1, wire_events(550, 303, 30, 0.4),
-                            /*wait_result_after=*/275);
-    specs[3] = make_session(kLeaderQuery, 2, wire_events(450, 404), /*wait_result_after=*/225);
-    specs[1].stats_after = 200;
-
-    harness::LoadGenClient client("127.0.0.1", srv.port());
-    const auto outcomes = client.run(specs);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const auto& out = outcomes[i];
-        const std::string label = "uring session " + std::to_string(i);
-        EXPECT_TRUE(out.error.empty()) << label << ": " << out.error;
-        EXPECT_TRUE(out.completed) << label;
-        EXPECT_GE(out.results_before_bye, 1u) << label;
-        expect_byte_identical(sequential_ground_truth(specs[i].query, specs[i].events),
-                              out.results, label);
-    }
-
-    srv.stop();
-    EXPECT_EQ(srv.stats().sessions_completed, 4u);
-    EXPECT_EQ(srv.stats().sessions_failed, 0u);
-}
-
-TEST(CepServer, UringBackendIsolatesCorruptSessions) {
-    if (!net::uring_supported()) GTEST_SKIP() << "io_uring unavailable on this kernel";
-    const server::ServerConfig cfg = server::ServerConfigBuilder{}
-                                         .io_backend(net::IoBackendKind::Uring)
-                                         .build();
-    server::CepServer srv(cfg);
-    srv.start();
-
-    std::vector<harness::LoadGenSession> specs(3);
-    specs[0] = make_session(kRisingPairQuery, 0, wire_events(400, 111));
-    specs[1] = make_session(kRisingPairQuery, 2, wire_events(400, 222));
-    specs[1].corrupt_after = 100;
-    specs[2] = make_session(kRisingTripleQuery, 0, wire_events(400, 333));
-
-    harness::LoadGenClient client("127.0.0.1", srv.port());
-    const auto outcomes = client.run(specs);
-    EXPECT_FALSE(outcomes[1].completed);
-    EXPECT_FALSE(outcomes[1].error.empty());
-    for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-        const std::string label = "uring session " + std::to_string(i);
-        EXPECT_TRUE(outcomes[i].completed) << label << ": " << outcomes[i].error;
-        expect_byte_identical(sequential_ground_truth(specs[i].query, specs[i].events),
-                              outcomes[i].results, label);
-    }
-    srv.stop();
-    EXPECT_EQ(srv.stats().sessions_failed, 1u);
-    EXPECT_EQ(srv.stats().sessions_completed, 2u);
-}
-
 // ---------------------------------------------------------------------------
 // Egress fault injection at the session level (§14): the real ServerSession
 // flushing through an adversarial sendv — random partial writes, EINTR,
@@ -853,7 +787,7 @@ struct ManualSessionHarness {
     obs::Registry registry;
     server::EngineTask* task = nullptr;
     std::vector<std::pair<std::uint64_t, server::SessionCmd>> cmds;
-    std::unique_ptr<net::IoBackend> io = net::make_epoll_backend();
+    net::Reactor io;
     std::unique_ptr<server::ServerSession> session;
     int client_fd = -1;
 
@@ -894,7 +828,7 @@ struct ManualSessionHarness {
                 sent_all = true;
             }
             if (read_open &&
-                session->on_readable(*io) == server::SessionStatus::Finished)
+                session->on_readable(io) == server::SessionStatus::Finished)
                 read_open = false;
             if (task && !task_done &&
                 task->run_quantum() == server::EngineTask::Quantum::Done)
