@@ -12,10 +12,7 @@ Ratio mode (default):
   Compares a freshly generated smoke-scale bench record against the
   committed BENCH_hotpath.json. Rows are keyed by their identity fields
   (experiment, shape, mode, engine, k, shards, ...); the first throughput
-  metric present in both rows is compared. Rows carrying a streaming
-  `overlap_gain` additionally get their own gain row (the E-stream
-  speculation-pays-off signal: > 1.0 means ingest-while-detect beat
-  materialize-then-process).
+  metric present in both rows is compared.
 
 History mode:
     perf_trend.py --history <history.jsonl> <fresh.json>
@@ -36,15 +33,10 @@ import sys
 # a pair is the one compared (and the one charted in history mode).
 METRICS = ["eps_compiled", "eps_p50", "eps"]
 
-# Secondary metrics that get their own table row when present (identity key
-# suffixed with the metric name). overlap_gain is the E-stream headline:
-# streaming detection overlapping ingestion rather than waiting for it.
-EXTRA_METRICS = ["overlap_gain"]
-
 # Everything measured rather than configured: excluded from row identity.
 NON_IDENTITY = {
     "eps", "eps_p50", "eps_tree", "eps_compiled", "speedup", "speedup_vs_s1",
-    "overlap_gain", "decode_seconds_p50", "speculation_wasted_events_p50",
+    "decode_seconds_p50", "speculation_wasted_events_p50",
     "first_result_ms_p50", "results", "quanta", "parks_input", "parks_egress",
     "sched_steps", "sched_cycles", "sched_cycles_skipped", "sched_batches",
     "sched_batch_events", "sched_ready_depth_max",
@@ -115,18 +107,14 @@ def compare(baseline_path, fresh_path):
         fresh_row = fresh.get(key)
         if fresh_row is None:
             continue
-        metric = next((m for m in METRICS if m in base_row and m in fresh_row), None)
-        pairs = [(metric, True)] if metric and base_row[metric] else []
-        # overlap_gain (etc.) rides along as its own row: a gain is already a
-        # ratio, so the committed/fresh ratio reads as "did the gain hold".
-        pairs += [(m, False) for m in EXTRA_METRICS
-                  if m in base_row and m in fresh_row and base_row[m]]
-        for m, _ in pairs:
-            ratio = fresh_row[m] / base_row[m]
-            flag = "⚠️" if ratio < WARN_BELOW else ""
-            print(f"| {fmt_key(key)} ({m}) | {base_row[m]:.3g} "
-                  f"| {fresh_row[m]:.3g} | {ratio:.2f}x | {flag} |")
-            compared += 1
+        m = next((m for m in METRICS if m in base_row and m in fresh_row), None)
+        if not m or not base_row[m]:
+            continue
+        ratio = fresh_row[m] / base_row[m]
+        flag = "⚠️" if ratio < WARN_BELOW else ""
+        print(f"| {fmt_key(key)} ({m}) | {base_row[m]:.3g} "
+              f"| {fresh_row[m]:.3g} | {ratio:.2f}x | {flag} |")
+        compared += 1
     print()
     print(f"_{compared} rows compared; "
           f"{len(baseline)} committed, {len(fresh)} fresh._")
@@ -165,15 +153,14 @@ def history(history_path, fresh_path):
             f.write(json.dumps(e, sort_keys=True) + "\n")
 
     # Longitudinal table: one line per experiment row, one column per run
-    # (newest SHOW_RUNS), cell = the row's first throughput metric (or the
-    # extra metric for its ride-along rows).
+    # (newest SHOW_RUNS), cell = the row's first throughput metric.
     shown = runs[-SHOW_RUNS:]
     by_key = {}
     for e in entries:
         row = e["row"]
         key = identity(row)
-        metric = next((m for m in METRICS if m in row), None)
-        for m in ([metric] if metric else []) + [x for x in EXTRA_METRICS if x in row]:
+        m = next((m for m in METRICS if m in row), None)
+        if m:
             by_key.setdefault((key, m), {})[e["run"]] = row[m]
 
     print("### Bench history (longitudinal, last "

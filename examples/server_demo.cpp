@@ -6,12 +6,15 @@
 // Each client streams a synthetic NYSE day as DATA frames and receives its
 // complex events back as RESULT frames *while still sending* — the demo
 // prints, per session, how many results had already arrived before the
-// client finished its stream.
+// client finished its stream. Every session's RESULT stream is then compared
+// byte for byte with the sequential oracle over the same input; the demo
+// exits non-zero on any mismatch.
 #include <cstdio>
 #include <memory>
 
 #include "data/nyse_synth.hpp"
 #include "harness/load_gen.hpp"
+#include "harness/oracle.hpp"
 #include "server/cep_server.hpp"
 
 using namespace spectre;
@@ -85,11 +88,15 @@ int main() {
             ok = false;
             continue;
         }
+        const bool identical = harness::results_identical(
+            harness::sequential_oracle(specs[i].query, specs[i].events), out.results);
+        ok = ok && identical;
         std::printf(
             "%-14s sent %zu events, received %zu complex events "
-            "(%zu before end-of-stream) in %.2fs\n",
+            "(%zu before end-of-stream) in %.2fs, %s\n",
             kNames[i], out.events_sent, out.results.size(), out.results_before_bye,
-            out.wall_seconds);
+            out.wall_seconds,
+            identical ? "identical to sequential" : "MISMATCH vs sequential");
         if (!out.stats_json.empty())
             std::printf("%-14s mid-stream STATS reply: %.120s...\n", kNames[i],
                         out.stats_json.front().c_str());

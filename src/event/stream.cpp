@@ -7,48 +7,6 @@
 
 namespace spectre::event {
 
-VectorStream::VectorStream(std::vector<Event> events) : events_(std::move(events)) {}
-
-std::optional<Event> VectorStream::next() {
-    if (pos_ >= events_.size()) return std::nullopt;
-    return events_[pos_++];
-}
-
-void LiveStream::push(Event e) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        SPECTRE_REQUIRE(!closed_, "push on a closed LiveStream");
-        queue_.push_back(e);
-    }
-    cv_.notify_one();
-}
-
-void LiveStream::push_all(const std::vector<Event>& events) {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        SPECTRE_REQUIRE(!closed_, "push on a closed LiveStream");
-        queue_.insert(queue_.end(), events.begin(), events.end());
-    }
-    cv_.notify_one();
-}
-
-void LiveStream::close() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = true;
-    }
-    cv_.notify_all();
-}
-
-std::optional<Event> LiveStream::next() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !queue_.empty() || closed_; });
-    if (queue_.empty()) return std::nullopt;
-    Event e = queue_.front();
-    queue_.pop_front();
-    return e;
-}
-
 EventStore::~EventStore() { free_chunks(); }
 
 void EventStore::free_chunks() noexcept {
@@ -122,10 +80,6 @@ Seq EventStore::append(Event e) {
     // the chunk pointer and the event bytes written above.
     publish_appends();
     return n;
-}
-
-void EventStore::append_all(EventStream& stream) {
-    while (auto e = stream.next()) append(*e);
 }
 
 std::size_t EventStore::release_chunks_below(Seq seq) noexcept {

@@ -1,12 +1,13 @@
-// Event stream abstractions.
+// The event store: the one way into an engine.
 //
-// EventStream is a pull interface (next() until nullopt); LiveStream is the
-// push-based counterpart that bridges a producer thread (socket reader,
-// generator) to a pulling consumer. The engines address events through an
-// EventStore: windows are ranges over the store, operator instances address
-// events by position, and the consumption bookkeeping addresses them by seq —
-// the shared-memory layout sketched in Fig. 2 ("events / windows" both live
-// in shared memory).
+// Every producer — a server session's reactor, a hub publisher, a bench or
+// test loop — appends to an EventStore, and the engines read it: batch run()
+// over a store that already holds the whole input, or cooperative step() /
+// SeqStepper::drain() over one that is still growing. The engines address
+// events through the store: windows are ranges over it, operator instances
+// address events by position, and the consumption bookkeeping addresses them
+// by seq — the shared-memory layout sketched in Fig. 2 ("events / windows"
+// both live in shared memory).
 //
 // The store is an ingestion *frontier*, not a finished batch: one writer
 // appends while detection is already running. Engines read `size()` (the
@@ -19,55 +20,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "event/event.hpp"
 
 namespace spectre::event {
-
-class EventStream {
-public:
-    virtual ~EventStream() = default;
-    // Returns the next event in stream order, or nullopt at end-of-stream.
-    virtual std::optional<Event> next() = 0;
-};
-
-// Stream over a pre-built vector (datasets, tests).
-class VectorStream final : public EventStream {
-public:
-    explicit VectorStream(std::vector<Event> events);
-    std::optional<Event> next() override;
-
-private:
-    std::vector<Event> events_;
-    std::size_t pos_ = 0;
-};
-
-// Push-based live stream: a producer thread pushes events (decoded from a
-// socket, generated on the fly); next() blocks until an event is available or
-// the producer closes the stream. This is the glue between "events arrive"
-// and the pull-based ingestion loops.
-class LiveStream final : public EventStream {
-public:
-    void push(Event e);
-    void push_all(const std::vector<Event>& events);
-    // Signals end-of-stream; next() returns nullopt once the queue drains.
-    void close();
-
-    std::optional<Event> next() override;
-
-private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<Event> queue_;
-    bool closed_ = false;
-};
 
 class EventStore;
 
@@ -177,9 +136,6 @@ public:
                     std::memory_order_release);
         pending_ = 0;
     }
-
-    // Drains an entire stream into the store.
-    void append_all(EventStream& stream);
 
     // Writer-side: publishes end-of-stream. No append() may follow.
     void close() noexcept { closed_.store(true, std::memory_order_release); }

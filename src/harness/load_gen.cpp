@@ -21,8 +21,8 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// One session's client-side driver state. The transport is net::TcpClient —
-// the same hardened connect/send path the single-connection pipeline uses.
+// One session's client-side driver state. The transport is net::TcpClient,
+// the connecting side of net/tcp.hpp.
 struct Driver {
     std::optional<net::TcpClient> conn;
     net::FrameReader reader;

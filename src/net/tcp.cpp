@@ -81,100 +81,47 @@ int listen_loopback(std::uint16_t port, int backlog, std::uint16_t& bound_port) 
     }
 }
 
-TcpSource::TcpSource(std::uint16_t port) {
-    listen_fd_ = listen_loopback(port, /*backlog=*/1, port_);
-}
-
-TcpSource::~TcpSource() {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-int TcpSource::accept_client() {
-    for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd >= 0) return fd;
-        if (errno != EINTR) fail("accept");
-    }
-}
-
-std::size_t TcpSource::receive_into(event::EventStore& store,
-                                    const data::StockVocab& vocab) {
-    TcpStream stream(*this, vocab);
-    std::size_t received = 0;
-    while (auto e = stream.next()) {
-        store.append(*e);
-        ++received;
-    }
-    return received;
-}
-
-TcpStream::TcpStream(TcpSource& source, const data::StockVocab& vocab)
-    : fd_(source.accept_client()), vocab_(&vocab) {}
-
-TcpStream::~TcpStream() {
-    if (fd_ >= 0) ::close(fd_);
-}
-
-std::optional<event::Event> TcpStream::next() {
-    if (fd_ < 0) return std::nullopt;  // already at end-of-stream
-    std::uint8_t chunk[4096];
-    for (;;) {
-        if (auto q = decode(buffer_, offset_)) return from_wire(*q, *vocab_);
-        // Compact consumed bytes occasionally so the buffer stays small.
-        if (offset_ > 1 << 16) {
-            buffer_.erase(buffer_.begin(),
-                          buffer_.begin() + static_cast<std::ptrdiff_t>(offset_));
-            offset_ = 0;
-        }
-        const ssize_t n = read_some(fd_, chunk, sizeof(chunk));
-        if (n == 0) {
-            const bool truncated = offset_ < buffer_.size();
-            ::close(fd_);
-            fd_ = -1;
-            // A clean close lands exactly on a frame boundary. Anything else
-            // means the client died mid-frame — surface it instead of
-            // silently dropping the partial event.
-            if (truncated)
-                throw std::runtime_error(
-                    "tcp stream: connection closed mid-frame (truncated event)");
-            return std::nullopt;
-        }
-        buffer_.insert(buffer_.end(), chunk, chunk + static_cast<std::size_t>(n));
-    }
-}
-
 TcpClient::TcpClient(const std::string& host, std::uint16_t port, int rcvbuf) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) fail("socket");
-    if (rcvbuf > 0 &&
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)) < 0)
-        fail("setsockopt(SO_RCVBUF)");
-    // Clients send small frames (one quote, one control frame) and wait on
-    // the replies; Nagle would hold each small write back until the previous
-    // one is ACKed, which the peer's delayed ACK stretches to milliseconds.
-    const int nodelay = 1;
-    if (::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay)) < 0)
-        fail("setsockopt(TCP_NODELAY)");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-        throw std::runtime_error("bad host address: " + host);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-        // An EINTR'd connect continues asynchronously (POSIX): wait for
-        // writability, then read the final verdict from SO_ERROR. Re-calling
-        // connect() would spuriously report EALREADY.
-        if (errno != EINTR) fail("connect");
-        pollfd p{fd_, POLLOUT, 0};
-        while (::poll(&p, 1, -1) < 0)
-            if (errno != EINTR) fail("poll");
-        int err = 0;
-        socklen_t len = sizeof(err);
-        if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) < 0) fail("getsockopt");
-        if (err != 0) {
-            errno = err;
-            fail("connect");
+    // A throwing constructor never runs the destructor: close the socket
+    // here or every failed connect leaks one fd.
+    try {
+        if (rcvbuf > 0 &&
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)) < 0)
+            fail("setsockopt(SO_RCVBUF)");
+        // Clients send small frames (one quote, one control frame) and wait
+        // on the replies; Nagle would hold each small write back until the
+        // previous one is ACKed, which the peer's delayed ACK stretches to
+        // milliseconds.
+        const int nodelay = 1;
+        if (::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay)) < 0)
+            fail("setsockopt(TCP_NODELAY)");
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
+            throw std::runtime_error("bad host address: " + host);
+        if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+            // An EINTR'd connect continues asynchronously (POSIX): wait for
+            // writability, then read the final verdict from SO_ERROR.
+            // Re-calling connect() would spuriously report EALREADY.
+            if (errno != EINTR) fail("connect");
+            pollfd p{fd_, POLLOUT, 0};
+            while (::poll(&p, 1, -1) < 0)
+                if (errno != EINTR) fail("poll");
+            int err = 0;
+            socklen_t len = sizeof(err);
+            if (::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) < 0)
+                fail("getsockopt");
+            if (err != 0) {
+                errno = err;
+                fail("connect");
+            }
         }
+    } catch (...) {
+        close();
+        throw;
     }
 }
 
@@ -197,11 +144,6 @@ void TcpClient::send(const WireQuote& q) {
 void TcpClient::send_raw(const std::uint8_t* data, std::size_t n) {
     if (!send_all_bytes(fd_, data, n))
         throw std::runtime_error("send: connection closed by peer");
-}
-
-void TcpClient::send_all(const std::vector<event::Event>& events,
-                         const data::StockVocab& vocab) {
-    for (const auto& e : events) send(to_wire(e, vocab));
 }
 
 }  // namespace spectre::net

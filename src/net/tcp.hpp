@@ -1,27 +1,17 @@
-// Minimal TCP transport for quote streams (POSIX sockets), mirroring the
-// paper's deployment: a client streams events from a file / generator to the
-// engine over a TCP connection (§4.1).
-//
-//   TcpSource — listens on a port and accepts one client.
-//   TcpStream — pull-based EventStream over the accepted connection: yields
-//               each event as its frame arrives, so the engines detect while
-//               the client is still sending (ingest-while-detect, DESIGN.md
-//               §6). Feed it to SpectreRuntime::run(EventStream&) or
-//               SequentialEngine::run_stream().
-//   TcpClient — connects (TCP_NODELAY) and sends events.
-//
-// Blocking one-connection design: the receive path decodes frames
-// incrementally from the socket buffer; receive_into remains as the batch
-// convenience that drains the connection to end-of-stream before returning.
+// Minimal TCP transport over POSIX sockets, mirroring the paper's
+// deployment: a client streams events to the engine over a TCP connection
+// (§4.1). The server side is server::CepServer (DESIGN.md §8), whose reactor
+// appends each decoded DATA frame to the session's EventStore; this header
+// holds the blocking pieces it and its clients share — the loopback
+// listener, the write-all and read helpers, and TcpClient, the connecting
+// side (TCP_NODELAY) used by the load generator and the tests.
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "event/stream.hpp"
 #include "net/frame.hpp"
 
 namespace spectre::net {
@@ -43,55 +33,6 @@ ssize_t read_some(int fd, std::uint8_t* data, std::size_t n);
 // fd (caller owns). Closes the fd and throws on any failure.
 int listen_loopback(std::uint16_t port, int backlog, std::uint16_t& bound_port);
 
-class TcpSource {
-public:
-    // Binds and listens on 127.0.0.1:`port` (port 0 = ephemeral).
-    explicit TcpSource(std::uint16_t port);
-    ~TcpSource();
-
-    TcpSource(const TcpSource&) = delete;
-    TcpSource& operator=(const TcpSource&) = delete;
-
-    std::uint16_t port() const noexcept { return port_; }
-
-    // Blocks until a client connects; returns the connected fd (caller owns).
-    int accept_client();
-
-    // Batch convenience: accepts one client and appends every received event
-    // to `store` until the client closes. Returns the number of events
-    // received. Does not close() the store — the caller decides whether this
-    // was the whole input.
-    std::size_t receive_into(event::EventStore& store, const data::StockVocab& vocab);
-
-private:
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-};
-
-// Live ingestion: one accepted connection exposed as a pull EventStream.
-// next() blocks until a full frame is buffered and returns the decoded
-// event; returns nullopt when the client closes the connection at a frame
-// boundary. A disconnect mid-frame (truncated final frame) is a stream
-// error — next() throws std::runtime_error instead of silently dropping the
-// partial frame.
-class TcpStream final : public event::EventStream {
-public:
-    // Blocks in accept() until the client connects.
-    TcpStream(TcpSource& source, const data::StockVocab& vocab);
-    ~TcpStream();
-
-    TcpStream(const TcpStream&) = delete;
-    TcpStream& operator=(const TcpStream&) = delete;
-
-    std::optional<event::Event> next() override;
-
-private:
-    int fd_ = -1;
-    const data::StockVocab* vocab_;
-    std::vector<std::uint8_t> buffer_;
-    std::size_t offset_ = 0;
-};
-
 class TcpClient {
 public:
     // `rcvbuf` > 0 sets SO_RCVBUF before connect() — it must precede the
@@ -104,7 +45,6 @@ public:
     TcpClient& operator=(const TcpClient&) = delete;
 
     void send(const WireQuote& q);
-    void send_all(const std::vector<event::Event>& events, const data::StockVocab& vocab);
     // Unframed bytes — for protocol tests (partial/corrupt frame injection).
     void send_raw(const std::uint8_t* data, std::size_t n);
     // The connected socket, for callers that also read (e.g. the load

@@ -15,7 +15,7 @@ SequentialEngine::SequentialEngine(const detect::CompiledQuery* cq, detect::Eval
 // Incremental sequential pass: windows are discovered from the arrival
 // frontier and each is processed once the frontier covers it (or the stream
 // closed — the end-of-stream clamp for trailing extent bounds). Backs both
-// the blocking entry points below and the resumable SeqStepper.
+// the batch run() below and the resumable SeqStepper.
 //
 // State is O(window span), not O(stream): processed windows are popped at
 // the next drain, and the consumed set drops everything below the window
@@ -160,30 +160,6 @@ SeqResult SequentialEngine::run(const event::EventStore& store) const {
 SeqResult SequentialEngine::run(const event::EventStore& store,
                                 const event::ResultSink& sink) const {
     return run_impl(store, &sink);
-}
-
-SeqResult SequentialEngine::run_stream_impl(event::EventStream& live,
-                                            event::EventStore& store,
-                                            const event::ResultSink* sink) const {
-    SPECTRE_REQUIRE(!store.closed(), "run_stream needs an open store");
-    SeqStepper::Impl pass(cq_, store, sink, mode_);
-    while (auto e = live.next()) {
-        store.append(*e);
-        pass.drain(store.size(), /*closed=*/false, SIZE_MAX);
-    }
-    store.close();
-    pass.drain(store.size(), /*closed=*/true, SIZE_MAX);
-    return pass.finish();
-}
-
-SeqResult SequentialEngine::run_stream(event::EventStream& live,
-                                       event::EventStore& store) const {
-    return run_stream_impl(live, store, nullptr);
-}
-
-SeqResult SequentialEngine::run_stream(event::EventStream& live, event::EventStore& store,
-                                       const event::ResultSink& sink) const {
-    return run_stream_impl(live, store, &sink);
 }
 
 }  // namespace spectre::sequential

@@ -9,9 +9,9 @@
 //
 // Windows are enumerated through the same arrival-driven WindowAssigner the
 // SPECTRE splitter uses (DESIGN.md §6), so batch replay (run) and live
-// ingestion (run_stream, which appends arriving events into the store and
-// processes each window as soon as it has fully arrived) produce the same
-// byte-identical output by construction.
+// ingestion (SeqStepper::drain between the caller's appends, processing each
+// window as soon as it has fully arrived) produce the same byte-identical
+// output by construction.
 //
 // The engine also records the statistics the paper derives from a sequential
 // pass: the ground-truth consumption-group completion probability
@@ -50,13 +50,13 @@ struct SeqResult {
     SeqStats stats;
 };
 
-// Resumable sequential pass (DESIGN.md §9): the cooperative counterpart of
-// run_stream for callers that cannot block on a stream — a worker-pool engine
-// task appends arrivals to the store itself and calls drain() with a bounded
-// window quantum, parking the session between calls. Output through `sink` is
-// byte-identical to SequentialEngine::run over the final store contents, for
-// every interleaving of appends and drains (windows are processed in start
-// order exactly when the frontier — or end-of-stream — determines them).
+// Resumable sequential pass (DESIGN.md §9), the live counterpart of run(): a
+// worker-pool engine task appends arrivals to the store itself and calls
+// drain() with a bounded window quantum, parking the session between calls.
+// Output through `sink` is byte-identical to SequentialEngine::run over the
+// final store contents, for every interleaving of appends and drains (windows
+// are processed in start order exactly when the frontier — or end-of-stream —
+// determines them).
 class SeqStepper {
 public:
     // `store` is the session's ingestion frontier; the caller appends to it
@@ -100,7 +100,7 @@ public:
     Footprint footprint() const;
 
 private:
-    friend class SequentialEngine;  // batch/stream entry points reuse Impl
+    friend class SequentialEngine;  // batch run() reuses Impl
     struct Impl;
     std::unique_ptr<Impl> impl_;
     event::ResultSink sink_holder_;
@@ -123,18 +123,8 @@ public:
     SeqResult run(const event::EventStore& store) const;
     SeqResult run(const event::EventStore& store, const event::ResultSink& sink) const;
 
-    // Ingest-while-detect: drains `live` into `store` (which must be open and
-    // is closed at end-of-stream), processing each window as soon as its
-    // events have arrived. Output is byte-identical to run() over the final
-    // store contents; the `sink` overload streams it incrementally.
-    SeqResult run_stream(event::EventStream& live, event::EventStore& store) const;
-    SeqResult run_stream(event::EventStream& live, event::EventStore& store,
-                         const event::ResultSink& sink) const;
-
 private:
     SeqResult run_impl(const event::EventStore& store, const event::ResultSink* sink) const;
-    SeqResult run_stream_impl(event::EventStream& live, event::EventStore& store,
-                              const event::ResultSink* sink) const;
     const detect::CompiledQuery* cq_;
     detect::EvalMode mode_;
 };

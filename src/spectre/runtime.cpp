@@ -1,9 +1,8 @@
 #include "spectre/runtime.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
-
-#include "util/assert.hpp"
 
 namespace spectre::core {
 
@@ -13,14 +12,6 @@ SpectreRuntime::SpectreRuntime(const event::EventStore* store,
     : store_(store), config_(config),
       splitter_(store, cq, config.splitter, std::move(model)),
       sched_(static_cast<std::size_t>(config.splitter.instances)) {}
-
-SpectreRuntime::SpectreRuntime(event::EventStore* store, const detect::CompiledQuery* cq,
-                               RuntimeConfig config,
-                               std::unique_ptr<model::CompletionModel> model)
-    : SpectreRuntime(static_cast<const event::EventStore*>(store), cq, config,
-                     std::move(model)) {
-    mutable_store_ = store;
-}
 
 SpectreRuntime::StepProgress SpectreRuntime::step() {
     StepProgress p;
@@ -168,7 +159,9 @@ void SpectreRuntime::publish_obs() {
     obs_->set_peak(obs::Series{obs::sid::kMaxTreeVersions}, m.max_tree_versions);
 }
 
-RunResult SpectreRuntime::finish(std::chrono::steady_clock::time_point t0) {
+RunResult SpectreRuntime::run() {
+    splitter_.mark_input_complete();
+    const auto t0 = std::chrono::steady_clock::now();
     while (!step().done) {
     }
     RunResult result;
@@ -182,40 +175,6 @@ RunResult SpectreRuntime::finish(std::chrono::steady_clock::time_point t0) {
                                 : 0.0;
     result.sched = sched_stats();
     return result;
-}
-
-RunResult SpectreRuntime::run() {
-    splitter_.mark_input_complete();
-    return finish(std::chrono::steady_clock::now());
-}
-
-RunResult SpectreRuntime::run(event::EventStream& live) {
-    SPECTRE_REQUIRE(mutable_store_ != nullptr,
-                    "streaming run needs the mutable-store constructor");
-    SPECTRE_REQUIRE(!splitter_.input_complete() && !mutable_store_->closed(),
-                    "streaming run needs an open store");
-    const auto t0 = std::chrono::steady_clock::now();
-    // The sequential engine's run_stream shape (DESIGN.md §6): append a batch
-    // of arrivals, then detect over the new frontier until nothing is
-    // runnable. A source failure (e.g. a reset TCP connection) still closes
-    // the store, so readers of it see a final frontier, and then surfaces.
-    try {
-        for (bool open = true; open;) {
-            for (std::size_t n = 0; n < config_.batch_events && open; ++n) {
-                if (auto e = live.next())
-                    mutable_store_->append(*e);
-                else
-                    open = false;
-            }
-            while (!step().quiescent) {
-            }
-        }
-    } catch (...) {
-        mutable_store_->close();
-        throw;
-    }
-    mutable_store_->close();
-    return finish(t0);
 }
 
 }  // namespace spectre::core

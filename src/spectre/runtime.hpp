@@ -3,26 +3,21 @@
 // each to its own core; here one scheduler (DESIGN.md §11) drives them all
 // cooperatively, and every entry point is a loop over step().
 //
-// Three entry points:
+// Input always arrives the same way: the caller appends to the EventStore.
+// Two entry points read it:
 //   * run() — batch replay over an already-materialized store;
-//   * run(EventStream&) — ingest-while-detect (§4.1's deployment shape): pulls
-//     arrivals into the store in batches and steps the detection to
-//     quiescence over each new frontier; terminates at end-of-stream once
-//     every window retired;
 //   * step() — cooperative driving (DESIGN.md §9): runs splitter cycles and
 //     bounded operator-instance batches inline until the quantum budget is
 //     spent or nothing is runnable. A worker pool multiplexing many sessions
 //     calls step() in quanta, appending arrivals to the store itself between
 //     calls, and parks the session when a step reports quiescence on an open
-//     store.
+//     store; close() on the store ends the input.
 //
-// The blocking entry points return the emitted complex events; all three are
-// byte-identical, including order, to the sequential engine's output (the
-// framework's correctness goal, §2.3) — the interleaving of step() calls and
-// appends never changes the output.
+// Both are byte-identical, including order, to the sequential engine's
+// output (the framework's correctness goal, §2.3) — the interleaving of
+// step() calls and appends never changes the output.
 #pragma once
 
-#include <chrono>
 #include <memory>
 
 #include "obs/metrics.hpp"
@@ -34,8 +29,7 @@ namespace spectre::core {
 struct RuntimeConfig {
     SplitterConfig splitter{};
     // Events an instance processes per batch before re-checking its
-    // assignment; also the arrivals run(EventStream&) pulls between
-    // detection passes.
+    // assignment.
     std::size_t batch_events = 256;
     // Per-step work bound for the cooperative scheduler (DESIGN.md §11):
     // step() returns once it has advanced this many window positions, so a
@@ -71,13 +65,8 @@ struct RunResult {
 
 class SpectreRuntime {
 public:
-    // Batch-only runtime over a materialized (read-only) store.
+    // Runtime over `store`, which it only reads: the caller owns ingestion.
     SpectreRuntime(const event::EventStore* store, const detect::CompiledQuery* cq,
-                   RuntimeConfig config, std::unique_ptr<model::CompletionModel> model);
-
-    // Streaming-capable runtime: `store` is the ingestion sink
-    // run(EventStream&) appends into. Batch run() works too.
-    SpectreRuntime(event::EventStore* store, const detect::CompiledQuery* cq,
                    RuntimeConfig config, std::unique_ptr<model::CompletionModel> model);
 
     // Streaming result egress (DESIGN.md §8): emit each complex event the
@@ -90,12 +79,6 @@ public:
 
     // Batch replay: treats the store's current contents as the whole input.
     RunResult run();
-
-    // Ingest-while-detect: alternates pulling up to config.batch_events
-    // arrivals from `live` into the store with stepping detection to
-    // quiescence; returns after end-of-stream once all windows retired. A
-    // source exception closes the store and propagates.
-    RunResult run(event::EventStream& live);
 
     // --- cooperative stepping (worker pool, DESIGN.md §9/§11) ---------------
 
@@ -117,7 +100,7 @@ public:
     // quantum budget (config.quantum_budget) is spent or nothing is
     // runnable. Input completeness is derived from EventStore::close() (or
     // mark via splitter). Callers must not mix step() with the blocking
-    // run()/run(EventStream&) entry points, which drive it themselves.
+    // run(), which drives it itself.
     StepProgress step();
 
     // Scheduler observability (current totals; valid during and after a
@@ -140,14 +123,10 @@ public:
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
 
 private:
-    // Steps a store that will not grow to completion and reports the run
-    // that started at `t0`.
-    RunResult finish(std::chrono::steady_clock::time_point t0);
     // Adds the stats' change since the previous call to obs_.
     void publish_obs();
 
     const event::EventStore* store_;
-    event::EventStore* mutable_store_ = nullptr;  // set by the streaming ctor
     RuntimeConfig config_;
     Splitter splitter_;
     InstanceScheduler sched_;

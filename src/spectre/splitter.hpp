@@ -96,9 +96,6 @@ public:
     void mark_input_complete() noexcept {
         input_complete_.store(true, std::memory_order_release);
     }
-    bool input_complete() const noexcept {
-        return input_complete_.load(std::memory_order_acquire);
-    }
 
     // The k operator instances (stable addresses; workers index into this).
     std::vector<std::unique_ptr<OperatorInstance>>& instances() noexcept {

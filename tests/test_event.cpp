@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "event/merge.hpp"
 #include "event/stream.hpp"
 #include "test_helpers.hpp"
 
@@ -49,46 +48,6 @@ TEST(EventStore, RangeIsInclusiveAndChecked) {
     EXPECT_THROW(store.range(3, 1), std::invalid_argument);
     EXPECT_THROW(store.range(0, 99), std::invalid_argument);
     EXPECT_THROW(store.at(99), std::invalid_argument);
-}
-
-TEST(EventStore, AppendAllDrainsStream) {
-    TestEnv env;
-    event::VectorStream vs({env.ev('A', 1, 0), env.ev('B', 2, 1)});
-    event::EventStore store;
-    store.append_all(vs);
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(vs.next(), std::nullopt);
-}
-
-TEST(MergedStream, OrdersByTimestampWithSourceTiebreak) {
-    TestEnv env;
-    std::vector<std::unique_ptr<event::EventStream>> sources;
-    sources.push_back(std::make_unique<event::VectorStream>(
-        std::vector<event::Event>{env.ev('A', 0, 0), env.ev('A', 1, 10), env.ev('A', 2, 20)}));
-    sources.push_back(std::make_unique<event::VectorStream>(
-        std::vector<event::Event>{env.ev('B', 3, 5), env.ev('B', 4, 10)}));
-    event::MergedStream merged(std::move(sources));
-
-    std::vector<std::pair<char, event::Seq>> got;
-    while (auto e = merged.next()) {
-        got.emplace_back(env.schema->type_name(e->type)[0], e->seq);
-    }
-    // ts: A@0, B@5, then tie at 10 resolved to source 0 (A) first, B@10, A@20.
-    ASSERT_EQ(got.size(), 5u);
-    EXPECT_EQ(got[0].first, 'A');
-    EXPECT_EQ(got[1].first, 'B');
-    EXPECT_EQ(got[2].first, 'A');
-    EXPECT_EQ(got[3].first, 'B');
-    EXPECT_EQ(got[4].first, 'A');
-    // Fresh dense seqs stamped in merge order.
-    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].second, i);
-}
-
-TEST(MergedStream, EmptySourcesYieldNothing) {
-    std::vector<std::unique_ptr<event::EventStream>> sources;
-    sources.push_back(std::make_unique<event::VectorStream>(std::vector<event::Event>{}));
-    event::MergedStream merged(std::move(sources));
-    EXPECT_EQ(merged.next(), std::nullopt);
 }
 
 TEST(EventToString, RendersTypeSubjectAttrs) {

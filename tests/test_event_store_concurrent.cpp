@@ -298,39 +298,3 @@ TEST(EventStoreConcurrent, CloseHandsOffFinalSize) {
         EXPECT_EQ(final_size, kTotal) << "rep=" << rep;
     }
 }
-
-TEST(LiveStreamTest, DeliversPushedEventsThenEndOfStream) {
-    TestEnv env;
-    event::LiveStream stream;
-    stream.push(env.ev('A', 1, 0));
-    stream.push_all({env.ev('B', 2, 1), env.ev('C', 3, 2)});
-    stream.close();
-
-    auto a = stream.next();
-    auto b = stream.next();
-    auto c = stream.next();
-    ASSERT_TRUE(a && b && c);
-    EXPECT_EQ(a->ts, 0);
-    EXPECT_EQ(b->ts, 1);
-    EXPECT_EQ(c->ts, 2);
-    EXPECT_EQ(stream.next(), std::nullopt);
-    EXPECT_EQ(stream.next(), std::nullopt);  // stays at end-of-stream
-    EXPECT_THROW(stream.push(env.ev('D', 4, 3)), std::invalid_argument);
-}
-
-TEST(LiveStreamTest, BlockingNextWakesOnPush) {
-    TestEnv env;
-    event::LiveStream stream;
-    std::thread producer([&stream, &env] {
-        for (int i = 0; i < 1000; ++i)
-            stream.push(env.ev('A', static_cast<double>(i), i));
-        stream.close();
-    });
-    std::size_t got = 0;
-    while (auto e = stream.next()) {
-        EXPECT_EQ(e->ts, static_cast<event::Timestamp>(got));
-        ++got;
-    }
-    producer.join();
-    EXPECT_EQ(got, 1000u);
-}

@@ -9,11 +9,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
 
-#include "data/nyse_synth.hpp"
 #include "net/egress_ring.hpp"
 #include "net/reactor.hpp"
 #include "net/session.hpp"
@@ -303,79 +304,32 @@ TEST(SessionFrame, DecodeAdvancesAcrossMixedFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP stream error surfacing.
+// TcpClient: the connecting side.
 // ---------------------------------------------------------------------------
 
-TEST(Tcp, DisconnectMidFrameSurfacesStreamError) {
-    const auto v = vocab();
-    TcpSource source(0);
-    std::thread client([&] {
-        TcpClient c("127.0.0.1", source.port());
-        // One complete frame, then half of a second one, then vanish.
-        WireQuote q;
-        q.ts = 1;
-        q.symbol = "AAPL";
-        c.send(q);
-        std::vector<std::uint8_t> partial;
-        encode(q, partial);
-        partial.resize(partial.size() / 2);
-        c.send_raw(partial.data(), partial.size());
-        c.close();
-    });
-    TcpStream stream(source, v);
-    EXPECT_TRUE(stream.next().has_value());       // the complete frame
-    EXPECT_THROW(stream.next(), std::runtime_error);  // the truncated one
-    client.join();
-}
-
-TEST(Tcp, CleanDisconnectAtFrameBoundaryEndsStream) {
-    const auto v = vocab();
-    TcpSource source(0);
-    std::thread client([&] {
-        TcpClient c("127.0.0.1", source.port());
-        WireQuote q;
-        q.ts = 2;
-        q.symbol = "IBM";
-        c.send(q);
-        c.close();
-    });
-    TcpStream stream(source, v);
-    EXPECT_TRUE(stream.next().has_value());
-    EXPECT_EQ(stream.next(), std::nullopt);  // clean end-of-stream
-    client.join();
-}
-
 TEST(Tcp, ClientDisablesNagle) {
-    TcpSource source(0);
-    TcpClient c("127.0.0.1", source.port());
+    std::uint16_t port = 0;
+    const int listen_fd = listen_loopback(0, /*backlog=*/1, port);
+    TcpClient c("127.0.0.1", port);
     int nodelay = 0;
     socklen_t len = sizeof(nodelay);
     ASSERT_EQ(::getsockopt(c.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
     EXPECT_EQ(nodelay, 1);
+    ::close(listen_fd);
 }
 
-TEST(Tcp, LoopbackStreamDeliversAllEvents) {
-    const auto v = vocab();
-    data::NyseSynthConfig cfg;
-    cfg.events = 2000;
-    cfg.symbols = 20;
-    const auto events = data::generate_nyse(v, cfg);
-
-    TcpSource source(0);  // ephemeral port
-    event::EventStore store;
-    std::thread client([&] {
-        TcpClient c("127.0.0.1", source.port());
-        c.send_all(events, v);
-    });
-    const auto received = source.receive_into(store, v);
-    client.join();
-
-    ASSERT_EQ(received, events.size());
-    ASSERT_EQ(store.size(), events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(store.at(i).subject, events[i].subject);
-        EXPECT_DOUBLE_EQ(store.at(i).attr(v.close_slot), events[i].attr(v.close_slot));
-    }
+TEST(Tcp, FailedConnectClosesItsSocket) {
+    // A port that was just listening and no longer is: connect() is refused.
+    std::uint16_t port = 0;
+    ::close(listen_loopback(0, /*backlog=*/1, port));
+    const auto open_fds = [] {
+        return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                             std::filesystem::directory_iterator{});
+    };
+    const auto before = open_fds();
+    for (int i = 0; i < 64; ++i)
+        EXPECT_THROW(TcpClient("127.0.0.1", port), std::runtime_error);
+    EXPECT_EQ(open_fds(), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,12 +57,16 @@ std::unique_ptr<model::CompletionModel> make_markov(const detect::CompiledQuery&
     return std::make_unique<model::MarkovModel>(cq.min_length(), params);
 }
 
-// The query-shape axis: five shapes that exercise consumption groups,
-// Kleene closure, subset consumption and disjoint (embarrassingly parallel)
-// windows — the regimes where scheduling order could plausibly leak into
-// the output if the suppression/rollback machinery mis-stepped.
+// The query-shape axis: seven shapes that exercise consumption groups,
+// Kleene closure, subset consumption, disjoint (embarrassingly parallel)
+// windows, predicate-opened windows and time-extent windows — the regimes
+// where scheduling order could plausibly leak into the output if the
+// suppression/rollback machinery mis-stepped, or where a window's extent is
+// only known once later events arrive.
+constexpr int kShapes = 7;
+
 query::Query make_shape(TestEnv& env, int shape) {
-    switch (shape % 5) {
+    switch (shape % kShapes) {
         case 0:
             return query::QueryBuilder(env.schema)
                 .single("A", env.is('A'))
@@ -92,11 +96,26 @@ query::Query make_shape(TestEnv& env, int shape) {
                 .single("B", env.is('B'))
                 .window(query::WindowSpec::sliding_count(20, 5))
                 .build();  // no consumption
-        default:
+        case 4:
             return query::QueryBuilder(env.schema)
                 .single("A", env.is('A'))
                 .set("S", {{"X", env.is('B')}, {"Y", env.is('C')}, {"Z", env.is('D')}})
                 .window(query::WindowSpec::sliding_count(25, 5))
+                .consume_all()
+                .build();
+        case 5:
+            return query::QueryBuilder(env.schema)
+                .single("A", env.is('A'))
+                .sticky()
+                .single("B", env.is('B'))
+                .window(query::WindowSpec::predicate_open_count(env.is('A'), 15))
+                .consume({"B"})
+                .build();
+        default:
+            return query::QueryBuilder(env.schema)
+                .single("A", env.is('A'))
+                .single("B", env.is('B'))
+                .window(query::WindowSpec::sliding_time(25, 10))
                 .consume_all()
                 .build();
     }
@@ -130,7 +149,8 @@ std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
     std::size_t fed = 0;
     bool done = false;
     while (!done) {
-        if (fed < events.size()) {
+        // Closing once everything is fed covers a zero-event input too.
+        if (!store.closed()) {
             const std::size_t chunk =
                 std::min<std::size_t>(static_cast<std::size_t>(rng.uniform_int(0, 17)),
                                       events.size() - fed);
@@ -163,15 +183,16 @@ std::vector<event::ComplexEvent> run_stepped(const detect::CompiledQuery& cq,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Randomized differential: 60 (shape, stream, k, schedule) combos, each
-// byte-identical to the sequential engine.
+// Randomized differential: 85 (shape, stream, k, schedule) combos — 84 over
+// seven shapes, four instance counts and three stream lengths, plus one
+// empty stream — each byte-identical to the sequential engine.
 // ---------------------------------------------------------------------------
 
 TEST(SchedDifferential, RandomizedStepSchedulesMatchSequential) {
     TestEnv env;
     static const int kInstances[] = {1, 2, 4, 8};
     int combo = 0;
-    for (int shape = 0; shape < 5; ++shape) {
+    for (int shape = 0; shape < kShapes; ++shape) {
         const auto q = make_shape(env, shape);
         const auto cq = detect::CompiledQuery::compile(q);
         for (const int k : kInstances) {
@@ -191,7 +212,17 @@ TEST(SchedDifferential, RandomizedStepSchedulesMatchSequential) {
             }
         }
     }
-    ASSERT_EQ(combo, 60);  // the 50+ floor the suite promises
+    // An empty stream: the store closes before the first step and the run
+    // ends with no output.
+    {
+        const auto cq = detect::CompiledQuery::compile(make_shape(env, 0));
+        const std::string label = "combo " + std::to_string(combo) + " (empty)";
+        EXPECT_TRUE(run_stepped(cq, {}, 4, 1000 + static_cast<std::uint64_t>(combo), label)
+                        .empty())
+            << label;
+        ++combo;
+    }
+    ASSERT_EQ(combo, 85);  // the floor the suite promises
 }
 
 // ---------------------------------------------------------------------------
