@@ -65,15 +65,6 @@ public:
     // live cursor nothing is freed — history is retained for late attachers.
     std::size_t detach(Cursor cursor);
 
-    // First seq still addressable (0 = full history retained).
-    Seq reclaimed_until() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return reclaimed_until_;
-    }
-    std::size_t live_cursors() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return live_;
-    }
     std::uint64_t chunks_reclaimed() const {
         const std::lock_guard<std::mutex> lock(mutex_);
         return chunks_reclaimed_;

@@ -10,13 +10,15 @@
 // How the layers map at runtime:
 //   ServerConfig            → reactor + pool shape (ports, backlog, workers,
 //                             socket buffers).
-//   SessionLimits           → per-session engine shape; ServerSession turns
-//                             batch_events into core::RuntimeConfig
-//                             .batch_events and .quantum_budget for the
-//                             SPECTRE runtime (and into ShardedConfig
-//                             .batch_events); quantum_windows bounds the
-//                             sequential stepper's windows per step. One
-//                             builder chain reaches all three config structs.
+//   SessionLimits           → per-session engine shape; ServerSession hands
+//                             batch_events and quantum_windows to its
+//                             engine::LaneEngine (which turns batch_events
+//                             into core::RuntimeConfig .batch_events and
+//                             .quantum_budget at k > 0, and quantum_windows
+//                             into the stepper's windows per step at k = 0)
+//                             and batch_events to ShardedConfig, whose key
+//                             lanes are LaneEngines too. One builder chain
+//                             reaches every engine config.
 #pragma once
 
 #include <stdexcept>

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <utility>
 
-#include "model/markov_model.hpp"
 #include "query/parser.hpp"
 
 namespace spectre::server {
@@ -400,28 +399,13 @@ void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards)
                 obs::Kind::PeakGauge));
         // Each publish wakes the lanes it handed arrivals to.
         sharded_->set_shard_waker([this](std::uint32_t s) { wake_lane(s, &Lane::on_input); });
-    } else if (instances_ == 0) {
-        // k = 0 subscribes the sequential reference engine — the ground
-        // truth the parallel runtime must match byte-for-byte.
-        stepper_ = std::make_unique<sequential::SeqStepper>(cq_.get(), &store,
-                                                            std::move(sink));
     } else {
-        core::RuntimeConfig cfg;
-        cfg.splitter.instances = static_cast<int>(instances_);
-        cfg.batch_events = limits_.batch_events;
-        // Fairness on the shared pool (DESIGN.md §11): one step advances at
-        // most one ingest batch worth of window positions, so a speculative
-        // session's quantum stays comparable to a sequential one's.
-        cfg.quantum_budget = limits_.batch_events;
-        runtime_ = std::make_unique<core::SpectreRuntime>(
-            &store, cq_.get(), cfg,
-            std::make_unique<model::MarkovModel>(cq_->min_length(),
-                                                 model::MarkovParams{}));
-        runtime_->set_result_sink(std::move(sink));
-        runtime_->bind_obs(shard_.get());
+        // Bound even under SPECTRE_OBS_OFF: engine stats are counters,
+        // published by every step (§11/§12).
+        engine_ = std::make_unique<engine::LaneEngine>(
+            cq_.get(), &store, instances_, limits_.quantum_windows, limits_.batch_events,
+            std::move(sink), shard_.get());
     }
-    // The runtimes above are bound even under SPECTRE_OBS_OFF: engine stats
-    // are counters, published by every step (§11/§12).
     if (instances_ > 0) shard_->add(obs::Series{obs::sid::kSchedSessions}, 1);
     for (std::uint32_t s = 0; s < lanes; ++s)
         lanes_.push_back(std::make_unique<Lane>(this, s));
@@ -679,7 +663,7 @@ void ServerSession::close_ingestion(bool close_store) {
         sharded_->close_input();
     } else if (close_store) {
         // Reactor dispatch paths only (BYE / clean EOF): the sole appender
-        // closes its own store — the stepper's completion check needs the
+        // closes its own store — the engine's completion check needs the
         // final length. Abort paths leave it open (header contract).
         event::EventStore& st = ingest_target();
         st.publish_appends();
@@ -805,16 +789,6 @@ void ServerSession::note_stall_end(std::uint64_t& stamp) {
 }
 
 // --- ingest pacing (§14) ----------------------------------------------------
-
-std::size_t ServerSession::accept_ingest() {
-    const std::uint64_t frontier = ingest_target().size();
-    const std::uint64_t accepted = accepted_.load(std::memory_order_relaxed);
-    const std::uint64_t n =
-        std::min<std::uint64_t>(frontier - accepted, limits_.batch_events);
-    if (n > 0) accepted_.store(accepted + n, std::memory_order_seq_cst);
-    resume_read_if_low();
-    return static_cast<std::size_t>(n);
-}
 
 bool ServerSession::ingest_above_low() const {
     // In-flight: events handed over that no lane has accepted yet.
@@ -1023,24 +997,14 @@ ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
         if (res.shard_finished) return LaneStep::LaneDone;
         return res.idle ? LaneStep::Idle : LaneStep::Busy;
     }
-    if (stepper_) {
-        const bool more = stepper_->drain(limits_.quantum_windows);
-        // k = 0 credit follows processing (§9): in-flight is frontier −
-        // processed, so a stepper slower than its client pauses the socket
-        // instead of letting the store grow ahead of the watermark.
-        accepted_.store(stepper_->processed(), std::memory_order_seq_cst);
-        resume_read_if_low();
-        reclaim_behind(stepper_->low_watermark());
-        if (stepper_->finished()) return LaneStep::AllDone;
-        return more ? LaneStep::Busy : LaneStep::Idle;
-    }
-    const std::size_t pulled = accept_ingest();
-    const auto p = runtime_->step();
-    if (p.done) return LaneStep::AllDone;
-    // step() reports quiescence explicitly: the scheduling loop reached a
-    // fixed point for the current frontier. With fresh appends the windows
-    // may not be discovered yet, so only an empty accept counts as idle.
-    return pulled == 0 && p.quiescent ? LaneStep::Idle : LaneStep::Busy;
+    const auto step = engine_->step();
+    // Credit follows processing (§9): an engine slower than its client
+    // pauses the socket instead of letting the store grow ahead of it.
+    accepted_.store(engine_->processed(), std::memory_order_seq_cst);
+    resume_read_if_low();
+    reclaim_behind(engine_->low_watermark());
+    if (step == engine::LaneEngine::Step::Done) return LaneStep::AllDone;
+    return step == engine::LaneEngine::Step::Busy ? LaneStep::Busy : LaneStep::Idle;
 }
 
 void ServerSession::reclaim_behind(event::Seq watermark) {

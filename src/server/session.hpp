@@ -3,8 +3,9 @@
 //
 // A session owns everything one client subscribes: the schema its query text
 // is parsed against, the compiled query, a private EventStore, and a
-// cooperatively-scheduled engine task (SpectreRuntime stepped inline with
-// HELLO's k operator instances, or the sequential SeqStepper when k = 0).
+// cooperatively-scheduled engine task (an engine::LaneEngine stepped inline:
+// SPECTRE with HELLO's k operator instances, or the sequential stepper when
+// k = 0).
 // The reactor thread (server/cep_server.hpp) feeds raw socket bytes in; the
 // session's state machine decodes typed frames (net/session.hpp) and drives:
 //
@@ -26,13 +27,13 @@
 //   * Ingest (§14 scatter path): the reactor decodes DATA frames straight out
 //     of the reactor's read view into the session's EventStore (or the
 //     sharded engine's staging batches) — one copy off the socket, published
-//     once per read view. Backpressure is a pacing counter: the worker
-//     stores what its engine has processed into `accepted_` (a k = 0
-//     stepper) or advances it by at most a batch per step (k > 0); when the
-//     frontier runs ahead of it by the high watermark the reactor pauses the
-//     *reader*, never a thread. Control frames and partial frame tails still
-//     stage through the FrameReader (the copied-byte path, which the §12
-//     counters keep visibly rare).
+//     once per read view. Backpressure is a pacing counter: after every
+//     step the worker stores what its engine has processed into `accepted_`
+//     (LaneEngine::processed(), whichever k); when the frontier runs ahead
+//     of it by the high watermark the reactor pauses the *reader*, never a
+//     thread. Control frames and partial frame tails still stage through
+//     the FrameReader (the copied-byte path, which the §12 counters keep
+//     visibly rare).
 //   * Egress: the task appends encoded RESULT/BYE frames into an EgressRing
 //     when it has credit; both sides flush non-blockingly with one vectored
 //     send per burst; an over-cap ring parks the *task*, never a worker.
@@ -52,17 +53,16 @@
 #include "data/stock.hpp"
 #include "detect/compile_cache.hpp"
 #include "detect/compiled_query.hpp"
+#include "engine/lane_engine.hpp"
 #include "event/chunk_pins.hpp"
 #include "event/stream.hpp"
 #include "net/egress_ring.hpp"
 #include "net/reactor.hpp"
 #include "net/session.hpp"
 #include "obs/metrics.hpp"
-#include "sequential/seq_engine.hpp"
 #include "server/engine_pool.hpp"
 #include "server/stream_hub.hpp"
 #include "shard/sharded_engine.hpp"
-#include "spectre/runtime.hpp"
 
 namespace spectre::server {
 
@@ -88,7 +88,7 @@ inline std::uint64_t session_of_task(std::uint64_t task_id) {
 struct SessionLimits {
     int max_instances = 8;          // cap on HELLO's k
     int max_shards = 16;            // cap on HELLO's shard count (§10)
-    std::size_t batch_events = 64;  // engine batch + per-step ingest pacing
+    std::size_t batch_events = 64;  // engine batch + per-step budget (k > 0)
     // Pool scheduling quantum (§9): engine steps per run_quantum() — the
     // slice after which a runnable session yields its worker.
     std::size_t quantum_steps = 32;
@@ -249,8 +249,9 @@ private:
 
     // One engine task on the pool (§9/§10). Every lane runs the same quantum
     // loop (run_lane) and park protocol; only step_lane/lane_parkable know
-    // which engine is behind it. Lane `index` is shard `index` of a
-    // sharded session, or the single lane 0 of any other.
+    // whether a ShardedEngine or the one LaneEngine is behind it. Lane
+    // `index` is shard `index` of a sharded session, or the single lane 0 of
+    // any other.
     struct Lane final : EngineTask {
         Lane(ServerSession* s, std::uint32_t i) : session(s), index(i) {}
         Quantum run_quantum() override { return session->run_lane(*this); }
@@ -278,8 +279,8 @@ private:
     // Buffers the server capability echo for an accepted v2 HELLO.
     void send_hello2_echo(std::string_view role, const std::string& stream);
     // Builds the engine over `store` — a ShardedEngine of `shards` lanes for
-    // a partitioned query, else the SeqStepper (k = 0) or a SpectreRuntime —
-    // with the result sink feeding egress, then registers its lanes.
+    // a partitioned query, else one LaneEngine with HELLO's k — with the
+    // result sink feeding egress, then registers its lanes.
     void start_engine(event::EventStore& store, std::uint32_t shards);
     // STATS request (§12): buffers a StatsFrame reply carrying the server-wide
     // registry aggregate plus this session's own shard, as one JSON object.
@@ -338,9 +339,6 @@ private:
     // this thread sees its flag, never neither) — then wake parked lanes.
     void wake_input_lanes();
 
-    // Worker side, k > 0: advances accepted_ by at most batch_events toward
-    // the frontier (ingest pacing). Returns slots accepted this call.
-    std::size_t accept_ingest();
     // Posts ResumeRead once in-flight drops below the low watermark (exactly
     // once per pause — the read_paused_ exchange is the dedup).
     void resume_read_if_low();
@@ -390,9 +388,9 @@ private:
     // `flag`, or every live lane. A null flag notifies unconditionally.
     void wake_lane(std::uint32_t s, ParkFlag Lane::*flag);
     void wake_lanes(ParkFlag Lane::*flag);
-    // Bounded memory (§6/§15), after each sequential drain: once the
-    // stepper's low watermark crosses a chunk boundary, free the private
-    // store behind it, or advance this subscriber's hub pin to it.
+    // Bounded memory (§6/§15), after each engine step: once the engine's
+    // low watermark crosses a chunk boundary, free the private store behind
+    // it, or advance this subscriber's hub pin to it.
     void reclaim_behind(event::Seq watermark);
     Quantum finish_engine();  // BYE (first caller), counters, Done
     Quantum engine_failed(const std::string& what);
@@ -432,12 +430,11 @@ private:
     StreamHub::EntryPtr hub_entry_;
     event::ChunkPins::Cursor pin_cursor_ = event::ChunkPins::kInvalidCursor;
 
-    // Engine: exactly one of the three after HELLO, driven by lanes_ — one
+    // Engine: exactly one of the two after HELLO, driven by lanes_ — one
     // per shard, allocated and registered once at HELLO.
     event::EventStore store_;
-    std::unique_ptr<sequential::SeqStepper> stepper_;
+    std::unique_ptr<engine::LaneEngine> engine_;
     event::Seq reclaimed_floor_ = 0;  // lane-private: last chunk floor reclaimed
-    std::unique_ptr<core::SpectreRuntime> runtime_;
     std::unique_ptr<shard::ShardedEngine> sharded_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     // Per-shard-index depth peaks (§12, bounded by max_shards): resolved at
@@ -446,11 +443,11 @@ private:
     std::vector<obs::Series> lane_peaks_;
 
     // Ingest pacing (§14, unsharded): the reactor appends straight into
-    // store_ (frontier = store_.size()); the worker stores the stepper's
-    // processed() (k = 0) or advances accepted_ by at most a batch per step
-    // (k > 0). in-flight = frontier - accepted_ is the queue depth the
-    // watermarks bound. ingest_mutex_ orders the park handshake (see
-    // publish_ingest) and guards ingest_closed_.
+    // store_ (frontier = store_.size()); after every step the worker stores
+    // the engine's processed() into accepted_. in-flight = frontier -
+    // accepted_ is the queue depth the watermarks bound. ingest_mutex_
+    // orders the park handshake (see publish_ingest) and guards
+    // ingest_closed_.
     std::size_t unpublished_ = 0;  // reactor-only: ingested, not yet published
     mutable std::mutex ingest_mutex_;
     bool ingest_closed_ = false;

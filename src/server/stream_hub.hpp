@@ -79,8 +79,6 @@ public:
     // detaches.
     std::vector<ServerSession*> publisher_gone(const EntryPtr& entry);
 
-    std::size_t stream_count() const noexcept { return streams_.size(); }
-
 private:
     void maybe_erase(const EntryPtr& entry);
 

@@ -3,7 +3,6 @@
 #include <bit>
 #include <iterator>
 
-#include "model/markov_model.hpp"
 #include "util/assert.hpp"
 
 namespace spectre::shard {
@@ -29,11 +28,14 @@ std::uint64_t key_bits(const event::Event& e, const query::PartitionBy& part) {
 
 // One key's independent sub-stream and engine — the semantic unit of
 // partitioned detection. Owned and driven by the one shard task its key
-// hashes to.
+// hashes to. Pinned: its sink holds its address.
 struct ShardedEngine::KeyLane {
+    KeyLane(const detect::CompiledQuery* cq, const ShardedConfig& cfg, ShardState& owner,
+            obs::Shard* obs);
+    KeyLane(const KeyLane&) = delete;
+    KeyLane& operator=(const KeyLane&) = delete;
     event::MappedStore store;
-    std::unique_ptr<sequential::SeqStepper> stepper;  // instances == 0
-    std::unique_ptr<core::SpectreRuntime> runtime;    // instances > 0
+    engine::LaneEngine engine;
 };
 
 // One routed arrival: global seq, dense key, event.
@@ -85,6 +87,18 @@ struct ShardedEngine::ShardState {
     std::uint32_t eos_next_key = 0;
     MergeTag current_tag;
 };
+
+// The sink runs on the owning shard task mid-drain: translate constituents
+// back to global stream positions, tag with the trigger being processed.
+ShardedEngine::KeyLane::KeyLane(const detect::CompiledQuery* cq, const ShardedConfig& cfg,
+                                ShardState& owner, obs::Shard* obs)
+    : engine(cq, &store.store(), cfg.instances, SIZE_MAX, cfg.batch_events,
+             [this, sh = &owner](event::ComplexEvent&& ce) {
+                 store.translate(ce.constituents);
+                 const std::lock_guard<std::mutex> lock(sh->mutex);
+                 sh->results.push_back(TaggedResult{sh->current_tag, std::move(ce)});
+             },
+             obs) {}
 
 ShardedEngine::ShardedEngine(const detect::CompiledQuery* cq, ShardedConfig cfg,
                              event::ResultSink sink)
@@ -212,80 +226,29 @@ std::size_t ShardedEngine::shard_queue_depth(std::uint32_t s) const {
     return shards_[s]->depth.load(std::memory_order_relaxed);
 }
 
-std::unique_ptr<ShardedEngine::KeyLane> ShardedEngine::make_lane(ShardState& owner) {
-    auto lane = std::make_unique<KeyLane>();
-    KeyLane* lp = lane.get();
-    // The lane sink runs on the owning shard task's thread mid-drain:
-    // translate constituents back to global stream positions, then hand the
-    // result to the merger tagged with the trigger currently being
-    // processed.
-    event::ResultSink lane_sink = [lp, sh = &owner](event::ComplexEvent&& ce) {
-        lp->store.translate(ce.constituents);
-        const std::lock_guard<std::mutex> lock(sh->mutex);
-        sh->results.push_back(TaggedResult{sh->current_tag, std::move(ce)});
-    };
-    if (cfg_.instances == 0) {
-        lp->stepper = std::make_unique<sequential::SeqStepper>(
-            cq_, &lp->store.store(), std::move(lane_sink));
-    } else {
-        core::RuntimeConfig rc;
-        rc.splitter.instances = static_cast<int>(cfg_.instances);
-        rc.batch_events = cfg_.batch_events;
-        lp->runtime = std::make_unique<core::SpectreRuntime>(
-            &lp->store.store(), cq_, rc,
-            std::make_unique<model::MarkovModel>(cq_->min_length(),
-                                                 model::MarkovParams{}));
-        lp->runtime->set_result_sink(std::move(lane_sink));
-        if (obs_) lp->runtime->bind_obs(obs_);
-    }
-    return lane;
-}
-
-ShardedEngine::KeyLane& ShardedEngine::get_lane(ShardState& sh, std::uint32_t key) {
-    auto it = sh.lanes.find(key);
-    if (it == sh.lanes.end())
-        it = sh.lanes.emplace(key, make_lane(sh)).first;
-    return *it->second;
-}
-
-void ShardedEngine::drain_lane_quiescent(KeyLane& lane) {
-    if (lane.stepper) {
-        // One unbounded drain processes every fully-arrived window.
-        while (lane.stepper->drain(~std::size_t{0})) {
-        }
-        return;
-    }
-    // Cooperative SPECTRE: step() now reports quiescence explicitly — the
-    // scheduling loop has driven the scheduler to a fixed point for
-    // the current frontier, with every buffered update drained and every
-    // eligible retirement emitted (under the current trigger tag).
-    for (;;) {
-        const auto p = lane.runtime->step();
-        if (p.done || p.quiescent) break;
-    }
-}
-
 void ShardedEngine::process_event(ShardState& sh, Pending&& p) {
-    KeyLane& lane = get_lane(sh, p.key);
+    std::unique_ptr<KeyLane>& slot = sh.lanes[p.key];
+    if (!slot) slot = std::make_unique<KeyLane>(cq_, cfg_, sh, obs_);
+    KeyLane& lane = *slot;
     sh.current_tag = MergeTag{p.g, p.key};
     lane.store.append_mapped(std::move(p.e), p.g);
-    drain_lane_quiescent(lane);
-    // A sequential lane frees what no later drain can read (DESIGN.md §6):
-    // the sink translated this drain's results already, and later ones name
-    // only seqs at or above the watermark. Speculative lanes report no
-    // watermark and keep their whole sub-stream.
-    if (!lane.stepper) return;
-    const std::size_t freed = lane.store.release_below(lane.stepper->low_watermark());
+    // Drain to quiescence, emitting every window this arrival completed.
+    while (lane.engine.step() == engine::LaneEngine::Step::Busy) {
+    }
+    // Free what no later step can read (DESIGN.md §6): the sink translated
+    // this drain's results already, and later ones name only seqs at or
+    // above the watermark.
+    const std::size_t freed = lane.store.release_below(lane.engine.low_watermark());
     if (freed > 0 && obs_) obs_->add(obs::Series{obs::sid::kShardChunksReclaimed}, freed);
 }
 
-bool ShardedEngine::eos_step(ShardState& sh, std::size_t& budget) {
+void ShardedEngine::eos_step(ShardState& sh, std::size_t& budget) {
     while (budget > 0) {
         const auto it = sh.lanes.lower_bound(sh.eos_next_key);
         if (it == sh.lanes.end()) {
             const std::lock_guard<std::mutex> lock(sh.mutex);
             sh.eos_done = true;
-            return false;
+            return;
         }
         KeyLane& lane = *it->second;
         {
@@ -295,30 +258,14 @@ bool ShardedEngine::eos_step(ShardState& sh, std::size_t& budget) {
         sh.current_tag = MergeTag{kEosG, it->first};
         if (!lane.store.closed()) lane.store.close();
         bool lane_done = false;
-        if (lane.stepper) {
-            // Budget counts windows here — the unit the stepper bounds by.
-            const bool more = lane.stepper->drain(budget);
-            lane_done = lane.stepper->finished();
-            if (more) budget = 0;
-        } else {
-            std::size_t steps = budget;
-            while (steps > 0) {
-                --steps;
-                if (lane.runtime->step().done) {
-                    lane_done = true;
-                    break;
-                }
-            }
-            budget = steps;
+        while (budget > 0 && !lane_done) {
+            --budget;
+            lane_done = lane.engine.step() == engine::LaneEngine::Step::Done;
         }
-        if (!lane_done) {
-            if (budget == 0) return false;
-            continue;  // same lane again
-        }
+        if (!lane_done) return;  // budget spent mid-lane
         sh.eos_next_key = it->first + 1;
         if (budget > 0) --budget;  // charge the lane switch
     }
-    return false;
 }
 
 bool ShardedEngine::take_inbox(ShardState& sh) {

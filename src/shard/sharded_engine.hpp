@@ -5,11 +5,11 @@
 // what makes key-based data parallelism semantically free: a ShardedEngine
 // hash-distributes the keys over S shards (splitmix64(key) % S, fixed for the
 // engine's life), each shard hosts the per-key engine lanes of the keys it
-// owns (a lane = MappedStore + SeqStepper, or a cooperative SpectreRuntime
-// when instances > 0 — the §9 step interfaces, so shards are pool tasks,
-// never threads), and a deterministic merger interleaves the per-shard
-// results back into ONE result stream that is byte-identical to the unsharded
-// sequential run of the same input for every shard count and every schedule.
+// owns (a lane = MappedStore + engine::LaneEngine, the §9 step interface,
+// so shards are pool tasks, never threads), and a deterministic merger
+// interleaves the per-shard results back into ONE result stream that is
+// byte-identical to the unsharded sequential run of the same input for every
+// shard count and every schedule.
 //
 // Determinism comes from merge tags. The single-threaded reference
 // (reference_partitioned_run) processes arrivals in global order: append
@@ -39,10 +39,9 @@
 #include <vector>
 
 #include "detect/compiled_query.hpp"
+#include "engine/lane_engine.hpp"
 #include "event/stream.hpp"
 #include "obs/metrics.hpp"
-#include "sequential/seq_engine.hpp"
-#include "spectre/runtime.hpp"
 
 namespace spectre::shard {
 
@@ -51,7 +50,7 @@ struct ShardedConfig {
     // Per-lane engine: 0 = sequential stepper (the throughput path);
     // > 0 = cooperative SpectreRuntime with that many operator instances.
     std::uint32_t instances = 0;
-    std::size_t batch_events = 64;  // SpectreRuntime lane batch per step
+    std::size_t batch_events = 64;  // k > 0 lane batch and per-step budget
 };
 
 class ShardedEngine {
@@ -187,16 +186,12 @@ private:
     struct TaggedResult;
     struct ShardState;
 
-    std::unique_ptr<KeyLane> make_lane(ShardState& owner);
-    KeyLane& get_lane(ShardState& sh, std::uint32_t key);
     void process_event(ShardState& sh, Pending&& p);
     // Task side: swaps the shard's inbox into the exhausted batch under one
     // lock. False when nothing was published.
     bool take_inbox(ShardState& sh);
-    void drain_lane_quiescent(KeyLane& lane);
-    // Runs end-of-stream lane drains for up to `budget` units; returns false
-    // once the budget is exhausted with work left.
-    bool eos_step(ShardState& sh, std::size_t& budget);
+    // Runs end-of-stream lane drains, one engine step per budget unit.
+    void eos_step(ShardState& sh, std::size_t& budget);
     void merge_locked(StepResult& r);
 
     const detect::CompiledQuery* cq_;

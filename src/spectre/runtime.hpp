@@ -103,6 +103,9 @@ public:
     // run(), which drives it itself.
     StepProgress step();
 
+    // Ingest credit (DESIGN.md §9), as SeqStepper::processed() defines it.
+    event::Seq processed() const { return splitter_.processed(); }
+
     // Scheduler observability (current totals; valid during and after a
     // run).
     SchedStats sched_stats() const;

@@ -310,6 +310,17 @@ void Splitter::discover_windows() {
     last_polled_complete_ = complete;
 }
 
+event::Seq Splitter::processed() const {
+    if (last_polled_frontier_ == UINT64_MAX) return 0;  // nothing polled yet
+    const WindowVersion* root = tree_.front_root();
+    const query::WindowInfo* w =
+        root ? &root->window() : windows_.empty() ? nullptr : &windows_.front();
+    // Window ends ascend: if the oldest pending window is still arriving,
+    // so is every later one.
+    if (w && (last_polled_complete_ || w->last < last_polled_frontier_)) return w->first;
+    return last_polled_frontier_;
+}
+
 bool Splitter::needs_cycle() const {
     if (done_) return false;
     // Buffered instance feedback: groups to attach/resolve, finish marks,

@@ -97,6 +97,11 @@ public:
         input_complete_.store(true, std::memory_order_release);
     }
 
+    // SeqStepper::processed()'s definition (DESIGN.md §9): the first seq of
+    // the oldest fully-arrived window not retired — the front root, else the
+    // first one not opened — or else the frontier the last poll saw.
+    event::Seq processed() const;
+
     // The k operator instances (stable addresses; workers index into this).
     std::vector<std::unique_ptr<OperatorInstance>>& instances() noexcept {
         return instances_;

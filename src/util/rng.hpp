@@ -25,10 +25,6 @@ public:
     // Bernoulli trial with success probability p.
     bool flip(double p) { return uniform() < p; }
 
-    double gaussian(double mean, double stddev) {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
-    }
-
     // Derives an independent child generator; used to give each stream /
     // symbol its own deterministic randomness regardless of draw order.
     Rng split() { return Rng(engine_() ^ 0x9e3779b97f4a7c15ULL); }

@@ -1,8 +1,9 @@
 // Bounded memory on unbounded streams (DESIGN.md §6): the consumed-seq ring,
 // the sequential stepper's O(window span) state and its low watermark, the
 // store's resumable chunk release, a k = 0 server session whose private
-// store frees chunks behind that watermark while it streams, and the
-// PARTITION BY key lanes (§10) whose mapped stores do the same per lane.
+// store frees chunks behind that watermark while it streams, the §9 ingest
+// credit that holds any session's backlog to its cap, and the PARTITION BY
+// key lanes (§10) whose mapped stores free chunks per lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -359,12 +360,64 @@ TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
               kChunks - kResidentBound);
 }
 
-// k = 0 ingest credit follows processing, not the watermark (DESIGN.md §9):
-// a window wider than the ingest cap must still fill. The stepper counts a
-// window that is still arriving as caught up, so the reactor keeps reading
-// until the window is whole, pauses while it is processed, and resumes
-// behind it — a watermark-gated credit would stall the first window forever.
-TEST(ServerReclaim, WindowWiderThanTheIngestCapStillStreams) {
+// k > 0 ingest credit follows processing too (DESIGN.md §9): the lane stores
+// what speculation retired into the session's credit after every step, so a
+// client that outruns speculation is paused at the ingest cap instead of
+// growing the store. Each retired window of kRisingPairQuery releases its
+// 10-event slide, so frontier − 10 × retired is what the session holds
+// beyond the oldest unretired window; it may exceed the cap by at most the
+// 40-event window still arriving.
+TEST(ServerReclaim, SpeculativeCreditFollowsProcessing) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    constexpr std::size_t kCap = 1024;
+    constexpr std::uint64_t kSlide = 10;
+    constexpr std::uint64_t kSpan = 40;
+    constexpr std::size_t kEvents = 100'000;
+    server::CepServer srv(
+        server::ServerConfigBuilder{}.pool_workers(1).ingest_queue_events(kCap).build());
+    srv.start();
+
+    const auto wire = wire_events(kEvents, 23);
+    std::atomic<bool> done{false};
+    harness::LoadGenOutcome out;
+    std::thread client([&] {
+        out = harness::LoadGenClient("127.0.0.1", srv.port())
+                  .run_one(make_session(kRisingPairQuery, 3, wire));
+        done.store(true, std::memory_order_release);
+    });
+    std::uint64_t peak_ahead = 0;
+    std::size_t samples = 0;
+    while (!done.load(std::memory_order_acquire)) {
+        const auto snap = srv.registry().snapshot();
+        const auto ingested = counter(snap, obs::sid::kEventsIngested);
+        const auto retired = counter(snap, obs::sid::kWindowsRetired);
+        if (ingested > kSlide * retired)
+            peak_ahead = std::max(peak_ahead, ingested - kSlide * retired);
+        ++samples;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    client.join();
+
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(sequential_ground_truth(kRisingPairQuery, wire), out.results,
+                          "k=3 standalone");
+    EXPECT_GT(samples, 0u);
+    EXPECT_LE(peak_ahead, kCap + kSpan);
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_failed, 0u);
+}
+
+// Ingest credit follows processing, not the watermark (DESIGN.md §9): a
+// window wider than the ingest cap must still fill, whichever engine runs
+// the lane. Both count a window that is still arriving as caught up, so the
+// reactor keeps reading until the window is whole, pauses while it is
+// processed, and resumes behind it — a watermark-gated credit would stall
+// the first window forever.
+class WideWindowCredit : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(WideWindowCredit, WindowWiderThanTheIngestCapStillStreams) {
+    const std::uint32_t k = GetParam();
     constexpr std::size_t kCap = 1024;
     const server::ServerConfig cfg =
         server::ServerConfigBuilder{}.ingest_queue_events(kCap).build();
@@ -376,15 +429,20 @@ TEST(ServerReclaim, WindowWiderThanTheIngestCapStillStreams) {
         "WITHIN 4096 EVENTS FROM EVERY 1024 EVENTS CONSUME ALL";
     const auto wire = wire_events(16 * 1024, 17);
     const auto out =
-        harness::LoadGenClient("127.0.0.1", srv.port()).run_one(make_session(kWide, 0, wire));
+        harness::LoadGenClient("127.0.0.1", srv.port()).run_one(make_session(kWide, k, wire));
     ASSERT_TRUE(out.error.empty()) << out.error;
     ASSERT_TRUE(out.completed);
     expect_byte_identical(sequential_ground_truth(kWide, wire), out.results,
-                          "k=0 window wider than the ingest cap");
+                          "k=" + std::to_string(k) + " window wider than the ingest cap");
     EXPECT_FALSE(out.results.empty());
     srv.stop();
     EXPECT_EQ(srv.stats().sessions_failed, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(ServerReclaim, WideWindowCredit, ::testing::Values(0u, 3u),
+                         [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+                             return "k" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // MappedStore::release_below: the lane's store chunks and mapping rows go,
