@@ -1,10 +1,13 @@
-// ChunkPins: refcounted read pins over one shared EventStore (DESIGN.md §15).
+// ChunkPins: refcounted read pins over one EventStore (DESIGN.md §6/§15).
 //
-// A published stream's store is written by one publisher session and read by
-// many subscriber engines, each at its own pace. The store's chunk directory
-// makes reclamation natural — a 1024-event chunk can be freed once every
+// Every server session store frees memory through its pins. A published
+// stream's store is written by one publisher session and read by many
+// subscriber engines, each at its own pace; a standalone session's private
+// store is read by that session alone, through one pin. The store's chunk
+// directory makes reclamation natural — a 1024-event chunk can be freed once every
 // reader has moved past it — but the store itself must stay lock-free on the
-// hot paths, so the bookkeeping lives here, in a sidecar the hub owns:
+// hot paths, so the bookkeeping lives here, in a sidecar beside the store
+// (server::StreamEntry):
 //
 //   * attach() registers a reader cursor at seq 0 (readers always start at
 //     the beginning of the stream — late subscribers replay history).
@@ -27,7 +30,7 @@
 //     subscribe-time error instead of silently wrong results.
 //
 // Thread safety: every method takes the internal mutex; attach/detach run on
-// the server reactor, advance on whichever pool worker steps the subscriber's
+// the server reactor, advance on whichever pool worker steps the reader's
 // engine. The mutex also serializes release_chunks_below, satisfying the
 // store's contract.
 #pragma once

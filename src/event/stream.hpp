@@ -13,10 +13,13 @@
 // appends while detection is already running. Engines read `size()` (the
 // frontier) to learn how far the stream has arrived and `closed()` to learn
 // that it ended; events below the frontier are immutable and their addresses
-// are stable until reclaimed — a store whose every reader reports a low
-// watermark (k = 0 sessions, hub subscribers) frees whole chunks behind it,
-// so the guarantee holds for the unreclaimed suffix. Batch replay is just the
-// special case where the whole stream is appended before the engines start.
+// are stable until reclaimed. Two paths free whole chunks behind the readers:
+// a server session's store through event::ChunkPins (every reader one pin —
+// a standalone session's private store has one, a published stream's one
+// per subscriber), and a PARTITION BY key lane's MappedStore behind its
+// lane's watermark. The guarantee holds for the unreclaimed suffix. Batch
+// replay is just the special case where the whole stream is appended before
+// the engines start.
 #pragma once
 
 #include <atomic>
@@ -151,8 +154,8 @@ public:
     // and every directory page whose chunks are all freed. Returns the
     // number of chunks freed; resumes from the previous call's cursor, so
     // the cost is O(chunks freed). Caller contract (event::ChunkPins
-    // enforces it for shared stores, the owning k = 0 session or key lane
-    // for its own): calls are serialized, and no reader will ever again
+    // enforces it for every session store, MappedStore::release_below for a
+    // key lane's): calls are serialized, and no reader will ever again
     // address a seq below `seq` — the "addresses stable" guarantee narrows
     // to the unreclaimed suffix. The writer is unaffected: it only touches
     // the frontier chunk and its page, which are never below the frontier.

@@ -111,7 +111,7 @@ constexpr BuiltinDef kBuiltins[] = {
     {"compile_cache_hits", Kind::Counter, "subscriber queries served a shared artifact"},
     {"compile_cache_misses", Kind::Counter, "subscriber queries compiled fresh"},
     {"store_chunks_reclaimed", Kind::Counter,
-     "session-store chunks freed behind a sequential engine's low watermark"},
+     "standalone-session store chunks freed behind the session's pin"},
     {"shard_chunks_reclaimed", Kind::Counter,
      "key-lane store chunks freed behind a sequential lane's low watermark"},
 };

@@ -159,7 +159,7 @@ enum : std::uint32_t {
     kCompileCacheHits,      // subscriber queries served a shared artifact
     kCompileCacheMisses,    // subscriber queries compiled fresh
     // --- bounded memory (DESIGN.md §6) --------------------------------------
-    kStoreChunksReclaimed,  // private-store chunks freed behind a k=0 watermark
+    kStoreChunksReclaimed,  // private-store chunks freed behind its one pin
     kShardChunksReclaimed,  // key-lane store chunks freed behind a lane watermark
     kCount
 };

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -69,27 +70,11 @@ SessionStatus ServerSession::on_readable(net::Reactor& io) {
     if (lingering_) return drain_lingering(io);
     for (;;) {
         // Frames already staged first: a ResumeRead re-entry must not wait
-        // for new bytes to dispatch what was decoded before the pause.
-        while (!reader_.empty()) {
-            std::optional<net::SessionFrame> frame;
-            try {
-                frame = reader_.poll();
-            } catch (const std::exception& e) {
-                // Corrupt frame: framing is lost, the session is
-                // unrecoverable — but only this session (ERROR + disconnect).
-                publish_ingest();
-                return fail(std::string("corrupt frame: ") + e.what(), /*send_error=*/true);
-            }
-            if (!frame) break;  // mid-frame tail — need more bytes
-            shard_->add(obs::Series{obs::sid::kIngestFramesStaged}, 1);
-            const auto status = dispatch(std::move(*frame));
-            if (status != SessionStatus::Open) {
-                publish_ingest();
-                return status;
-            }
-        }
-        // The staged frames of a ResumeRead re-entry go out as one hand-off.
+        // for new bytes to dispatch what was decoded before the pause. They
+        // go out as one hand-off.
+        const auto staged = dispatch_staged();
         publish_ingest();
+        if (staged != SessionStatus::Open) return staged;
         net::Reactor::ReadView view;
         const auto rs = io.read(fd_, view);
         if (rs == net::Reactor::ReadStatus::Again)
@@ -105,6 +90,25 @@ SessionStatus ServerSession::on_readable(net::Reactor& io) {
         const auto status = consume_view(view.data, view.size);
         if (status != SessionStatus::Open) return status;
     }
+}
+
+SessionStatus ServerSession::dispatch_staged() {
+    while (!reader_.empty()) {
+        std::optional<net::SessionFrame> frame;
+        try {
+            frame = reader_.poll();
+        } catch (const std::exception& e) {
+            // Corrupt frame: framing is lost, the session is unrecoverable —
+            // but only this session (ERROR + disconnect).
+            publish_ingest();
+            return fail(std::string("corrupt frame: ") + e.what(), /*send_error=*/true);
+        }
+        if (!frame) break;  // mid-frame tail — need more bytes
+        shard_->add(obs::Series{obs::sid::kIngestFramesStaged}, 1);
+        const auto status = dispatch(std::move(*frame));
+        if (status != SessionStatus::Open) return status;
+    }
+    return SessionStatus::Open;
 }
 
 void ServerSession::stage_tail(const std::uint8_t* data, std::size_t size,
@@ -149,8 +153,7 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
                 event::Event ev = data::make_quote(
                     vocab_, dv.ts, vocab_.schema->intern_subject(dv.symbol_view()),
                     dv.open, dv.close, dv.volume);
-                const SessionStatus status =
-                    sharded_ ? ingest_sharded(std::move(ev)) : ingest_store(std::move(ev));
+                const SessionStatus status = ingest(std::move(ev));
                 if (status != SessionStatus::Open) {
                     // Pausing mid-view: the unread tail must survive until
                     // ResumeRead — stage it (the one place the bulk path
@@ -179,23 +182,13 @@ SessionStatus ServerSession::consume_view(const std::uint8_t* data, std::size_t 
         reader_.feed(data + pos, chunk);
         shard_->add(obs::Series{obs::sid::kIngestCopiedBytes}, chunk);
         pos += chunk;
-        for (;;) {
-            std::optional<net::SessionFrame> frame;
-            try {
-                frame = reader_.poll();
-            } catch (const std::exception& e) {
-                flush();
-                return fail(std::string("corrupt frame: ") + e.what(), /*send_error=*/true);
-            }
-            if (!frame) break;  // partial — feed the next chunk
-            shard_->add(obs::Series{obs::sid::kIngestFramesStaged}, 1);
-            const auto status = dispatch(std::move(*frame));
-            if (status != SessionStatus::Open) {
-                if (status == SessionStatus::Paused) stage_tail(data, size, pos);
-                flush();
-                return status;
-            }
-            if (reader_.empty()) break;  // back to the scatter fast path
+        // Back to the scatter fast path once the reader drains; a partial
+        // frame feeds the next chunk.
+        const auto status = dispatch_staged();
+        if (status != SessionStatus::Open) {
+            if (status == SessionStatus::Paused) stage_tail(data, size, pos);
+            flush();
+            return status;
         }
     }
     flush();
@@ -208,10 +201,10 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
     if (!std::holds_alternative<net::WireQuote>(frame)) publish_ingest();
     switch (state_) {
         case State::AwaitHello:
-            if (auto* hello = std::get_if<net::HelloFrame>(&frame))
-                return on_hello(std::move(*hello));
-            if (auto* hello2 = std::get_if<net::Hello2Frame>(&frame))
-                return on_hello2(std::move(*hello2));
+            if (auto* v1 = std::get_if<net::HelloFrame>(&frame))
+                return on_hello(Handshake{std::move(*v1)});
+            if (const auto* v2 = std::get_if<net::Hello2Frame>(&frame))
+                return on_hello(decode_hello(*v2));
             // A pure monitoring client may query server-wide stats without
             // ever subscribing a query (§12).
             if (std::get_if<net::StatsFrame>(&frame)) return on_stats();
@@ -226,8 +219,7 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
                 // the reactor thread (§8) either way: the engine only ever
                 // sees interned ids. Accounting and the publish cadence
                 // match the scatter path.
-                return sharded_ ? ingest_sharded(net::from_wire(*quote, vocab_))
-                                : ingest_store(net::from_wire(*quote, vocab_));
+                return ingest(net::from_wire(*quote, vocab_));
             }
             if (std::get_if<net::StatsFrame>(&frame)) return on_stats();
             if (std::get_if<net::ByeFrame>(&frame)) {
@@ -263,47 +255,34 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
     return SessionStatus::Finished;  // unreachable
 }
 
-SessionStatus ServerSession::ingest_store(event::Event&& ev) {
-    // §14 scatter append: fill the store's next slot in place; the frontier
-    // is published in batches by publish_ingest (the caller owns the cadence).
-    event::EventStore& st = ingest_target();
-    event::Event& slot = st.append_slot();
-    ev.seq = slot.seq;
-    slot = std::move(ev);
-    ++unpublished_;
-    if (role_ == SessionRole::Publisher) {
-        // A published stream is unpaced (§15 honest limit): there is no
-        // single `accepted_` to pace against — each subscriber reads at its
-        // own frontier, and a lagging one must never stall the publisher or
-        // its siblings. The store capacity bound (SPECTRE_REQUIRE in
-        // append_slot) is the hard stop.
-        return SessionStatus::Open;
+SessionStatus ServerSession::ingest(event::Event&& ev) {
+    std::uint64_t in_flight = 0;
+    if (sharded_) {
+        // §10: route into the per-shard staging batches (the router must see
+        // arrivals in global order, as only this thread does). Events that
+        // trail a worker-side abort come back dropped: no stamp, no counters.
+        const auto info = sharded_->route(std::move(ev));
+        if (info.dropped) return SessionStatus::Open;
+        in_flight = info.queued;
+    } else {
+        // §14 scatter append: fill the store's next slot in place.
+        event::EventStore& st = entry_->store;
+        event::Event& slot = st.append_slot();
+        ev.seq = slot.seq;
+        slot = std::move(ev);
+        in_flight = st.size() + st.pending_appends() -
+                    accepted_.load(std::memory_order_relaxed);
     }
+    // Handed over in batches by publish_ingest (the caller owns the cadence).
+    ++unpublished_;
+    // A published stream is unpaced (§15 honest limit): each subscriber reads
+    // at its own frontier, and a lagging one must never stall the publisher
+    // or its siblings. The store capacity (SPECTRE_REQUIRE) is the hard stop.
+    if (role_ == SessionRole::Publisher) return SessionStatus::Open;
     stamp_arrival();
-    const std::uint64_t in_flight = st.size() + st.pending_appends() -
-                                    accepted_.load(std::memory_order_relaxed);
     if (in_flight >= limits_.ingest_queue_events) {
         // High watermark hit: stop reading this socket — TCP pushes back on
         // the client while the task catches up.
-        shard_->add(obs::Series{obs::sid::kIngestPauses}, 1);
-        return SessionStatus::Paused;
-    }
-    return SessionStatus::Open;
-}
-
-SessionStatus ServerSession::ingest_sharded(event::Event&& ev) {
-    // §10: the reactor routes into the engine's per-shard staging batches
-    // (the router must see arrivals in global order, and this is the only
-    // thread that does); publish_ingest hands them over once per read. A
-    // worker-side abort may close the input before the reactor learns the
-    // session failed — the engine reports those trailing events as dropped,
-    // and the session must not account for them: no arrival stamp, no
-    // counters.
-    const auto info = sharded_->route(std::move(ev));
-    if (info.dropped) return SessionStatus::Open;
-    stamp_arrival();
-    ++unpublished_;
-    if (info.queued >= limits_.ingest_queue_events) {
         shard_->add(obs::Series{obs::sid::kIngestPauses}, 1);
         return SessionStatus::Paused;
     }
@@ -321,17 +300,11 @@ void ServerSession::publish_ingest() {
         observe_lane_depths();
         return;
     }
-    ingest_target().publish_appends();
+    entry_->store.publish_appends();
     shard_->add(obs::Series{obs::sid::kEventsIngested}, n);
-    if (role_ == SessionRole::Publisher) {
-        // §15 fan-out: one frontier publish wakes every parked subscriber
-        // engine. Each wake passes the §9 barrier on that subscriber's own
-        // ingest mutex (see wake_input_lanes) — per-subscriber, because
-        // each parks independently at its own read frontier.
-        for (ServerSession* sub : hub_entry_->subscribers) sub->wake_input_lanes();
-        return;
-    }
-    wake_input_lanes();
+    // Each reader passes its own §9 barrier: each parks independently at its
+    // own read frontier.
+    for (ServerSession* reader : entry_->readers) reader->wake_input_lanes();
 }
 
 void ServerSession::wake_input_lanes() {
@@ -343,34 +316,153 @@ void ServerSession::wake_input_lanes() {
     wake_lanes(&Lane::on_input);
 }
 
-SessionStatus ServerSession::on_hello(net::HelloFrame&& hello, bool v2_echo) {
-    if (hello.instances > static_cast<std::uint32_t>(limits_.max_instances))
-        return fail("HELLO rejected: instances exceed server limit",
-                    /*send_error=*/true);
-    if (hello.shards > static_cast<std::uint32_t>(limits_.max_shards))
-        return fail("HELLO rejected: shards exceed server limit", /*send_error=*/true);
-    try {
-        vocab_ = data::StockVocab::create(std::make_shared<event::Schema>());
-        auto query = query::parse_query(hello.query, vocab_.schema);
-        // HELLO's partition key (§10) overrides/supplies the query text's
-        // PARTITION BY; sharding without any partition key is meaningless.
-        if (!hello.partition_by.empty())
-            query.partition = query::resolve_partition_key(hello.partition_by,
-                                                           *vocab_.schema);
-        if (hello.shards > 1 && !query.partition.active())
-            throw std::invalid_argument("shards > 1 needs a partition key");
-        cq_ = std::make_shared<const detect::CompiledQuery>(
-            detect::CompiledQuery::compile(std::move(query)));
-    } catch (const std::exception& e) {
-        return fail(std::string("HELLO rejected: ") + e.what(), /*send_error=*/true);
+// --- HELLO (§8, §15) --------------------------------------------------------
+
+namespace {
+
+// Numeric HELLO v2 values are strict decimal u32 — anything else rejects the
+// handshake (unknown KEYS are ignored; malformed VALUES for known keys are
+// errors, per the append-only versioning rule in DESIGN.md §15).
+bool parse_u32(std::string_view s, std::uint32_t& out) {
+    if (s.empty() || s.size() > 10) return false;
+    std::uint64_t v = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9') return false;
+        v = v * 10 + static_cast<std::uint64_t>(c - '0');
     }
-    instances_ = hello.instances;
-    if (v2_echo) send_hello2_echo("standalone", {});
-    start_engine(store_, hello.shards);
+    if (v > std::numeric_limits<std::uint32_t>::max()) return false;
+    out = static_cast<std::uint32_t>(v);
+    return true;
+}
+
+// The v2 `role` value each SessionRole answers with in the capability echo.
+constexpr std::string_view kRoleNames[] = {"standalone", "publish", "subscribe"};
+
+}  // namespace
+
+ServerSession::Handshake ServerSession::decode_hello(const net::Hello2Frame& v2) {
+    Handshake hs;
+    hs.v2 = true;
+    const std::string_view role = v2.has("role") ? v2.get("role") : kRoleNames[0];
+    const auto* known = std::find(std::begin(kRoleNames), std::end(kRoleNames), role);
+    if (known == std::end(kRoleNames)) {
+        hs.error = "unknown role '" + std::string(role) + "'";
+        return hs;
+    }
+    hs.role = static_cast<SessionRole>(known - std::begin(kRoleNames));
+    if (hs.role != SessionRole::Standalone) hs.stream = v2.get("stream");
+    hs.hello.query = v2.get("query");
+    hs.hello.partition_by = v2.get("partition_by");
+    if (v2.has("instances") && !parse_u32(v2.get("instances"), hs.hello.instances))
+        hs.error = "bad instances value";
+    else if (v2.has("shards") && !parse_u32(v2.get("shards"), hs.hello.shards))
+        hs.error = "bad shards value";
+    return hs;
+}
+
+SessionStatus ServerSession::on_hello(Handshake&& hs) {
+    const auto reject = [this](const std::string& why) {
+        return fail("HELLO rejected: " + why, /*send_error=*/true);
+    };
+    if (!hs.error.empty()) return reject(hs.error);
+    if (hs.hello.instances > static_cast<std::uint32_t>(limits_.max_instances))
+        return reject("instances exceed server limit");
+    if (hs.hello.shards > static_cast<std::uint32_t>(limits_.max_shards))
+        return reject("shards exceed server limit");
+
+    // Resolve the stream by role: a standalone session's is private and
+    // never enters the hub; the other roles name a published one.
+    StreamHub::EntryPtr entry;
+    if (hs.role == SessionRole::Standalone) {
+        entry = make_stream_entry({});
+    } else {
+        const std::string_view role = kRoleNames[static_cast<int>(hs.role)];
+        if (!hub_) return reject("this server has no stream hub");
+        if (hs.stream.empty()) return reject(std::string(role) + " needs stream=<name>");
+        if (hs.role == SessionRole::Publisher) {
+            if (!hs.hello.query.empty()) return reject("publisher sessions carry no query");
+            entry = hub_->publish(hs.stream, id_);
+            if (!entry) return reject("stream '" + hs.stream + "' already published");
+        } else {
+            if (hs.hello.shards > 0 || !hs.hello.partition_by.empty())
+                // §15 honest limit: partitioned/sharded engines re-materialize
+                // the stream into per-key lanes — that defeats the shared-store
+                // point. Run those as standalone sessions instead.
+                return reject("subscriber sessions cannot shard or partition");
+            entry = hub_->find(hs.stream);
+            if (!entry) return reject("unknown stream '" + hs.stream + "'");
+            if (entry->failed) return reject(entry->fail_reason);
+        }
+    }
+    // The stream's vocab interns DATA symbols and query atoms, on this reactor
+    // thread only (§8): a subscriber's query resolves against the schema the
+    // publisher's events were interned with.
+    vocab_ = entry->vocab;
+    if (hs.role != SessionRole::Publisher) {
+        try {
+            auto query = query::parse_query(hs.hello.query, vocab_.schema);
+            // HELLO's partition key (§10) overrides/supplies the query
+            // text's PARTITION BY; sharding without one is meaningless.
+            if (!hs.hello.partition_by.empty())
+                query.partition =
+                    query::resolve_partition_key(hs.hello.partition_by, *vocab_.schema);
+            if (hs.hello.shards > 1 && !query.partition.active())
+                throw std::invalid_argument("shards > 1 needs a partition key");
+            if (hs.role == SessionRole::Subscriber && query.partition.active())
+                throw std::invalid_argument(
+                    "subscriber queries cannot use PARTITION BY (standalone sessions can)");
+            if (hs.role == SessionRole::Subscriber && cache_) {
+                // Only subscribers share compiled artifacts: a standalone
+                // session's schema is its own (§15).
+                const auto before = cache_->stats();
+                cq_ = cache_->get(std::move(query));
+                const auto after = cache_->stats();
+                shard_->add(obs::Series{obs::sid::kCompileCacheHits}, after.hits - before.hits);
+                shard_->add(obs::Series{obs::sid::kCompileCacheMisses},
+                            after.misses - before.misses);
+            } else {
+                cq_ = std::make_shared<const detect::CompiledQuery>(
+                    detect::CompiledQuery::compile(std::move(query)));
+            }
+        } catch (const std::exception& e) {
+            return reject(e.what());
+        }
+        // The session's one read pin; it starts at seq 0. Last, because a
+        // pin taken and then abandoned would hold the stream's history.
+        pin_cursor_ = entry->pins.attach();
+        if (pin_cursor_ == event::ChunkPins::kInvalidCursor)
+            return reject("stream '" + hs.stream + "' history already reclaimed");
+    }
+
+    role_ = hs.role;
+    entry_ = std::move(entry);
+    instances_ = hs.hello.instances;
+    if (role_ == SessionRole::Subscriber) {
+        chunks_reclaimed_ = obs::Series{obs::sid::kHubChunksReclaimed};
+        hub_->subscribe(entry_, this);
+    } else if (role_ == SessionRole::Standalone) {
+        entry_->readers.push_back(this);
+    }
+    if (hs.v2) {
+        // The capability echo, buffered before the engine starts so it
+        // precedes every RESULT byte. v1 clients get none.
+        net::Hello2Frame echo;
+        echo.set("proto", "2");
+        echo.set("role", std::string(kRoleNames[static_cast<int>(role_)]));
+        if (!hs.stream.empty()) echo.set("stream", hs.stream);
+        echo.set("max_instances", std::to_string(limits_.max_instances));
+        echo.set("max_shards", std::to_string(limits_.max_shards));
+        egress_append(net::SessionFrame{std::move(echo)});
+        egress_try_flush();
+    }
+    state_ = State::Streaming;
+    // A publisher has no engine and no task: the reaper gates on input_done
+    // and drained egress.
+    if (role_ != SessionRole::Publisher) start_engine(hs.hello.shards);
     return SessionStatus::Open;
 }
 
-void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards) {
+void ServerSession::start_engine(std::uint32_t shards) {
     event::ResultSink sink = [this](event::ComplexEvent&& ce) {
         const auto prev = results_sent_.load(std::memory_order_relaxed);
         if (!egress_append(net::SessionFrame{net::to_result_frame(ce)})) return;
@@ -403,162 +495,16 @@ void ServerSession::start_engine(event::EventStore& store, std::uint32_t shards)
         // Bound even under SPECTRE_OBS_OFF: engine stats are counters,
         // published by every step (§11/§12).
         engine_ = std::make_unique<engine::LaneEngine>(
-            cq_.get(), &store, instances_, limits_.quantum_windows, limits_.batch_events,
-            std::move(sink), shard_.get());
+            cq_.get(), &entry_->store, instances_, limits_.quantum_windows,
+            limits_.batch_events, std::move(sink), shard_.get());
     }
     if (instances_ > 0) shard_->add(obs::Series{obs::sid::kSchedSessions}, 1);
     for (std::uint32_t s = 0; s < lanes; ++s)
         lanes_.push_back(std::make_unique<Lane>(this, s));
-    state_ = State::Streaming;
     task_registered_ = true;
     tasks_expected_.store(lanes, std::memory_order_relaxed);
     for (std::uint32_t s = 0; s < lanes; ++s)  // schedules the first quanta
         hooks_.register_task(shard_task_id(id_, s), lanes_[s].get());
-}
-
-// --- HELLO v2 (§15) ---------------------------------------------------------
-
-namespace {
-
-// Numeric HELLO v2 values are strict decimal u32 — anything else rejects the
-// handshake (unknown KEYS are ignored; malformed VALUES for known keys are
-// errors, per the append-only versioning rule in DESIGN.md §15).
-bool parse_u32(std::string_view s, std::uint32_t& out) {
-    if (s.empty() || s.size() > 10) return false;
-    std::uint64_t v = 0;
-    for (const char c : s) {
-        if (c < '0' || c > '9') return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (v > std::numeric_limits<std::uint32_t>::max()) return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-}  // namespace
-
-void ServerSession::send_hello2_echo(std::string_view role, const std::string& stream) {
-    net::Hello2Frame echo;
-    echo.set("proto", "2");
-    echo.set("role", std::string(role));
-    if (!stream.empty()) echo.set("stream", stream);
-    echo.set("max_instances", std::to_string(limits_.max_instances));
-    echo.set("max_shards", std::to_string(limits_.max_shards));
-    egress_append(net::SessionFrame{std::move(echo)});
-    egress_try_flush();
-}
-
-SessionStatus ServerSession::on_hello2(net::Hello2Frame&& hello) {
-    const std::string_view role = hello.has("role") ? hello.get("role") : "standalone";
-    const std::string stream(hello.get("stream"));
-    if (role == "publish") return on_hello2_publish(hello, stream);
-    if (role == "subscribe") return on_hello2_subscribe(std::move(hello), stream);
-    if (role != "standalone")
-        return fail("HELLO rejected: unknown role '" + std::string(role) + "'",
-                    /*send_error=*/true);
-    // Compat shim: a v2 standalone HELLO is the v1 handshake with an echo —
-    // same keys, same engine selection, byte-identical RESULT stream.
-    net::HelloFrame v1;
-    v1.query = std::string(hello.get("query"));
-    v1.partition_by = std::string(hello.get("partition_by"));
-    std::uint32_t instances = 0;
-    std::uint32_t shards = 0;
-    if (hello.has("instances") && !parse_u32(hello.get("instances"), instances))
-        return fail("HELLO rejected: bad instances value", /*send_error=*/true);
-    if (hello.has("shards") && !parse_u32(hello.get("shards"), shards))
-        return fail("HELLO rejected: bad shards value", /*send_error=*/true);
-    v1.instances = instances;
-    v1.shards = shards;
-    return on_hello(std::move(v1), /*v2_echo=*/true);
-}
-
-SessionStatus ServerSession::on_hello2_publish(const net::Hello2Frame& hello,
-                                               const std::string& stream) {
-    if (!hub_)
-        return fail("HELLO rejected: this server has no stream hub", /*send_error=*/true);
-    if (stream.empty())
-        return fail("HELLO rejected: publish needs stream=<name>", /*send_error=*/true);
-    if (hello.has("query"))
-        return fail("HELLO rejected: publisher sessions carry no query",
-                    /*send_error=*/true);
-    auto entry = hub_->publish(stream, id_);
-    if (!entry)
-        return fail("HELLO rejected: stream '" + stream + "' already published",
-                    /*send_error=*/true);
-    role_ = SessionRole::Publisher;
-    hub_entry_ = std::move(entry);
-    // The stream's vocab interns DATA symbols on this reactor thread (§8's
-    // interning rule is unchanged — one thread, now shared by N readers that
-    // only ever see interned ids).
-    vocab_ = hub_entry_->vocab;
-    state_ = State::Streaming;
-    send_hello2_echo("publish", stream);
-    // No engine, no task: the reaper gates on input_done + egress drained.
-    return SessionStatus::Open;
-}
-
-SessionStatus ServerSession::on_hello2_subscribe(net::Hello2Frame&& hello,
-                                                 const std::string& stream) {
-    if (!hub_)
-        return fail("HELLO rejected: this server has no stream hub", /*send_error=*/true);
-    if (stream.empty())
-        return fail("HELLO rejected: subscribe needs stream=<name>", /*send_error=*/true);
-    std::uint32_t instances = 0;
-    if (hello.has("instances") && !parse_u32(hello.get("instances"), instances))
-        return fail("HELLO rejected: bad instances value", /*send_error=*/true);
-    if (instances > static_cast<std::uint32_t>(limits_.max_instances))
-        return fail("HELLO rejected: instances exceed server limit", /*send_error=*/true);
-    std::uint32_t shards = 0;
-    if (hello.has("shards") && !parse_u32(hello.get("shards"), shards))
-        return fail("HELLO rejected: bad shards value", /*send_error=*/true);
-    if (shards > 0 || hello.has("partition_by"))
-        // §15 honest limit: partitioned/sharded engines re-materialize the
-        // stream into per-key lanes — that defeats the shared-store point.
-        // Run those as standalone sessions instead.
-        return fail("HELLO rejected: subscriber sessions cannot shard or partition",
-                    /*send_error=*/true);
-    auto entry = hub_->find(stream);
-    if (!entry)
-        return fail("HELLO rejected: unknown stream '" + stream + "'",
-                    /*send_error=*/true);
-    if (entry->failed)
-        return fail("HELLO rejected: " + entry->fail_reason, /*send_error=*/true);
-    const auto cursor = entry->pins.attach();
-    if (cursor == event::ChunkPins::kInvalidCursor)
-        return fail("HELLO rejected: stream '" + stream + "' history already reclaimed",
-                    /*send_error=*/true);
-    // Parse against the STREAM's schema: the query's interned slots/types
-    // must resolve against the vocab the publisher's events were interned
-    // with. Reactor thread, so interning query atoms is §8-safe.
-    vocab_ = entry->vocab;
-    try {
-        auto query = query::parse_query(std::string(hello.get("query")), vocab_.schema);
-        if (query.partition.active())
-            throw std::invalid_argument(
-                "subscriber queries cannot use PARTITION BY (standalone sessions can)");
-        if (cache_) {
-            const auto before = cache_->stats();
-            cq_ = cache_->get(std::move(query));
-            const auto after = cache_->stats();
-            shard_->add(obs::Series{obs::sid::kCompileCacheHits}, after.hits - before.hits);
-            shard_->add(obs::Series{obs::sid::kCompileCacheMisses},
-                        after.misses - before.misses);
-        } else {
-            cq_ = std::make_shared<const detect::CompiledQuery>(
-                detect::CompiledQuery::compile(std::move(query)));
-        }
-    } catch (const std::exception& e) {
-        entry->pins.detach(cursor);
-        return fail(std::string("HELLO rejected: ") + e.what(), /*send_error=*/true);
-    }
-    role_ = SessionRole::Subscriber;
-    hub_entry_ = entry;
-    pin_cursor_ = cursor;
-    instances_ = instances;
-    hub_->subscribe(entry, this);
-    send_hello2_echo("subscribe", stream);
-    start_engine(hub_entry_->store, 0);
-    return SessionStatus::Open;
 }
 
 SessionStatus ServerSession::on_stats() {
@@ -663,19 +609,12 @@ void ServerSession::close_ingestion(bool close_store) {
         sharded_->close_input();
     } else if (close_store) {
         // Reactor dispatch paths only (BYE / clean EOF): the sole appender
-        // closes its own store — the engine's completion check needs the
-        // final length. Abort paths leave it open (header contract).
-        event::EventStore& st = ingest_target();
-        st.publish_appends();
-        st.close();
-        if (role_ == SessionRole::Publisher) {
-            // End-of-stream fan-out (§15): every subscriber engine must
-            // observe closed() to finish. Each wake passes that subscriber's
-            // §9 barrier — a concurrently-parking task re-checks closed()
-            // under its own mutex, so the wakeup is never lost.
-            for (ServerSession* sub : hub_entry_->subscribers)
-                sub->wake_input_lanes();
-        }
+        // closes the store, and every reader must observe closed() to finish
+        // (a parking lane re-checks it under its §9 mutex: no lost wakeup).
+        // Abort paths leave it open and wake only this session's lanes.
+        entry_->store.close();
+        for (ServerSession* reader : entry_->readers) reader->wake_input_lanes();
+        return;
     }
     wake_input_lanes();
 }
@@ -696,32 +635,19 @@ void ServerSession::teardown(int shut_how) {
 // --- shared ingest plane (§15) ----------------------------------------------
 
 std::vector<ServerSession*> ServerSession::hub_detach() {
-    std::vector<ServerSession*> to_fail;
-    if (!hub_entry_) return to_fail;
-    // Move the entry out first: the detach must be idempotent (destroy paths
-    // and the destructor both call it), and ingest_target() must fall back to
-    // the private store the moment the session leaves the plane.
-    StreamHub::EntryPtr entry = std::move(hub_entry_);
-    hub_entry_.reset();
-    if (role_ == SessionRole::Subscriber) {
-        const std::size_t freed = entry->pins.detach(pin_cursor_);
-        if (freed > 0) shard_->add(obs::Series{obs::sid::kHubChunksReclaimed}, freed);
-        if (hub_) hub_->unsubscribe(entry, this);
-    } else if (role_ == SessionRole::Publisher) {
-        if (hub_) to_fail = hub_->publisher_gone(entry);
-        // The failure reason lives on the entry; each subscriber still holds
-        // its own reference, so fail_publisher_gone can read it after we drop
-        // ours here.
-    }
-    return to_fail;
+    // Idempotent, and entry_ stays: lanes still running keep stepping it.
+    // Each failed subscriber reads the reason off its own entry_.
+    if (role_ == SessionRole::Publisher)
+        return entry_->publisher_live ? hub_->publisher_gone(entry_)
+                                      : std::vector<ServerSession*>{};
+    if (pin_cursor_ == event::ChunkPins::kInvalidCursor) return {};  // no HELLO
+    const std::size_t freed = entry_->pins.detach(pin_cursor_);
+    if (freed > 0) shard_->add(chunks_reclaimed_, freed);
+    if (role_ == SessionRole::Subscriber) hub_->unsubscribe(entry_, this);
+    return {};
 }
 
-void ServerSession::fail_publisher_gone() {
-    const std::string reason = hub_entry_ && hub_entry_->failed
-                                   ? hub_entry_->fail_reason
-                                   : std::string("published stream lost");
-    fail(reason, /*send_error=*/true);
-}
+void ServerSession::fail_publisher_gone() { fail(entry_->fail_reason, /*send_error=*/true); }
 
 void ServerSession::count_failed_once() {
     // A session whose engine already claimed the completed outcome must not
@@ -794,7 +720,7 @@ bool ServerSession::ingest_above_low() const {
     // In-flight: events handed over that no lane has accepted yet.
     const std::uint64_t in_flight =
         sharded_ ? sharded_->queued_total()
-                 : ingest_target().size() - accepted_.load(std::memory_order_seq_cst);
+                 : entry_->store.size() - accepted_.load(std::memory_order_seq_cst);
     return in_flight >= limits_.ingest_queue_events / 2;
 }
 
@@ -805,12 +731,10 @@ void ServerSession::resume_read_if_low() {
 
 bool ServerSession::lane_parkable(std::uint32_t index) {
     if (sharded_) return sharded_->shard_parkable(index);
-    const event::EventStore& st = ingest_target();
+    const event::EventStore& st = entry_->store;
     const std::lock_guard<std::mutex> lock(ingest_mutex_);
-    // A subscriber's ingest_closed_ never flips — the publisher ends its
-    // stream by closing the shared store instead, so the closed() check is
-    // what lets a subscriber refuse to park once end-of-stream is published
-    // (the close path passes this same mutex via wake_input_lanes).
+    // A subscriber's ingest_closed_ never flips: the publisher's close of the
+    // shared store, published through this mutex, is what ends its stream.
     return st.size() == accepted_.load(std::memory_order_relaxed) && !ingest_closed_ &&
            !st.closed();
 }
@@ -1013,30 +937,20 @@ void ServerSession::reclaim_behind(event::Seq watermark) {
     const event::Seq floor = watermark & ~event::Seq{event::EventStore::kChunkSize - 1};
     if (floor <= reclaimed_floor_) return;
     reclaimed_floor_ = floor;
-    if (role_ == SessionRole::Subscriber) {
-        if (!hub_entry_) return;
-        // The shared store frees behind the slowest pinned reader (§15).
-        const std::size_t freed = hub_entry_->pins.advance(pin_cursor_, floor);
-        if (freed > 0) shard_->add(obs::Series{obs::sid::kHubChunksReclaimed}, freed);
-        return;
-    }
-    // The private store has this one reader; the reactor's appends touch
-    // only the frontier chunk, which lies above the watermark.
-    const std::size_t freed = store_.release_chunks_below(floor);
-    if (freed > 0) shard_->add(obs::Series{obs::sid::kStoreChunksReclaimed}, freed);
+    // The store frees behind the slowest pinned reader (§6/§15): for a
+    // private store that is this lane; the reactor's appends touch only the
+    // frontier chunk, which lies above the watermark.
+    const std::size_t freed = entry_->pins.advance(pin_cursor_, floor);
+    if (freed > 0) shard_->add(chunks_reclaimed_, freed);
 }
 
 ServerSession::Quantum ServerSession::finish_engine() {
-    if (role_ == SessionRole::Subscriber && hub_entry_) {
-        // Engine done: this reader will never address the stream again —
-        // raise its pin to the frontier. A k = 0 subscriber has been raising
-        // it behind its watermark all along (reclaim_behind); this final
-        // advance releases what a speculative subscriber, which reports no
-        // mid-stream watermark, held until now (§15).
-        const std::size_t freed =
-            hub_entry_->pins.advance(pin_cursor_, hub_entry_->store.size());
-        if (freed > 0) shard_->add(obs::Series{obs::sid::kHubChunksReclaimed}, freed);
-    }
+    // Engine done: this reader never addresses its store again, so its pin
+    // rises to the frontier — releasing what a speculative lane, which
+    // reports no mid-stream watermark, held until now. A sharded session's
+    // store stays empty (its key lanes own theirs): its lanes stop at the
+    // compare.
+    reclaim_behind(entry_->store.size());
     // Every sharded lane that observes all_finished lands here; the first
     // seals egress with the BYE, the rest find the seal taken.
     seal_with_bye();

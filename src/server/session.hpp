@@ -1,11 +1,13 @@
 // Server-side session: one connected client of the multi-session CEP server
 // (DESIGN.md §8), scheduled on the shared engine worker pool (§9).
 //
-// A session owns everything one client subscribes: the schema its query text
-// is parsed against, the compiled query, a private EventStore, and a
-// cooperatively-scheduled engine task (an engine::LaneEngine stepped inline:
-// SPECTRE with HELLO's k operator instances, or the sequential stepper when
-// k = 0).
+// A session is one stream entry plus at most one engine. At HELLO it takes a
+// StreamEntry (server/stream_hub.hpp) for its whole life — a private one it
+// alone reads (standalone), or the hub's named one (publish, subscribe) — and
+// every role but publish runs one cooperatively-scheduled engine over the
+// entry's store, read through one ChunkPins cursor: an engine::LaneEngine
+// (SPECTRE with HELLO's k operator instances, or the sequential stepper when
+// k = 0), or a ShardedEngine for a partitioned query.
 // The reactor thread (server/cep_server.hpp) feeds raw socket bytes in; the
 // session's state machine decodes typed frames (net/session.hpp) and drives:
 //
@@ -25,7 +27,7 @@
 // state machine — the engine state needs no locks). The two sides meet:
 //
 //   * Ingest (§14 scatter path): the reactor decodes DATA frames straight out
-//     of the reactor's read view into the session's EventStore (or the
+//     of the reactor's read view into the entry's EventStore (or the
 //     sharded engine's staging batches) — one copy off the socket, published
 //     once per read view. Backpressure is a pacing counter: after every
 //     step the worker stores what its engine has processed into `accepted_`
@@ -82,8 +84,7 @@ inline std::uint64_t session_of_task(std::uint64_t task_id) {
 // §12): each session owns one obs::Shard whose cells both sides update
 // (the reactor writes ingest-side series, the session's current pool worker
 // writes engine-side series); the server aggregates every shard at scrape
-// time. The old ServerCounters struct of shared atomics is gone — its
-// fields map 1:1 onto the sid:: builtin schema.
+// time.
 
 struct SessionLimits {
     int max_instances = 8;          // cap on HELLO's k
@@ -229,12 +230,11 @@ public:
 
     // --- shared ingest plane (§15, reactor thread) ---------------------------
 
-    SessionRole role() const noexcept { return role_; }
-    // Detaches from the stream hub (idempotent). A subscriber drops its chunk
-    // pin and leaves the entry's wake list; a publisher marks the stream gone
-    // and returns the subscribers the caller must fail (mid-stream death) —
-    // the destructor also detaches but ignores that list (server-stop
-    // teardown destroys everyone anyway).
+    // Drops the session's hub registration and its chunk pin (idempotent);
+    // the entry itself stays held. A subscriber leaves the entry's reader
+    // list; a publisher marks the stream gone and returns the subscribers the
+    // caller must fail (mid-stream death) — the destructor also detaches but
+    // ignores that list (server-stop teardown destroys everyone anyway).
     std::vector<ServerSession*> hub_detach();
     // Reactor-side error injection for those returned subscribers: fails the
     // session with the hub entry's recorded reason (ERROR frame + teardown).
@@ -268,20 +268,24 @@ private:
     using Quantum = EngineTask::Quantum;
 
     SessionStatus dispatch(net::SessionFrame&& frame);
-    // `v2_echo` (compat shim): buffer the v2 capability echo before the
-    // engine starts, so it precedes every RESULT byte. v1 clients get none.
-    SessionStatus on_hello(net::HelloFrame&& hello, bool v2_echo = false);
-    // HELLO v2 (§15): role-dispatched handshake. `role=standalone` maps onto
-    // on_hello; publish/subscribe attach the session to the stream hub.
-    SessionStatus on_hello2(net::Hello2Frame&& hello);
-    SessionStatus on_hello2_publish(const net::Hello2Frame& hello, const std::string& stream);
-    SessionStatus on_hello2_subscribe(net::Hello2Frame&& hello, const std::string& stream);
-    // Buffers the server capability echo for an accepted v2 HELLO.
-    void send_hello2_echo(std::string_view role, const std::string& stream);
-    // Builds the engine over `store` — a ShardedEngine of `shards` lanes for
-    // a partitioned query, else one LaneEngine with HELLO's k — with the
-    // result sink feeding egress, then registers its lanes.
-    void start_engine(event::EventStore& store, std::uint32_t shards);
+    // One decoded HELLO, v1 or v2 (§15). A v1 HELLO is a standalone one
+    // without the capability echo; decode_hello reads a v2 one.
+    struct Handshake {
+        net::HelloFrame hello;  // query, k, shard count, partition key
+        SessionRole role = SessionRole::Standalone;
+        bool v2 = false;    // answer with the capability echo
+        std::string stream;
+        std::string error;  // a v2 value that does not decode
+    };
+    static Handshake decode_hello(const net::Hello2Frame& hello);
+    // The one handshake path: limits, the entry by role, the query compile,
+    // the read pin, the v2 capability echo, then the engine (every role but
+    // publish).
+    SessionStatus on_hello(Handshake&& hs);
+    // Builds the engine over the entry's store — a ShardedEngine of `shards`
+    // lanes for a partitioned query, else one LaneEngine with HELLO's k —
+    // with the result sink feeding egress, then registers its lanes.
+    void start_engine(std::uint32_t shards);
     // STATS request (§12): buffers a StatsFrame reply carrying the server-wide
     // registry aggregate plus this session's own shard, as one JSON object.
     SessionStatus on_stats();
@@ -308,30 +312,24 @@ private:
     // store (unsharded) or a stack event routed to the sharded engine;
     // control frames and partial tails stage through reader_.
     SessionStatus consume_view(const std::uint8_t* data, std::size_t size);
+    // Dispatches every whole frame staged in reader_ until a non-Open status;
+    // Open once reader_ is empty or holds only a partial frame.
+    SessionStatus dispatch_staged();
     // Stages view bytes [pos, size) into reader_, counting the copy (§12).
     void stage_tail(const std::uint8_t* data, std::size_t size, std::size_t& pos);
-    // Appends one decoded quote into the store as an unpublished slot.
-    // Returns Paused once in-flight (frontier + pending - accepted) hits the
-    // high watermark.
-    SessionStatus ingest_store(event::Event&& ev);
-    // Routes one decoded quote into the sharded engine's staging batches
-    // (§10). Returns Paused once routed-but-unprocessed events, staged ones
-    // included, hit the high watermark.
-    SessionStatus ingest_sharded(event::Event&& ev);
+    // Takes one decoded quote: an unpublished slot of the entry's store, or
+    // the sharded engine's staging batches (§10). Returns Paused once
+    // in-flight (stored or routed, not yet processed) hits the high
+    // watermark; a publisher is never paused.
+    SessionStatus ingest(event::Event&& ev);
     // Hands over everything ingested since the last call, then wakes each
-    // lane with new input once: release-publishes the scatter slots, or
-    // publishes the sharded staging batches and observes the lane depths.
-    // Called at the end of every read view, before a pause, before a
-    // control frame is dispatched and before close.
+    // lane with new input once: release-publishes the scatter slots and
+    // wakes every reader of the entry (§15 fan-out: a published stream's
+    // subscribers, or a standalone session itself), or publishes the sharded
+    // staging batches and observes the lane depths. Called at the end of
+    // every read view, before a pause, before a control frame is dispatched
+    // and before close.
     void publish_ingest();
-    // The store this session appends to / steps over: the hub entry's shared
-    // store for publisher and subscriber roles, the private store_ otherwise.
-    event::EventStore& ingest_target() noexcept {
-        return hub_entry_ ? hub_entry_->store : store_;
-    }
-    const event::EventStore& ingest_target() const noexcept {
-        return hub_entry_ ? hub_entry_->store : store_;
-    }
     // New input or end-of-stream was published (by this session's reactor
     // side, or by a publisher for a subscriber): pass the §9 barrier — an
     // empty ingest_mutex_ section, which orders the publish against a lane's
@@ -389,10 +387,11 @@ private:
     void wake_lane(std::uint32_t s, ParkFlag Lane::*flag);
     void wake_lanes(ParkFlag Lane::*flag);
     // Bounded memory (§6/§15), after each engine step: once the engine's
-    // low watermark crosses a chunk boundary, free the private store behind
-    // it, or advance this subscriber's hub pin to it.
+    // low watermark crosses a chunk boundary, advance the session's pin to
+    // it (the store frees behind its slowest pinned reader).
     void reclaim_behind(event::Seq watermark);
-    Quantum finish_engine();  // BYE (first caller), counters, Done
+    // Raises the pin to the frontier, then BYE (first caller), Done.
+    Quantum finish_engine();
     Quantum engine_failed(const std::string& what);
     void request_watch_write();
 
@@ -422,17 +421,21 @@ private:
     std::uint32_t instances_ = 0;
     bool task_registered_ = false;
 
-    // Shared ingest plane (§15). hub_entry_ is held for the session's whole
-    // life — the shared store must outlive the engine stepping it.
+    // The session's stream (§15), set at HELLO and held for the session's
+    // whole life — the store must outlive the engine stepping it; hub_detach
+    // drops only the hub registration and the pin. pin_cursor_ is the
+    // session's one read pin on it (none for a publisher), and its freed
+    // chunks count into chunks_reclaimed_: store_chunks_reclaimed for a
+    // private entry, hub_chunks_reclaimed for a published one.
     StreamHub* hub_;
     detect::CompileCache* cache_;
     SessionRole role_ = SessionRole::Standalone;
-    StreamHub::EntryPtr hub_entry_;
+    StreamHub::EntryPtr entry_;
     event::ChunkPins::Cursor pin_cursor_ = event::ChunkPins::kInvalidCursor;
+    obs::Series chunks_reclaimed_{obs::sid::kStoreChunksReclaimed};
 
     // Engine: exactly one of the two after HELLO, driven by lanes_ — one
     // per shard, allocated and registered once at HELLO.
-    event::EventStore store_;
     std::unique_ptr<engine::LaneEngine> engine_;
     event::Seq reclaimed_floor_ = 0;  // lane-private: last chunk floor reclaimed
     std::unique_ptr<shard::ShardedEngine> sharded_;
@@ -442,8 +445,8 @@ private:
     // lane_depth_peak{shard="3"}. Reactor-written.
     std::vector<obs::Series> lane_peaks_;
 
-    // Ingest pacing (§14, unsharded): the reactor appends straight into
-    // store_ (frontier = store_.size()); after every step the worker stores
+    // Ingest pacing (§14, unsharded): the reactor appends straight into the
+    // entry's store (frontier = its size()); after every step the worker stores
     // the engine's processed() into accepted_. in-flight = frontier -
     // accepted_ is the queue depth the watermarks bound. ingest_mutex_
     // orders the park handshake (see publish_ingest) and guards

@@ -1,17 +1,23 @@
 #include "server/stream_hub.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "event/event.hpp"
 
 namespace spectre::server {
 
+std::shared_ptr<StreamEntry> make_stream_entry(std::string name) {
+    auto entry = std::make_shared<StreamEntry>();
+    entry->name = std::move(name);
+    entry->vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    return entry;
+}
+
 StreamHub::EntryPtr StreamHub::publish(const std::string& name,
                                        std::uint64_t publisher_id) {
     if (streams_.contains(name)) return nullptr;
-    auto entry = std::make_shared<StreamEntry>();
-    entry->name = name;
-    entry->vocab = data::StockVocab::create(std::make_shared<event::Schema>());
+    auto entry = make_stream_entry(name);
     entry->publisher_id = publisher_id;
     streams_.emplace(name, entry);
     if (shard_) shard_->add(obs::Series{obs::sid::kHubStreams}, 1);
@@ -24,7 +30,7 @@ StreamHub::EntryPtr StreamHub::find(const std::string& name) const {
 }
 
 void StreamHub::subscribe(const EntryPtr& entry, ServerSession* session) {
-    entry->subscribers.push_back(session);
+    entry->readers.push_back(session);
     if (shard_) {
         shard_->add(obs::Series{obs::sid::kHubSubscribers}, 1);
         shard_->add(obs::Series{obs::sid::kHubSubscribersTotal}, 1);
@@ -32,7 +38,7 @@ void StreamHub::subscribe(const EntryPtr& entry, ServerSession* session) {
 }
 
 void StreamHub::unsubscribe(const EntryPtr& entry, ServerSession* session) {
-    auto& subs = entry->subscribers;
+    auto& subs = entry->readers;
     const auto it = std::find(subs.begin(), subs.end(), session);
     if (it == subs.end()) return;
     subs.erase(it);
@@ -50,14 +56,14 @@ std::vector<ServerSession*> StreamHub::publisher_gone(const EntryPtr& entry) {
         entry->failed = true;
         entry->fail_reason =
             "publisher disconnected before closing stream '" + entry->name + "'";
-        to_fail = entry->subscribers;
+        to_fail = entry->readers;
     }
     maybe_erase(entry);
     return to_fail;
 }
 
 void StreamHub::maybe_erase(const EntryPtr& entry) {
-    if (entry->publisher_live || !entry->subscribers.empty()) return;
+    if (entry->publisher_live || !entry->readers.empty()) return;
     const auto it = streams_.find(entry->name);
     if (it == streams_.end() || it->second != entry) return;
     streams_.erase(it);

@@ -8,7 +8,7 @@
 //   * publish(name)    — claims the name, creates the shared StreamEntry
 //                        (store + vocab + chunk pins). Fails on duplicates.
 //   * find(name)       — resolves a subscriber's HELLO to the entry.
-//   * subscribe/unsubscribe — maintains the entry's subscriber list so the
+//   * subscribe/unsubscribe — maintains the entry's reader list so the
 //                        publisher's ingest path can wake parked engines.
 //   * publisher_gone() — the publisher died or finished. If the stream was
 //                        never closed, the entry is poisoned (failed) and the
@@ -43,17 +43,27 @@ namespace spectre::server {
 
 class ServerSession;
 
+// One decoded event stream and everything that reads it. The hub holds the
+// named (published) entries; a standalone session holds a private, unnamed
+// one that never enters the hub and whose only reader is that session.
 struct StreamEntry {
     std::string name;
     data::StockVocab vocab;     // per-stream schema interning
-    event::EventStore store;    // the one shared decoded stream
+    event::EventStore store;    // the one decoded stream
     event::ChunkPins pins{&store};
     std::uint64_t publisher_id = 0;
     bool publisher_live = true;
     bool failed = false;        // publisher died before closing the stream
     std::string fail_reason;
-    std::vector<ServerSession*> subscribers;  // live attached sessions
+    // Sessions whose engines step `store`: the attached subscribers of a
+    // published stream, or the standalone session itself. Every frontier
+    // publish and the close wake each of them.
+    std::vector<ServerSession*> readers;
 };
+
+// Creates an entry with a fresh schema and vocab: the hub's published
+// streams and every standalone session's private stream come from here.
+std::shared_ptr<StreamEntry> make_stream_entry(std::string name);
 
 class StreamHub {
 public:

@@ -1,7 +1,8 @@
 // Bounded memory on unbounded streams (DESIGN.md §6): the consumed-seq ring,
 // the sequential stepper's O(window span) state and its low watermark, the
 // store's resumable chunk release, a k = 0 server session whose private
-// store frees chunks behind that watermark while it streams, the §9 ingest
+// store frees chunks behind that watermark while it streams, the finish that
+// releases any standalone session's store (whichever k), the §9 ingest
 // credit that holds any session's backlog to its cap, and the PARTITION BY
 // key lanes (§10) whose mapped stores free chunks per lane.
 #include <gtest/gtest.h>
@@ -440,6 +441,44 @@ TEST_P(WideWindowCredit, WindowWiderThanTheIngestCapStillStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ServerReclaim, WideWindowCredit, ::testing::Values(0u, 3u),
+                         [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+                             return "k" + std::to_string(info.param);
+                         });
+
+// Every engine's finish releases its store (DESIGN.md §6/§15): a standalone
+// session is the only reader of its private stream entry, so when its engine
+// finishes its pin rises to the frontier and every whole chunk goes —
+// whichever k, including a speculative engine that reports no mid-stream
+// watermark. The private entry never touches the hub's series.
+class FinishReleasesStore : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(FinishReleasesStore, StandaloneSessionFreesEveryWholeChunkByItsBye) {
+    if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    const std::uint32_t k = GetParam();
+    constexpr std::size_t kEvents = 12'000;
+    server::CepServer srv;
+    srv.start();
+
+    const auto wire = wire_events(kEvents, 31);
+    const auto out = harness::LoadGenClient("127.0.0.1", srv.port())
+                         .run_one(make_session(kRisingPairQuery, k, wire));
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_TRUE(out.completed);
+    expect_byte_identical(sequential_ground_truth(kRisingPairQuery, wire), out.results,
+                          "k=" + std::to_string(k) + " standalone");
+
+    // The BYE is sealed after the final pin advance.
+    const auto snap = srv.registry().snapshot();
+    EXPECT_GE(counter(snap, obs::sid::kStoreChunksReclaimed),
+              kEvents / event::EventStore::kChunkSize);
+    EXPECT_EQ(counter(snap, obs::sid::kHubStreams), 0u);
+    EXPECT_EQ(counter(snap, obs::sid::kHubSubscribersTotal), 0u);
+    EXPECT_EQ(counter(snap, obs::sid::kHubChunksReclaimed), 0u);
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_failed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerReclaim, FinishReleasesStore, ::testing::Values(0u, 3u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& info) {
                              return "k" + std::to_string(info.param);
                          });

@@ -233,6 +233,80 @@ TEST(CepServer, InstancesBeyondServerLimitRejected) {
     srv.stop();
 }
 
+namespace {
+
+// Sends one raw HELLO and returns the server's ERROR text ("" if none).
+std::string handshake_error(std::uint16_t port, const net::SessionFrame& hello) {
+    net::TcpClient conn("127.0.0.1", port);
+    std::vector<std::uint8_t> buf;
+    net::encode_frame(hello, buf);
+    conn.send_raw(buf.data(), buf.size());
+    net::FrameReader reader;
+    std::uint8_t chunk[4096];
+    for (;;) {
+        const ssize_t n = net::read_some(conn.fd(), chunk, sizeof(chunk));
+        if (n <= 0) return {};
+        reader.feed(chunk, static_cast<std::size_t>(n));
+        while (auto f = reader.poll())
+            if (const auto* e = std::get_if<net::ErrorFrame>(&*f)) return e->message;
+    }
+}
+
+}  // namespace
+
+// One handshake validator (DESIGN.md §15): a v1 HELLO and a v2
+// `role=standalone` carrying the same bad handshake get the same ERROR, and
+// the instance limit reads the same for a subscriber.
+TEST(CepServer, OneHandshakeValidatorForV1AndV2) {
+    server::CepServer srv(server::ServerConfigBuilder{}.max_instances(2).max_shards(2).build());
+    srv.start();
+    harness::PublisherClient pub("127.0.0.1", srv.port(), "validated");
+    ASSERT_TRUE(pub.ok()) << pub.error();
+
+    struct BadHello {
+        const char* name;
+        std::string query;
+        std::uint32_t instances;
+        std::uint32_t shards;
+        std::string error;  // "" = any "HELLO rejected: " text
+    };
+    const BadHello cases[] = {
+        {"instances above max_instances", kRisingPairQuery, 3, 0,
+         "HELLO rejected: instances exceed server limit"},
+        {"shards above max_shards", kRisingPairQuery, 0, 3,
+         "HELLO rejected: shards exceed server limit"},
+        {"shards > 1 without a partition key", kRisingPairQuery, 0, 2,
+         "HELLO rejected: shards > 1 needs a partition key"},
+        {"malformed query text", "PATTERN (A DEFINE oops", 0, 0, ""},
+    };
+    for (const auto& c : cases) {
+        const std::string v1 = handshake_error(
+            srv.port(), net::SessionFrame{net::HelloFrame{c.query, c.instances, c.shards, ""}});
+        net::Hello2Frame h2;
+        h2.set("role", "standalone");
+        h2.set("query", c.query);
+        h2.set("instances", std::to_string(c.instances));
+        h2.set("shards", std::to_string(c.shards));
+        const std::string v2 = handshake_error(srv.port(), net::SessionFrame{std::move(h2)});
+        if (c.error.empty())
+            EXPECT_EQ(v1.rfind("HELLO rejected: ", 0), 0u) << c.name << ": " << v1;
+        else
+            EXPECT_EQ(v1, c.error) << c.name;
+        EXPECT_EQ(v2, v1) << c.name;
+    }
+
+    net::Hello2Frame sub;
+    sub.set("role", "subscribe");
+    sub.set("stream", "validated");
+    sub.set("query", kRisingPairQuery);
+    sub.set("instances", "3");
+    EXPECT_EQ(handshake_error(srv.port(), net::SessionFrame{std::move(sub)}), cases[0].error);
+
+    EXPECT_TRUE(pub.finish()) << pub.error();
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_failed, 2 * std::size(cases) + 1);
+}
+
 // A client that keeps sending after its HELLO was rejected — the rest of its
 // stream is already in flight — neither fails a send nor misses the ERROR:
 // the server half-closes and drains instead of closing over unread input,
