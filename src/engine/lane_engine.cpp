@@ -38,7 +38,7 @@ event::Seq LaneEngine::processed() const {
 }
 
 event::Seq LaneEngine::low_watermark() const {
-    return stepper_ ? stepper_->low_watermark() : 0;
+    return stepper_ ? stepper_->low_watermark() : runtime_->low_watermark();
 }
 
 }  // namespace spectre::engine

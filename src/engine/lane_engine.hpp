@@ -7,8 +7,9 @@
 //     closes) or Done (closed, every window processed and emitted);
 //   * processed(): the §9 ingest credit, never above size() and equal to it
 //     after an Idle or Done step — the park predicate relies on that;
-//   * low_watermark(): the §6 reclaim floor, monotone; 0 at k > 0 (keep the
-//     whole store).
+//   * low_watermark(): the §6 reclaim floor, monotone — no later step reads
+//     the store below it, whichever k (the stepper's next window, or the
+//     speculative splitter's front root).
 #pragma once
 
 #include <memory>

@@ -98,7 +98,7 @@ query::Query make_q3(const data::StockVocab& vocab, const Q3Params& params) {
     std::vector<query::SetMember> members;
     members.reserve(static_cast<std::size_t>(params.n));
     for (int i = 1; i <= params.n; ++i)
-        members.push_back(query::SetMember{"X" + std::to_string(i),
+        members.push_back(query::SetMember{std::string("X").append(std::to_string(i)),
                                            query::subject_in({symbol_at(i)})});
     b.set("S", std::move(members));
     b.window(query::WindowSpec::sliding_count(params.ws, params.slide));

@@ -946,10 +946,9 @@ void ServerSession::reclaim_behind(event::Seq watermark) {
 
 ServerSession::Quantum ServerSession::finish_engine() {
     // Engine done: this reader never addresses its store again, so its pin
-    // rises to the frontier — releasing what a speculative lane, which
-    // reports no mid-stream watermark, held until now. A sharded session's
-    // store stays empty (its key lanes own theirs): its lanes stop at the
-    // compare.
+    // rises to the frontier — releasing the tail its last watermark (the
+    // oldest live window, whichever k) still held. A sharded session's store
+    // stays empty (its key lanes own theirs): its lanes stop at the compare.
     reclaim_behind(entry_->store.size());
     // Every sharded lane that observes all_finished lands here; the first
     // seals egress with the BYE, the rest find the seal taken.

@@ -274,8 +274,8 @@ private:
         net::HelloFrame hello;  // query, k, shard count, partition key
         SessionRole role = SessionRole::Standalone;
         bool v2 = false;    // answer with the capability echo
-        std::string stream;
-        std::string error;  // a v2 value that does not decode
+        std::string stream{};
+        std::string error{};  // a v2 value that does not decode
     };
     static Handshake decode_hello(const net::Hello2Frame& hello);
     // The one handshake path: limits, the entry by role, the query compile,

@@ -106,6 +106,11 @@ public:
     // Ingest credit (DESIGN.md §9), as SeqStepper::processed() defines it.
     event::Seq processed() const { return splitter_.processed(); }
 
+    // Reclaim floor (DESIGN.md §6), as Splitter::low_watermark() defines it:
+    // no later step() reads the store below it, so a caller may free there
+    // between steps.
+    event::Seq low_watermark() const { return splitter_.low_watermark(); }
+
     // Scheduler observability (current totals; valid during and after a
     // run).
     SchedStats sched_stats() const;

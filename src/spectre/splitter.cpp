@@ -310,15 +310,25 @@ void Splitter::discover_windows() {
     last_polled_complete_ = complete;
 }
 
+const query::WindowInfo* Splitter::oldest_window() const {
+    if (const WindowVersion* root = tree_.front_root()) return &root->window();
+    return windows_.empty() ? nullptr : &windows_.front();
+}
+
 event::Seq Splitter::processed() const {
     if (last_polled_frontier_ == UINT64_MAX) return 0;  // nothing polled yet
-    const WindowVersion* root = tree_.front_root();
-    const query::WindowInfo* w =
-        root ? &root->window() : windows_.empty() ? nullptr : &windows_.front();
+    const query::WindowInfo* w = oldest_window();
     // Window ends ascend: if the oldest pending window is still arriving,
     // so is every later one.
     if (w && (last_polled_complete_ || w->last < last_polled_frontier_)) return w->first;
     return last_polled_frontier_;
+}
+
+event::Seq Splitter::low_watermark() const {
+    if (last_polled_frontier_ == UINT64_MAX) return 0;  // nothing polled yet
+    const event::Seq wm = std::min(assigner_.low_watermark(), last_polled_frontier_);
+    const query::WindowInfo* w = oldest_window();
+    return w ? std::min(wm, w->first) : wm;
 }
 
 bool Splitter::needs_cycle() const {

@@ -102,6 +102,15 @@ public:
     // first one not opened — or else the frontier the last poll saw.
     event::Seq processed() const;
 
+    // The §6 reclaim floor at k > 0: the lowest seq a later cycle or instance
+    // batch can read — the minimum of the assigner's scan position, the
+    // frontier the last poll saw, and the first seq of the front root's
+    // window (else of the first window not opened). Windows open in start
+    // order and retire in order, and clones and rollbacks re-read only inside
+    // live windows, so nothing below it is read again. Monotone; 0 before the
+    // first poll.
+    event::Seq low_watermark() const;
+
     // The k operator instances (stable addresses; workers index into this).
     std::vector<std::unique_ptr<OperatorInstance>>& instances() noexcept {
         return instances_;
@@ -130,6 +139,9 @@ private:
     void open_windows();
     void schedule();
     std::size_t effective_lookahead() const;
+    // The oldest window not retired: the front root's, else the first one
+    // not opened; nullptr when neither exists.
+    const query::WindowInfo* oldest_window() const;
     // State-preserving copy of `src` for the dependency tree's subtree
     // copies; nullptr when cloning is not possible right now.
     WvPtr make_clone(const query::WindowInfo& w, std::vector<CgPtr> suppressed,

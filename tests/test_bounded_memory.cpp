@@ -1,10 +1,11 @@
 // Bounded memory on unbounded streams (DESIGN.md §6): the consumed-seq ring,
 // the sequential stepper's O(window span) state and its low watermark, the
-// store's resumable chunk release, a k = 0 server session whose private
-// store frees chunks behind that watermark while it streams, the finish that
-// releases any standalone session's store (whichever k), the §9 ingest
-// credit that holds any session's backlog to its cap, and the PARTITION BY
-// key lanes (§10) whose mapped stores free chunks per lane.
+// speculative runtime's watermark, the store's resumable chunk release, a
+// server session whose private store frees chunks behind its lane's
+// watermark while it streams (whichever k), the finish that releases any
+// standalone session's store, the §9 ingest credit that holds any session's
+// backlog to its cap, and the PARTITION BY key lanes (§10) whose mapped
+// stores free chunks per lane (whichever k).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,12 +23,14 @@
 #include "data/stock.hpp"
 #include "detect/compiled_query.hpp"
 #include "event/consumed_seqs.hpp"
+#include "model/markov_model.hpp"
 #include "query/parser.hpp"
 #include "sequential/seq_engine.hpp"
 #include "server/cep_server.hpp"
 #include "server/config.hpp"
 #include "server_test_util.hpp"
 #include "shard/sharded_engine.hpp"
+#include "spectre/runtime.hpp"
 
 using namespace spectre;
 using namespace spectre::testing;
@@ -38,6 +41,11 @@ std::vector<event::Seq> members(const event::ConsumedSeqs& s) {
     std::vector<event::Seq> out;
     s.for_each([&out](event::Seq seq) { out.push_back(seq); });
     return out;
+}
+
+// Parameter names for the suites instantiated over k.
+std::string k_name(const ::testing::TestParamInfo<std::uint32_t>& info) {
+    return std::string("k").append(std::to_string(info.param));
 }
 
 }  // namespace
@@ -300,12 +308,80 @@ TEST(SeqStepperBound, StateAndResidentChunksDoNotGrowWithTheStream) {
 }
 
 // ---------------------------------------------------------------------------
-// A standalone k = 0 server session frees its private store behind the
-// stepper's watermark while it streams (DESIGN.md §6/§12).
+// SpectreRuntime: the speculative watermark (the front root's window) lets
+// the store free behind a k > 0 runtime too
 // ---------------------------------------------------------------------------
 
-TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
+namespace {
+
+struct RuntimeRun {
+    Digest out;
+    std::size_t peak_resident_chunks = 0;
+};
+
+// Appends `n` events in ingest batches and steps the k = 3 runtime to
+// quiescence after each, the way a k > 0 server lane does, freeing store
+// chunks behind its watermark after every step.
+RuntimeRun run_runtime(const detect::CompiledQuery& cq, std::size_t n) {
+    RisingPairStream gen;
+    event::EventStore store;
+    RuntimeRun run;
+    core::RuntimeConfig cfg;
+    cfg.splitter.instances = 3;
+    core::SpectreRuntime runtime(
+        &store, &cq, cfg,
+        std::make_unique<model::MarkovModel>(cq.min_length(), model::MarkovParams{}));
+    runtime.set_result_sink([&run](event::ComplexEvent&& ce) { run.out.add(ce); });
+    std::size_t released = 0;
+    const auto step = [&] {
+        const auto p = runtime.step();
+        released += store.release_chunks_below(runtime.low_watermark());
+        const std::size_t appended =
+            (store.size() + event::EventStore::kChunkSize - 1) >> event::EventStore::kChunkShift;
+        run.peak_resident_chunks = std::max(run.peak_resident_chunks, appended - released);
+        return p;
+    };
+    for (std::size_t i = 0; i < n;) {
+        for (const std::size_t end = std::min(n, i + 64); i < end; ++i) store.append(gen.next(i));
+        while (!step().quiescent) {
+        }
+    }
+    store.close();
+    while (!step().done) {
+    }
+    return run;
+}
+
+}  // namespace
+
+TEST(SpectreRuntimeBound, ResidentChunksDoNotGrowWithTheStream) {
+    RisingPairStream vocab_source;
+    const auto cq = detect::CompiledQuery::compile(
+        query::parse_query(kRisingPairQuery, vocab_source.vocab.schema));
+    const RuntimeRun small = run_runtime(cq, 10'000);
+    const RuntimeRun large = run_runtime(cq, 300'000);
+
+    EXPECT_EQ(small.out, oracle(cq, 10'000));
+    EXPECT_EQ(large.out, oracle(cq, 300'000));
+    EXPECT_GT(large.out.n, 3'000u);
+
+    // The front root trails the frontier by a few windows of 40 events: the
+    // store holds the chunk being read and the one being appended to,
+    // however long the stream.
+    EXPECT_EQ(small.peak_resident_chunks, large.peak_resident_chunks);
+    EXPECT_LE(large.peak_resident_chunks, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// A standalone server session frees its private store behind its lane's
+// watermark while it streams (DESIGN.md §6/§12), whichever k.
+// ---------------------------------------------------------------------------
+
+class StandaloneFlatMemory : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(StandaloneFlatMemory, SessionStreamsInFlatMemory) {
     if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
+    const std::uint32_t k = GetParam();
     constexpr std::size_t kChunk = event::EventStore::kChunkSize;
     // Sized in events, not chunks: 262k events through a session that holds
     // at most 24k of them, whatever the chunk size.
@@ -316,7 +392,7 @@ TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
     srv.start();
 
     const auto wire = wire_events(kEvents, 5);
-    auto spec = make_session(kRisingPairQuery, 0, wire);
+    auto spec = make_session(kRisingPairQuery, k, wire);
     spec.stats_after = wire.size() / 2;
 
     std::atomic<bool> done{false};
@@ -342,7 +418,7 @@ TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
     ASSERT_TRUE(out.error.empty()) << out.error;
     ASSERT_TRUE(out.completed);
     expect_byte_identical(sequential_ground_truth(kRisingPairQuery, wire), out.results,
-                          "k=0 standalone");
+                          "k=" + std::to_string(k) + " standalone");
     EXPECT_GT(samples, 0u);
     EXPECT_LE(peak_resident, kResidentBound);
 
@@ -360,6 +436,9 @@ TEST(ServerReclaim, StandaloneSequentialSessionStreamsInFlatMemory) {
     EXPECT_GE(counter(srv.registry().snapshot(), obs::sid::kStoreChunksReclaimed),
               kChunks - kResidentBound);
 }
+
+INSTANTIATE_TEST_SUITE_P(ServerReclaim, StandaloneFlatMemory, ::testing::Values(0u, 3u),
+                         k_name);
 
 // k > 0 ingest credit follows processing too (DESIGN.md §9): the lane stores
 // what speculation retired into the session's credit after every step, so a
@@ -441,15 +520,13 @@ TEST_P(WideWindowCredit, WindowWiderThanTheIngestCapStillStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ServerReclaim, WideWindowCredit, ::testing::Values(0u, 3u),
-                         [](const ::testing::TestParamInfo<std::uint32_t>& info) {
-                             return "k" + std::to_string(info.param);
-                         });
+                         k_name);
 
 // Every engine's finish releases its store (DESIGN.md §6/§15): a standalone
 // session is the only reader of its private stream entry, so when its engine
 // finishes its pin rises to the frontier and every whole chunk goes —
-// whichever k, including a speculative engine that reports no mid-stream
-// watermark. The private entry never touches the hub's series.
+// whichever k, including the tail behind the last watermark. The private
+// entry never touches the hub's series.
 class FinishReleasesStore : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(FinishReleasesStore, StandaloneSessionFreesEveryWholeChunkByItsBye) {
@@ -479,9 +556,7 @@ TEST_P(FinishReleasesStore, StandaloneSessionFreesEveryWholeChunkByItsBye) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ServerReclaim, FinishReleasesStore, ::testing::Values(0u, 3u),
-                         [](const ::testing::TestParamInfo<std::uint32_t>& info) {
-                             return "k" + std::to_string(info.param);
-                         });
+                         k_name);
 
 // ---------------------------------------------------------------------------
 // MappedStore::release_below: the lane's store chunks and mapping rows go,
@@ -515,8 +590,9 @@ TEST(MappedStoreRelease, DropsRowsAndChunksBelowTheFloor) {
 }
 
 // ---------------------------------------------------------------------------
-// PARTITION BY key lanes (DESIGN.md §10): every sequential lane frees its
-// mapped store behind its own watermark, so a hot key streams in flat memory.
+// PARTITION BY key lanes (DESIGN.md §10): every lane, sequential or
+// speculative, frees its mapped store behind its own watermark, so a hot key
+// streams in flat memory.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -546,7 +622,10 @@ std::size_t hot_events(const std::vector<net::WireQuote>& wire) {
 
 }  // namespace
 
-TEST(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
+class ShardedLaneBound : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
+    const std::uint32_t k = GetParam();
     const auto wire = hot_key_wire(9);
     ASSERT_GE(hot_events(wire), 100 * event::EventStore::kChunkSize);
     const auto vocab = data::StockVocab::create(std::make_shared<event::Schema>());
@@ -561,6 +640,7 @@ TEST(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
     std::vector<event::ComplexEvent> out;
     shard::ShardedConfig cfg;
     cfg.shards = 3;
+    cfg.instances = k;
     shard::ShardedEngine engine(&cq, cfg, [&out](event::ComplexEvent&& ce) {
         out.push_back(std::move(ce));
     });
@@ -584,9 +664,9 @@ TEST(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
         for (std::uint32_t s = 0; s < engine.shards(); ++s) engine.step_shard(s, 64);
 
     expect_byte_identical(shard::reference_partitioned_run(cq, events), out,
-                          "S=3 hot-key lanes");
+                          "k=" + std::to_string(k) + " S=3 hot-key lanes");
     EXPECT_EQ(peak.lanes, kLaneSymbols);
-    // Each lane holds the chunk its stepper reads and the one it appends to,
+    // Each lane holds the chunk its engine reads and the one it appends to,
     // and one mapping row per event of the live window span (40 + slide).
     EXPECT_LE(peak.resident_chunks, 2 * kLaneSymbols);
     EXPECT_LE(peak.parent_rows, 64 * kLaneSymbols);
@@ -594,6 +674,8 @@ TEST(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
     EXPECT_GE(counter(registry.snapshot(), obs::sid::kShardChunksReclaimed),
               hot_events(wire) / event::EventStore::kChunkSize - 2);
 }
+
+INSTANTIATE_TEST_SUITE_P(Instances, ShardedLaneBound, ::testing::Values(0u, 3u), k_name);
 
 // The same bound through a real sharded k = 0 server session: the lanes free
 // behind their watermarks while the session streams, the reclaimed chunks

@@ -21,7 +21,7 @@ TEST(Schema, InternsTypesSubjectsAttrs) {
 TEST(Schema, AttrSlotLimitEnforced) {
     event::Schema s;
     for (std::size_t i = 0; i < event::kMaxAttrs; ++i)
-        s.intern_attr("a" + std::to_string(i));
+        s.intern_attr(std::string("a").append(std::to_string(i)));
     EXPECT_THROW(s.intern_attr("one_too_many"), std::invalid_argument);
     EXPECT_EQ(s.lookup_attr("missing"), event::kMaxAttrs);
 }

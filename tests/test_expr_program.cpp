@@ -201,7 +201,7 @@ struct DiffEnv {
     DiffEnv() {
         for (char c = 'A'; c <= 'E'; ++c) types.push_back(schema->intern_type(std::string(1, c)));
         for (int i = 0; i < 4; ++i)
-            subjects.push_back(schema->intern_subject("S" + std::to_string(i)));
+            subjects.push_back(schema->intern_subject(std::string("S").append(std::to_string(i))));
     }
 
     Expr rand_pred(util::Rng& rng, int max_bound_slot) {

@@ -121,10 +121,14 @@ TEST(StreamHub, LateSubscriberReplaysFullHistory) {
     srv.stop();
 }
 
-// A k = 0 subscriber advances its pin behind its engine's low watermark while
+// Subscribers advance their pins behind their engines' low watermarks while
 // the stream is still open, so the shared store frees chunks mid-stream — and
 // from then on a late subscriber cannot replay from seq 0 and is refused.
-TEST(StreamHub, SequentialSubscriberReclaimsMidStream) {
+// The store frees behind the slowest pin, so every subscriber's engine must
+// report a moving watermark, whichever k.
+namespace {
+
+void check_reclaims_mid_stream(const std::vector<std::uint32_t>& instances) {
     server::CepServer srv;
     srv.start();
     // Twenty store chunks (chunk = 1024 events), all published before the BYE.
@@ -132,10 +136,18 @@ TEST(StreamHub, SequentialSubscriberReclaimsMidStream) {
 
     harness::PublisherClient pub("127.0.0.1", srv.port(), "rolling");
     ASSERT_TRUE(pub.ok()) << pub.error();
-    harness::SubscriberClient sub("127.0.0.1", srv.port(), sub_spec("rolling", 0));
-    ASSERT_TRUE(sub.ok()) << sub.error();
-    harness::LoadGenOutcome out;
-    std::thread reader([&] { out = sub.run(); });
+    std::vector<std::unique_ptr<harness::SubscriberClient>> subs;
+    for (const std::uint32_t k : instances) {
+        auto spec = sub_spec("rolling", 0);
+        spec.instances = k;
+        subs.push_back(std::make_unique<harness::SubscriberClient>("127.0.0.1", srv.port(),
+                                                                   spec));
+        ASSERT_TRUE(subs.back()->ok()) << "k=" << k << ": " << subs.back()->error();
+    }
+    std::vector<harness::LoadGenOutcome> outcomes(subs.size());
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < subs.size(); ++i)
+        readers.emplace_back([&, i] { outcomes[i] = subs[i]->run(); });
 
     pub.publish(wire);
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -151,12 +163,25 @@ TEST(StreamHub, SequentialSubscriberReclaimsMidStream) {
         << late.error();
 
     EXPECT_TRUE(pub.finish()) << pub.error();
-    reader.join();
-    EXPECT_TRUE(out.error.empty()) << out.error;
-    EXPECT_TRUE(out.completed);
-    expect_byte_identical(sequential_ground_truth(subscriber_query(0), wire), out.results,
-                          "reclaiming subscriber");
+    for (auto& t : readers) t.join();
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+        const std::string label = "reclaiming subscriber k=" + std::to_string(instances[i]);
+        EXPECT_TRUE(outcomes[i].error.empty()) << label << ": " << outcomes[i].error;
+        EXPECT_TRUE(outcomes[i].completed) << label;
+        expect_byte_identical(sequential_ground_truth(subscriber_query(0), wire),
+                              outcomes[i].results, label);
+    }
     srv.stop();
+}
+
+}  // namespace
+
+TEST(StreamHub, SequentialSubscriberReclaimsMidStream) { check_reclaims_mid_stream({0}); }
+
+// A speculative subscriber's pin follows its splitter's front root, so it
+// holds no history behind its k = 0 sibling's.
+TEST(StreamHub, SpeculativeSubscriberBesideSequentialReclaimsMidStream) {
+    check_reclaims_mid_stream({0, 3});
 }
 
 // ---------------------------------------------------------------------------

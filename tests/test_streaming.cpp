@@ -107,8 +107,11 @@ TEST(WindowAssignerIncremental, EmptyAndClosedStream) {
 // stays at or below the frontier; an Idle step has caught up with it — the
 // park predicate size() == credit relies on that, and a lane that broke it
 // would spin instead of parking; stepping a closed store to Done leaves the
-// credit at the final length; the reclaim floor never moves back; and the
-// output is the sequential engine's, byte for byte.
+// credit at the final length; the reclaim floor never moves back, and the
+// store frees every whole chunk below it after each step, as the server
+// does, so a later read below the floor goes through a freed chunk and
+// crashes (6,000 events span several chunks, so the release really frees);
+// and the output is the sequential engine's, byte for byte.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -152,7 +155,7 @@ query::Query contract_shape(TestEnv& env, int shape) {
 void check_lane_contract(std::uint32_t k, int shape, std::uint64_t seed) {
     TestEnv env;
     const auto cq = detect::CompiledQuery::compile(contract_shape(env, shape));
-    const auto events = random_events(env, 600, seed);
+    const auto events = random_events(env, 6'000, seed);
     const std::string label =
         "k=" + std::to_string(k) + " shape " + std::to_string(shape) + " seed " +
         std::to_string(seed);
@@ -173,6 +176,7 @@ void check_lane_contract(std::uint32_t k, int shape, std::uint64_t seed) {
         EXPECT_LE(lane.processed(), store.size()) << label;
         EXPECT_GE(lane.low_watermark(), floor) << label;
         floor = lane.low_watermark();
+        store.release_chunks_below(floor);
         return st;
     };
     using Step = engine::LaneEngine::Step;
