@@ -353,6 +353,8 @@ SubscriberClient::SubscriberClient(const std::string& host, std::uint16_t port,
     hello.set("stream", std::move(spec.stream));
     hello.set("query", std::move(spec.query));
     if (spec.instances > 0) hello.set("instances", std::to_string(spec.instances));
+    if (spec.shards > 0) hello.set("shards", std::to_string(spec.shards));
+    if (!spec.partition_by.empty()) hello.set("partition_by", std::move(spec.partition_by));
     impl_->ok = handshake_v2(impl_->d, host, port, spec.rcvbuf, std::move(hello));
     // Results start flowing as soon as the publisher's data does; measure
     // first-result latency from attach.

@@ -118,6 +118,8 @@ public:
         std::string stream;           // published stream to attach to
         std::string query;            // query::parse_query text
         std::uint32_t instances = 0;  // k; 0 = sequential engine
+        std::uint32_t shards = 0;     // HELLO shard count; 0 leaves it to the query
+        std::string partition_by;     // HELLO partition key; "" = from query text
         // Slow-consumer gate, same contract as LoadGenSession::read_gate.
         std::shared_ptr<std::atomic<bool>> read_gate = nullptr;
         int rcvbuf = 0;

@@ -94,8 +94,8 @@ constexpr BuiltinDef kBuiltins[] = {
     {"quantum_ns", Kind::Histogram, "run_quantum duration"},
     {"splitter_cycle_ns", Kind::Histogram, "one splitter cycle"},
     {"egress_stall_ns", Kind::Histogram, "parked on egress credit to next quantum"},
-    {"lane_depth", Kind::Histogram, "published-minus-processed events per shard, per publish"},
-    {"lane_skew", Kind::Histogram, "max-min lane depth over shards, per publish"},
+    {"lane_depth", Kind::Histogram, "input events a shard has not scanned, per publish"},
+    {"lane_skew", Kind::Histogram, "max-min unscanned input over shards, per publish"},
     {"detector_window_events", Kind::Histogram, "events fed per completed window"},
     {"ingest_wire_bytes", Kind::Counter, "DATA-path bytes read off session sockets"},
     {"ingest_copied_bytes", Kind::Counter, "ingest bytes staged through FrameReader"},

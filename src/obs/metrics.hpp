@@ -135,7 +135,7 @@ enum : std::uint32_t {
     kQuantumNs,             // run_quantum duration
     kSplitterCycleNs,       // one maintenance+scheduling cycle
     kEgressStallNs,         // parked-on-egress-credit → next quantum
-    kLaneDepth,             // each shard's published-minus-processed events, per publish
+    kLaneDepth,             // each shard's unscanned input events, per publish
     kLaneSkew,              // max-min lane depth over a session's shards, per publish
     kDetectorWindowEvents,  // events fed per completed window
     // --- zero-copy ingest / vectored egress (DESIGN.md §14) -----------------

@@ -51,7 +51,7 @@ CepServer::CepServer(ServerConfig config)
     // more with session churn.
     for (int s = 0; s < config_.session.max_shards; ++s)
         registry_.add("lane_depth_peak{shard=\"" + std::to_string(s) + "\"}",
-                      obs::Kind::PeakGauge, "peak queued events on this shard index");
+                      obs::Kind::PeakGauge, "peak unscanned input events of this shard index");
     server_shard_ = registry_.make_shard();
     hub_.bind_obs(server_shard_.get());
     pool_.bind_obs(&registry_);

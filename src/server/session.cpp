@@ -227,10 +227,10 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
                     // Early unsubscribe: the client no longer wants results.
                     // Reply with what was sent — the BYE seals egress, so a
                     // lane mid-step appends nothing after it and the engine's
-                    // own finish finds the seal taken — then abandon the lane.
+                    // own finish finds the seal taken — then abandon every lane.
                     seal_with_bye();
                     abort_requested_.store(true, std::memory_order_release);
-                    hooks_.notify_task(id_);
+                    wake_lanes(nullptr);
                     egress_try_flush();
                     state_ = State::Draining;
                     return SessionStatus::Open;  // keep watching: detect client death
@@ -256,31 +256,20 @@ SessionStatus ServerSession::dispatch(net::SessionFrame&& frame) {
 }
 
 SessionStatus ServerSession::ingest(event::Event&& ev) {
-    std::uint64_t in_flight = 0;
-    if (sharded_) {
-        // §10: route into the per-shard staging batches (the router must see
-        // arrivals in global order, as only this thread does). Events that
-        // trail a worker-side abort come back dropped: no stamp, no counters.
-        const auto info = sharded_->route(std::move(ev));
-        if (info.dropped) return SessionStatus::Open;
-        in_flight = info.queued;
-    } else {
-        // §14 scatter append: fill the store's next slot in place.
-        event::EventStore& st = entry_->store;
-        event::Event& slot = st.append_slot();
-        ev.seq = slot.seq;
-        slot = std::move(ev);
-        in_flight = st.size() + st.pending_appends() -
-                    accepted_.load(std::memory_order_relaxed);
-    }
-    // Handed over in batches by publish_ingest (the caller owns the cadence).
+    // §14 scatter append: fill the store's next slot in place. Handed over
+    // in batches by publish_ingest (the caller owns the cadence).
+    event::EventStore& st = entry_->store;
+    event::Event& slot = st.append_slot();
+    ev.seq = slot.seq;
+    slot = std::move(ev);
     ++unpublished_;
-    // A published stream is unpaced (§15 honest limit): each subscriber reads
+    // A published stream is unpaced (§15): each subscriber reads
     // at its own frontier, and a lagging one must never stall the publisher
     // or its siblings. The store capacity (SPECTRE_REQUIRE) is the hard stop.
     if (role_ == SessionRole::Publisher) return SessionStatus::Open;
     stamp_arrival();
-    if (in_flight >= limits_.ingest_queue_events) {
+    if (st.size() + st.pending_appends() - accepted_.load(std::memory_order_relaxed) >=
+        limits_.ingest_queue_events) {
         // High watermark hit: stop reading this socket — TCP pushes back on
         // the client while the task catches up.
         shard_->add(obs::Series{obs::sid::kIngestPauses}, 1);
@@ -292,18 +281,11 @@ SessionStatus ServerSession::ingest(event::Event&& ev) {
 void ServerSession::publish_ingest() {
     if (unpublished_ == 0) return;
     const std::size_t n = std::exchange(unpublished_, 0);
-    if (sharded_) {
-        // One hand-off per touched shard; the engine wakes each of those
-        // lanes once through its shard waker.
-        sharded_->publish();
-        shard_->add(obs::Series{obs::sid::kEventsIngested}, n);
-        observe_lane_depths();
-        return;
-    }
     entry_->store.publish_appends();
     shard_->add(obs::Series{obs::sid::kEventsIngested}, n);
-    // Each reader passes its own §9 barrier: each parks independently at its
-    // own read frontier.
+    // Each reader passes its own §9 barrier: each lane parks independently
+    // at its own read frontier (a sharded reader's S lanes each at its scan
+    // cursor).
     for (ServerSession* reader : entry_->readers) reader->wake_input_lanes();
 }
 
@@ -313,6 +295,7 @@ void ServerSession::wake_input_lanes() {
     // after passing the mutex. The critical sections are totally ordered —
     // a plain store-load pair would guarantee neither side sees the other.
     { const std::lock_guard<std::mutex> lock(ingest_mutex_); }
+    observe_lane_depths();
     wake_lanes(&Lane::on_input);
 }
 
@@ -384,11 +367,6 @@ SessionStatus ServerSession::on_hello(Handshake&& hs) {
             entry = hub_->publish(hs.stream, id_);
             if (!entry) return reject("stream '" + hs.stream + "' already published");
         } else {
-            if (hs.hello.shards > 0 || !hs.hello.partition_by.empty())
-                // §15 honest limit: partitioned/sharded engines re-materialize
-                // the stream into per-key lanes — that defeats the shared-store
-                // point. Run those as standalone sessions instead.
-                return reject("subscriber sessions cannot shard or partition");
             entry = hub_->find(hs.stream);
             if (!entry) return reject("unknown stream '" + hs.stream + "'");
             if (entry->failed) return reject(entry->fail_reason);
@@ -408,9 +386,6 @@ SessionStatus ServerSession::on_hello(Handshake&& hs) {
                     query::resolve_partition_key(hs.hello.partition_by, *vocab_.schema);
             if (hs.hello.shards > 1 && !query.partition.active())
                 throw std::invalid_argument("shards > 1 needs a partition key");
-            if (hs.role == SessionRole::Subscriber && query.partition.active())
-                throw std::invalid_argument(
-                    "subscriber queries cannot use PARTITION BY (standalone sessions can)");
             if (hs.role == SessionRole::Subscriber && cache_) {
                 // Only subscribers share compiled artifacts: a standalone
                 // session's schema is its own (§15).
@@ -472,14 +447,15 @@ void ServerSession::start_engine(std::uint32_t shards) {
     std::uint32_t lanes = 1;
     if (cq_->query().partition.active()) {
         // Partitioned query (§10): per-key lanes behind a ShardedEngine, one
-        // session lane per shard. The session scales across the pool's
-        // workers without owning a single thread.
+        // session lane per shard, each shard a reader of the entry's store.
+        // The session scales across the pool's workers without owning a
+        // single thread.
         shard::ShardedConfig cfg;
         cfg.shards = lanes = std::max<std::uint32_t>(shards, 1);
         cfg.instances = instances_;
         cfg.batch_events = limits_.batch_events;
-        sharded_ = std::make_unique<shard::ShardedEngine>(cq_.get(), cfg,
-                                                          std::move(sink));
+        sharded_ = std::make_unique<shard::ShardedEngine>(cq_.get(), cfg, std::move(sink),
+                                                          &entry_->store);
         sharded_->bind_obs(shard_.get());
         // Per-shard-index depth peaks (§12): the server pre-registered these
         // names (one per index below max_shards) before any session shard
@@ -489,8 +465,6 @@ void ServerSession::start_engine(std::uint32_t shards) {
             lane_peaks_.push_back(registry_->add(
                 "lane_depth_peak{shard=\"" + std::to_string(s) + "\"}",
                 obs::Kind::PeakGauge));
-        // Each publish wakes the lanes it handed arrivals to.
-        sharded_->set_shard_waker([this](std::uint32_t s) { wake_lane(s, &Lane::on_input); });
     } else {
         // Bound even under SPECTRE_OBS_OFF: engine stats are counters,
         // published by every step (§11/§12).
@@ -602,12 +576,7 @@ void ServerSession::close_ingestion(bool close_store) {
         if (ingest_closed_) return;
         ingest_closed_ = true;
     }
-    if (sharded_) {
-        // §10: publish end-of-stream; every parked lane wakes below for its
-        // EOS drain (a lane parking concurrently re-checks shard_parkable,
-        // which reads the closed flag — no lost wakeup either way).
-        sharded_->close_input();
-    } else if (close_store) {
+    if (close_store) {
         // Reactor dispatch paths only (BYE / clean EOF): the sole appender
         // closes the store, and every reader must observe closed() to finish
         // (a parking lane re-checks it under its §9 mutex: no lost wakeup).
@@ -693,7 +662,7 @@ void ServerSession::observe_result_latency(const event::ComplexEvent& ce,
 }
 
 void ServerSession::observe_lane_depths() {
-    if (!obs::enabled()) return;
+    if (!sharded_ || !obs::enabled()) return;
     std::size_t mn = ~std::size_t{0};
     std::size_t mx = 0;
     for (std::uint32_t s = 0; s < sharded_->shards(); ++s) {
@@ -717,11 +686,9 @@ void ServerSession::note_stall_end(std::uint64_t& stamp) {
 // --- ingest pacing (§14) ----------------------------------------------------
 
 bool ServerSession::ingest_above_low() const {
-    // In-flight: events handed over that no lane has accepted yet.
-    const std::uint64_t in_flight =
-        sharded_ ? sharded_->queued_total()
-                 : entry_->store.size() - accepted_.load(std::memory_order_seq_cst);
-    return in_flight >= limits_.ingest_queue_events / 2;
+    // In-flight: events handed over that the engine has not accepted yet.
+    return entry_->store.size() - accepted_.load(std::memory_order_seq_cst) >=
+           limits_.ingest_queue_events / 2;
 }
 
 void ServerSession::resume_read_if_low() {
@@ -730,13 +697,13 @@ void ServerSession::resume_read_if_low() {
 }
 
 bool ServerSession::lane_parkable(std::uint32_t index) {
-    if (sharded_) return sharded_->shard_parkable(index);
     const event::EventStore& st = entry_->store;
     const std::lock_guard<std::mutex> lock(ingest_mutex_);
     // A subscriber's ingest_closed_ never flips: the publisher's close of the
     // shared store, published through this mutex, is what ends its stream.
-    return st.size() == accepted_.load(std::memory_order_relaxed) && !ingest_closed_ &&
-           !st.closed();
+    if (ingest_closed_) return false;
+    if (sharded_) return sharded_->shard_parkable(index);
+    return st.size() == accepted_.load(std::memory_order_relaxed) && !st.closed();
 }
 
 // --- egress ring (§14) ------------------------------------------------------
@@ -886,8 +853,8 @@ ServerSession::Quantum ServerSession::run_lane(Lane& lane) {
                     return Quantum::Parked;
                 }
             }
-            const LaneStep step = step_lane(lane.index);
-            if (step == LaneStep::AllDone) return finish_engine();
+            const LaneStep step = step_lane(lane);
+            if (step == LaneStep::AllDone) return finish_engine(lane);
             if (step == LaneStep::LaneDone) {
                 // This shard is drained; peers still run (and will merge any
                 // results it buffered).
@@ -911,10 +878,21 @@ ServerSession::Quantum ServerSession::run_lane(Lane& lane) {
     return exit;
 }
 
-ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
+ServerSession::LaneStep ServerSession::step_lane(Lane& lane) {
+    // Credit follows processing (§9): an engine slower than its client
+    // pauses the socket instead of letting the store grow ahead of it. The
+    // pin follows the engine's reclaim floor.
     if (sharded_) {
-        const auto res = sharded_->step_shard(index, limits_.batch_events);
+        const auto res = sharded_->step_shard(lane.index, limits_.batch_events);
+        // S lanes publish one credit: keep the largest, so a lane's stale
+        // read can never land after a fresher one (processed() only grows).
+        const event::Seq credit = sharded_->processed();
+        std::uint64_t seen = accepted_.load(std::memory_order_relaxed);
+        while (seen < credit &&
+               !accepted_.compare_exchange_weak(seen, credit, std::memory_order_seq_cst)) {
+        }
         resume_read_if_low();
+        reclaim_behind(lane, credit);
         // all_finished: every result is already in the egress ring — the
         // merge that set it emitted them.
         if (res.all_finished) return LaneStep::AllDone;
@@ -922,34 +900,31 @@ ServerSession::LaneStep ServerSession::step_lane(std::uint32_t index) {
         return res.idle ? LaneStep::Idle : LaneStep::Busy;
     }
     const auto step = engine_->step();
-    // Credit follows processing (§9): an engine slower than its client
-    // pauses the socket instead of letting the store grow ahead of it.
     accepted_.store(engine_->processed(), std::memory_order_seq_cst);
     resume_read_if_low();
-    reclaim_behind(engine_->low_watermark());
+    reclaim_behind(lane, engine_->low_watermark());
     if (step == engine::LaneEngine::Step::Done) return LaneStep::AllDone;
     return step == engine::LaneEngine::Step::Busy ? LaneStep::Busy : LaneStep::Idle;
 }
 
-void ServerSession::reclaim_behind(event::Seq watermark) {
+void ServerSession::reclaim_behind(Lane& lane, event::Seq watermark) {
     // Whole chunks only: most drains move the watermark within one chunk and
     // cost a compare.
     const event::Seq floor = watermark & ~event::Seq{event::EventStore::kChunkSize - 1};
-    if (floor <= reclaimed_floor_) return;
-    reclaimed_floor_ = floor;
+    if (floor <= lane.reclaimed_floor) return;
+    lane.reclaimed_floor = floor;
     // The store frees behind the slowest pinned reader (§6/§15): for a
-    // private store that is this lane; the reactor's appends touch only the
-    // frontier chunk, which lies above the watermark.
+    // private store that is this session; the reactor's appends touch only
+    // the frontier chunk, which lies above the watermark.
     const std::size_t freed = entry_->pins.advance(pin_cursor_, floor);
     if (freed > 0) shard_->add(chunks_reclaimed_, freed);
 }
 
-ServerSession::Quantum ServerSession::finish_engine() {
+ServerSession::Quantum ServerSession::finish_engine(Lane& lane) {
     // Engine done: this reader never addresses its store again, so its pin
     // rises to the frontier — releasing the tail its last watermark (the
-    // oldest live window, whichever k) still held. A sharded session's store
-    // stays empty (its key lanes own theirs): its lanes stop at the compare.
-    reclaim_behind(entry_->store.size());
+    // oldest live window, whichever k) still held.
+    reclaim_behind(lane, entry_->store.size());
     // Every sharded lane that observes all_finished lands here; the first
     // seals egress with the BYE, the rest find the seal taken.
     seal_with_bye();

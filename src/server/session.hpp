@@ -7,7 +7,8 @@
 // every role but publish runs one cooperatively-scheduled engine over the
 // entry's store, read through one ChunkPins cursor: an engine::LaneEngine
 // (SPECTRE with HELLO's k operator instances, or the sequential stepper when
-// k = 0), or a ShardedEngine for a partitioned query.
+// k = 0), or a ShardedEngine for a partitioned query, whose shards all read
+// that store.
 // The reactor thread (server/cep_server.hpp) feeds raw socket bytes in; the
 // session's state machine decodes typed frames (net/session.hpp) and drives:
 //
@@ -22,20 +23,20 @@
 //
 // Threading (§9/§14): the reactor runs on_readable()/flush_egress()/abort();
 // the session's engine runs as one pool task per lane — one lane for an
-// unsharded or subscriber session, one per shard for a sharded one —
+// unsharded session, one per shard for a sharded one, whatever its role —
 // and one worker at a time runs a given lane (serialized by the pool's task
 // state machine — the engine state needs no locks). The two sides meet:
 //
 //   * Ingest (§14 scatter path): the reactor decodes DATA frames straight out
-//     of the reactor's read view into the entry's EventStore (or the
-//     sharded engine's staging batches) — one copy off the socket, published
-//     once per read view. Backpressure is a pacing counter: after every
-//     step the worker stores what its engine has processed into `accepted_`
-//     (LaneEngine::processed(), whichever k); when the frontier runs ahead
-//     of it by the high watermark the reactor pauses the *reader*, never a
-//     thread. Control frames and partial frame tails still stage through
-//     the FrameReader (the copied-byte path, which the §12 counters keep
-//     visibly rare).
+//     of the reactor's read view into the entry's EventStore — one copy off
+//     the socket, published once per read view, for every engine. Backpressure
+//     is a pacing counter: after every step the worker stores what its
+//     engine has processed into `accepted_` (LaneEngine::processed(),
+//     whichever k, or the sharded engine's slowest scan cursor); when the
+//     frontier runs ahead of it by the high watermark the reactor pauses the
+//     *reader*, never a thread. Control frames and partial frame tails still
+//     stage through the FrameReader (the copied-byte path, which the §12
+//     counters keep visibly rare).
 //   * Egress: the task appends encoded RESULT/BYE frames into an EgressRing
 //     when it has credit; both sides flush non-blockingly with one vectored
 //     send per burst; an over-cap ring parks the *task*, never a worker.
@@ -262,6 +263,8 @@ private:
         // Egress-credit stall stamp (§12), lane-private: set when a quantum
         // parks on credit, observed (stall duration) at the lane's next one.
         std::uint64_t stall_ns = 0;
+        // The last chunk floor this lane advanced the session's pin to.
+        event::Seq reclaimed_floor = 0;
     };
     // What one engine step left the lane with (step_lane).
     enum class LaneStep { Busy, Idle, LaneDone, AllDone };
@@ -309,32 +312,29 @@ private:
 
     // Scatter ingest (§14, reactor thread).
     // Walks one reactor read view: DATA frames decode in place into the
-    // store (unsharded) or a stack event routed to the sharded engine;
-    // control frames and partial tails stage through reader_.
+    // entry's store; control frames and partial tails stage through reader_.
     SessionStatus consume_view(const std::uint8_t* data, std::size_t size);
     // Dispatches every whole frame staged in reader_ until a non-Open status;
     // Open once reader_ is empty or holds only a partial frame.
     SessionStatus dispatch_staged();
     // Stages view bytes [pos, size) into reader_, counting the copy (§12).
     void stage_tail(const std::uint8_t* data, std::size_t size, std::size_t& pos);
-    // Takes one decoded quote: an unpublished slot of the entry's store, or
-    // the sharded engine's staging batches (§10). Returns Paused once
-    // in-flight (stored or routed, not yet processed) hits the high
-    // watermark; a publisher is never paused.
+    // Takes one decoded quote into an unpublished slot of the entry's store.
+    // Returns Paused once in-flight (stored, not yet processed) hits the
+    // high watermark; a publisher is never paused.
     SessionStatus ingest(event::Event&& ev);
     // Hands over everything ingested since the last call, then wakes each
-    // lane with new input once: release-publishes the scatter slots and
-    // wakes every reader of the entry (§15 fan-out: a published stream's
-    // subscribers, or a standalone session itself), or publishes the sharded
-    // staging batches and observes the lane depths. Called at the end of
-    // every read view, before a pause, before a control frame is dispatched
-    // and before close.
+    // lane once: release-publishes the scatter slots and wakes every reader
+    // of the entry (§15 fan-out: a published stream's subscribers, or a
+    // standalone session itself). Called at the end of every read view,
+    // before a pause, before a control frame is dispatched and before close.
     void publish_ingest();
     // New input or end-of-stream was published (by this session's reactor
     // side, or by a publisher for a subscriber): pass the §9 barrier — an
     // empty ingest_mutex_ section, which orders the publish against a lane's
     // publish-park-then-recheck (either the lane sees the new frontier or
-    // this thread sees its flag, never neither) — then wake parked lanes.
+    // this thread sees its flag, never neither) — observe the lane depths,
+    // then wake parked lanes.
     void wake_input_lanes();
 
     // Posts ResumeRead once in-flight drops below the low watermark (exactly
@@ -365,9 +365,9 @@ private:
     void stamp_arrival();
     void observe_result_latency(const event::ComplexEvent& ce,
                                 std::uint64_t prev_results);
-    // Per-shard depth (lane_depth, lane_depth_peak{shard}) and its max-min
-    // over the lanes (lane_skew), once per publish (reactor side, sharded
-    // sessions only).
+    // Per-shard depth — input the shard has not scanned (lane_depth,
+    // lane_depth_peak{shard}) — and its max-min over the lanes (lane_skew),
+    // once per publish (reactor side, sharded sessions only).
     void observe_lane_depths();
     // Observes kEgressStallNs if the lane's previous quantum parked on
     // egress credit.
@@ -378,8 +378,9 @@ private:
     // One bounded quantum of `lane`: up to quantum_steps iterations of credit
     // gate → one engine step → exit on completion or park on starvation (§9).
     Quantum run_lane(Lane& lane);
-    // One engine step for lane `index`, at the engine's own per-step budget.
-    LaneStep step_lane(std::uint32_t index);
+    // One engine step for `lane`, at the engine's own per-step budget; then
+    // the credit and the pin follow the engine.
+    LaneStep step_lane(Lane& lane);
     // Park predicate for an idle lane, evaluated after publishing intent.
     bool lane_parkable(std::uint32_t index);
     // Producer side of the park protocol: wake lane `s` if it parked on
@@ -387,11 +388,12 @@ private:
     void wake_lane(std::uint32_t s, ParkFlag Lane::*flag);
     void wake_lanes(ParkFlag Lane::*flag);
     // Bounded memory (§6/§15), after each engine step: once the engine's
-    // low watermark crosses a chunk boundary, advance the session's pin to
-    // it (the store frees behind its slowest pinned reader).
-    void reclaim_behind(event::Seq watermark);
+    // low watermark crosses a chunk boundary the lane has not yet passed,
+    // advance the session's pin to it (the store frees behind its slowest
+    // pinned reader; the pin ignores a lane that lags another).
+    void reclaim_behind(Lane& lane, event::Seq watermark);
     // Raises the pin to the frontier, then BYE (first caller), Done.
-    Quantum finish_engine();
+    Quantum finish_engine(Lane& lane);
     Quantum engine_failed(const std::string& what);
     void request_watch_write();
 
@@ -437,7 +439,6 @@ private:
     // Engine: exactly one of the two after HELLO, driven by lanes_ — one
     // per shard, allocated and registered once at HELLO.
     std::unique_ptr<engine::LaneEngine> engine_;
-    event::Seq reclaimed_floor_ = 0;  // lane-private: last chunk floor reclaimed
     std::unique_ptr<shard::ShardedEngine> sharded_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     // Per-shard-index depth peaks (§12, bounded by max_shards): resolved at
@@ -445,9 +446,9 @@ private:
     // lane_depth_peak{shard="3"}. Reactor-written.
     std::vector<obs::Series> lane_peaks_;
 
-    // Ingest pacing (§14, unsharded): the reactor appends straight into the
-    // entry's store (frontier = its size()); after every step the worker stores
-    // the engine's processed() into accepted_. in-flight = frontier -
+    // Ingest pacing (§14): the reactor appends straight into the entry's
+    // store (frontier = its size()); after every step the worker stores the
+    // engine's processed() into accepted_. in-flight = frontier -
     // accepted_ is the queue depth the watermarks bound. ingest_mutex_
     // orders the park handshake (see publish_ingest) and guards
     // ingest_closed_.

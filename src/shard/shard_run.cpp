@@ -16,8 +16,7 @@ std::vector<event::ComplexEvent> run_sharded_inline(
     std::size_t fed = 0;
     while (fed < events.size()) {
         const std::size_t end = std::min(events.size(), fed + std::max<std::size_t>(feed_chunk, 1));
-        for (; fed < end; ++fed) engine.route(events[fed]);
-        engine.publish();
+        for (; fed < end; ++fed) engine.ingest(events[fed]);
         for (std::uint32_t s = 0; s < engine.shards(); ++s)
             engine.step_shard(s, step_events);
     }
@@ -33,7 +32,10 @@ server::EngineTask::Quantum PooledShardRun::Task::run_quantum() {
     if (res.shard_finished) return Quantum::Done;
     // An ingest or close between the idle observation and the park takes the
     // flag and re-queues us (§9) — no lost wakeup.
-    if (res.idle && parked.park_if([this] { return run->engine_->shard_parkable(shard); }))
+    if (res.idle && parked.park_if([this] {
+            const std::lock_guard<std::mutex> lock(run->mutex_);
+            return run->engine_->shard_parkable(shard);
+        }))
         return Quantum::Parked;
     return Quantum::MoreWork;
 }
@@ -56,8 +58,6 @@ PooledShardRun::~PooledShardRun() = default;
 void PooledShardRun::start() {
     SPECTRE_REQUIRE(!started_, "PooledShardRun::start called twice");
     started_ = true;
-    // Each publish wakes the shards it handed arrivals to.
-    engine_->set_shard_waker([this](std::uint32_t s) { wake(s); });
     for (std::uint32_t s = 0; s < engine_->shards(); ++s) {
         pool_->add(id_base_ + s, tasks_[s].get(), [this](std::uint64_t) {
             {
@@ -70,17 +70,20 @@ void PooledShardRun::start() {
 }
 
 ShardedEngine::IngestInfo PooledShardRun::ingest(event::Event e) {
-    // The publish wakes the event's shard through the shard waker.
-    return engine_->ingest(std::move(e));
+    const auto info = engine_->ingest(std::move(e));
+    wake_all();
+    return info;
 }
 
 void PooledShardRun::close() {
     engine_->close_input();
-    for (std::uint32_t s = 0; s < engine_->shards(); ++s) wake(s);
+    wake_all();
 }
 
-void PooledShardRun::wake(std::uint32_t s) {
-    tasks_[s]->parked.wake([this, s] { pool_->notify(id_base_ + s); });
+void PooledShardRun::wake_all() {
+    { const std::lock_guard<std::mutex> lock(mutex_); }
+    for (std::uint32_t s = 0; s < engine_->shards(); ++s)
+        tasks_[s]->parked.wake([this, s] { pool_->notify(id_base_ + s); });
 }
 
 void PooledShardRun::wait() {

@@ -1,8 +1,9 @@
-// Drivers for ShardedEngine outside the server (DESIGN.md §10): the
-// deterministic inline runner the differential tests drive at chosen publish
-// and step cadences, and the pooled runner that scales one hot partitioned
-// stream across an EnginePool's workers — S shard tasks on N threads, no
-// thread per shard — which is what bench_shard_scaling measures.
+// Drivers for ShardedEngine outside the server (DESIGN.md §10), both over
+// the engine's own store: the deterministic inline runner the differential
+// tests drive at chosen feed and step cadences, and the pooled runner that
+// scales one hot partitioned stream across an EnginePool's workers — S shard
+// tasks on N threads, no thread per shard — which is what
+// bench_shard_scaling measures.
 #pragma once
 
 #include <condition_variable>
@@ -15,10 +16,10 @@
 
 namespace spectre::shard {
 
-// Single-threaded sharded run with an adversarially boring schedule: route
-// `feed_chunk` events, publish them as one hand-off, round-robin one bounded
-// step per shard, repeat; then close and step until finished. Exercises
-// every merge-bound path without threads — output must be byte-identical to
+// Single-threaded sharded run with an adversarially boring schedule: ingest
+// `feed_chunk` events into the engine's store, round-robin one bounded step
+// per shard, repeat; then close and step until finished. Exercises every
+// merge-bound path without threads — output must be byte-identical to
 // reference_partitioned_run.
 std::vector<event::ComplexEvent> run_sharded_inline(
     const detect::CompiledQuery& cq, ShardedConfig cfg,
@@ -41,9 +42,8 @@ public:
     // Registers the shard tasks and schedules their first quanta. Call once.
     void start();
 
-    // Feeder side (one thread): route and publish one event; the publish
-    // wakes its shard's task through the shard waker. Returns the engine's
-    // routing info (shard, depth, dropped).
+    // Feeder side (one thread): append one event to the engine's store and
+    // wake every shard, since each reads it. Returns the shard it hashes to.
     ShardedEngine::IngestInfo ingest(event::Event e);
     // End-of-stream: wake every shard for its EOS drain.
     void close();
@@ -57,8 +57,9 @@ private:
         server::ParkFlag parked;  // idle until an ingest or close
         Quantum run_quantum() override;
     };
-    // Wakes shard `s`'s task if it parked (§9 take-before-notify).
-    void wake(std::uint32_t s);
+    // Passes the §9 barrier (mutex_: a parking task re-checks the store
+    // under it), then wakes every parked shard task (take-before-notify).
+    void wake_all();
 
     ShardedEngine* engine_;
     server::EnginePool* pool_;
@@ -66,7 +67,7 @@ private:
     const std::size_t quantum_events_;
     std::vector<std::unique_ptr<Task>> tasks_;
 
-    std::mutex mutex_;
+    std::mutex mutex_;  // guards done_; also the §9 park barrier
     std::condition_variable cv_;
     std::size_t done_ = 0;
     bool started_ = false;

@@ -1,7 +1,10 @@
 #include "shard/sharded_engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <iterator>
+#include <map>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -31,18 +34,12 @@ std::uint64_t key_bits(const event::Event& e, const query::PartitionBy& part) {
 // hashes to. Pinned: its sink holds its address.
 struct ShardedEngine::KeyLane {
     KeyLane(const detect::CompiledQuery* cq, const ShardedConfig& cfg, ShardState& owner,
-            obs::Shard* obs);
+            obs::Shard* obs, event::Seq key_id);
     KeyLane(const KeyLane&) = delete;
     KeyLane& operator=(const KeyLane&) = delete;
+    const event::Seq key;  // the key's first global seq
     event::MappedStore store;
     engine::LaneEngine engine;
-};
-
-// One routed arrival: global seq, dense key, event.
-struct ShardedEngine::Pending {
-    event::Seq g = 0;
-    std::uint32_t key = 0;
-    event::Event e;
 };
 
 struct ShardedEngine::TaggedResult {
@@ -51,48 +48,36 @@ struct ShardedEngine::TaggedResult {
 };
 
 struct ShardedEngine::ShardState {
-    // `mutex` guards the feeder↔task inbox, the merger-visible progress
-    // fields and the task→merger result buffer.
+    // `mutex` guards the merger-visible fields: the task→merger result
+    // buffer, the published cursor and the end-of-stream progress.
     mutable std::mutex mutex;
-    // Published arrivals in FIFO (= ascending g) order. publish() appends a
-    // staged batch whole; the task takes all of it in one swap.
-    std::vector<Pending> inbox;
-    // Authoritative end-of-input gate for THIS shard's inbox: set under the
-    // lock by close_input(), checked under the lock by publish() — so no
-    // event can slip in behind the close, and the EOS drain can begin the
-    // moment the inbox is observed empty with this set. (The engine-level
-    // atomic is only the cheap unfenced pre-check.)
-    bool input_closed = false;
-    // Lower bound on every tag the task took but has not processed: the
-    // first unprocessed batch entry's g, set at the swap and re-published at
-    // the end of each step (kInfTag once the batch is done).
-    MergeTag inflight = kInfTag;
+    std::deque<TaggedResult> results;
+    // Set once the input closed and this shard scanned all of it: no
+    // arrival tag can follow, so the EOS drain may begin.
     bool eos_started = false;
     bool eos_done = false;
-    std::uint32_t eos_key = 0;  // lower bound on future EOS tags
-    std::deque<TaggedResult> results;
-
-    // Published-minus-processed arrivals: the feeder adds at publish, the
-    // task subtracts at the end of each step (shard_queue_depth).
-    std::atomic<std::size_t> depth{0};
-
-    // Feeder-private: arrivals routed here since the last publish().
-    std::vector<Pending> staged;
+    event::Seq eos_key = 0;  // lower bound on future EOS tags
+    // The scan cursor as of the end of the shard's last step: every input
+    // event below it is processed (if the shard's) or skipped, so every
+    // tag still to come from the scan is at or above it. Stored under
+    // `mutex`; processed() and shard_queue_depth() read it without.
+    std::atomic<event::Seq> scanned{0};
 
     // Task-private (only the owning shard task touches these; the lane sinks
     // run on the task thread during a drain).
-    std::vector<Pending> batch;  // the inbox taken at the last swap
-    std::size_t batch_pos = 0;   // first unprocessed entry of `batch`
-    std::map<std::uint32_t, std::unique_ptr<KeyLane>> lanes;  // by key index
-    std::uint32_t eos_next_key = 0;
+    event::Seq next = 0;  // the scan cursor
+    std::unordered_map<std::uint64_t, KeyLane*> by_bits;   // key bits → lane
+    std::map<event::Seq, std::unique_ptr<KeyLane>> lanes;  // by key id
+    event::Seq eos_next_key = 0;
     MergeTag current_tag;
 };
 
 // The sink runs on the owning shard task mid-drain: translate constituents
 // back to global stream positions, tag with the trigger being processed.
 ShardedEngine::KeyLane::KeyLane(const detect::CompiledQuery* cq, const ShardedConfig& cfg,
-                                ShardState& owner, obs::Shard* obs)
-    : engine(cq, &store.store(), cfg.instances, SIZE_MAX, cfg.batch_events,
+                                ShardState& owner, obs::Shard* obs, event::Seq key_id)
+    : key(key_id),
+      engine(cq, &store.store(), cfg.instances, SIZE_MAX, cfg.batch_events,
              [this, sh = &owner](event::ComplexEvent&& ce) {
                  store.translate(ce.constituents);
                  const std::lock_guard<std::mutex> lock(sh->mutex);
@@ -101,8 +86,10 @@ ShardedEngine::KeyLane::KeyLane(const detect::CompiledQuery* cq, const ShardedCo
              obs) {}
 
 ShardedEngine::ShardedEngine(const detect::CompiledQuery* cq, ShardedConfig cfg,
-                             event::ResultSink sink)
-    : cq_(cq), cfg_(cfg), sink_(std::move(sink)) {
+                             event::ResultSink sink, const event::EventStore* input)
+    : cq_(cq), cfg_(cfg), sink_(std::move(sink)),
+      owned_(input ? nullptr : std::make_unique<event::EventStore>()),
+      input_(input ? input : owned_.get()) {
     SPECTRE_REQUIRE(cq_ != nullptr, "ShardedEngine needs a compiled query");
     SPECTRE_REQUIRE(cq_->query().partition.active(),
                     "ShardedEngine needs a query with PARTITION BY");
@@ -116,94 +103,46 @@ ShardedEngine::ShardedEngine(const detect::CompiledQuery* cq, ShardedConfig cfg,
 
 ShardedEngine::~ShardedEngine() = default;
 
-ShardedEngine::IngestInfo ShardedEngine::route(event::Event e) {
-    // A worker-side abort may close the input concurrently with the feeder
-    // (server failure paths): a trailing event is dropped, never staged.
-    // publish() re-checks each shard's gate under its lock, so one that
-    // slips past this pre-check is dropped there.
-    if (input_closed()) return IngestInfo{0, queued_total() + staged_, /*dropped=*/true};
-    const auto bits = key_bits(e, cq_->query().partition);
-    const auto [it, fresh] =
-        key_index_.try_emplace(bits, static_cast<std::uint32_t>(key_index_.size()));
-    const std::uint32_t key = it->second;
-    if (fresh)
-        key_shard_.push_back(static_cast<std::uint32_t>(splitmix64(bits) % cfg_.shards));
-    const std::uint32_t shard = key_shard_[key];
-    ShardState& sh = *shards_[shard];
-    if (sh.staged.empty()) touched_.push_back(shard);
-    sh.staged.push_back(Pending{next_g_++, key, std::move(e)});
-    ++staged_;
-    return IngestInfo{shard, queued_total() + staged_};
-}
-
-std::size_t ShardedEngine::publish() {
-    if (touched_.empty()) return 0;
-    // Count before the hand-off: a task that processes the batch at once
-    // must never subtract below zero. Dropped batches give theirs back.
-    queued_.fetch_add(staged_, std::memory_order_seq_cst);
-    std::size_t handed = 0;
-    for (const std::uint32_t s : touched_) {
-        ShardState& sh = *shards_[s];
-        const std::size_t n = sh.staged.size();
-        sh.depth.fetch_add(n, std::memory_order_relaxed);
-        bool dropped = false;
-        {
-            const std::lock_guard<std::mutex> lock(sh.mutex);
-            // The per-shard gate makes the close race benign: a batch behind
-            // the close would break merge-tag ordering against the EOS drain.
-            dropped = sh.input_closed;
-            if (!dropped && sh.inbox.empty())
-                sh.inbox.swap(sh.staged);  // the common case: no copy
-            else if (!dropped)
-                sh.inbox.insert(sh.inbox.end(), std::make_move_iterator(sh.staged.begin()),
-                                std::make_move_iterator(sh.staged.end()));
-        }
-        sh.staged.clear();
-        if (dropped) {
-            sh.depth.fetch_sub(n, std::memory_order_relaxed);
-            queued_.fetch_sub(n, std::memory_order_seq_cst);
-            continue;
-        }
-        handed += n;
-        if (waker_) waker_(s);
-    }
-    touched_.clear();
-    staged_ = 0;
-    // Publish after the hand-off: a merger that reads frontier_ >= g+1 and
-    // finds the shard's inbox empty knows event g was already taken.
-    frontier_.store(next_g_, std::memory_order_release);
-    return handed;
+std::uint32_t ShardedEngine::shard_of(std::uint64_t bits) const {
+    return static_cast<std::uint32_t>(splitmix64(bits) % cfg_.shards);
 }
 
 ShardedEngine::IngestInfo ShardedEngine::ingest(event::Event e) {
-    IngestInfo info = route(std::move(e));
-    if (!info.dropped) info.dropped = publish() == 0;
-    return info;
+    SPECTRE_REQUIRE(owned_ != nullptr, "ShardedEngine::ingest needs an engine-owned store");
+    const std::uint64_t bits = key_bits(e, cq_->query().partition);
+    const event::Seq g = owned_->append(std::move(e));
+    // The single writer frees behind the slowest shard, once per chunk (a
+    // session's store frees through its pin instead).
+    if ((g & (event::EventStore::kChunkSize - 1)) == 0)
+        owned_->release_chunks_below(processed());
+    return IngestInfo{shard_of(bits)};
 }
 
 void ShardedEngine::close_input() {
-    // Engine-level flag first (the merger's bound logic and idle pre-checks
-    // read it), then the authoritative per-shard gates: once a shard's gate
-    // is set under its lock, no further publish can reach there, so an EOS
-    // result can never be followed by a smaller arrival tag.
-    closed_.store(true, std::memory_order_release);
-    for (const auto& shp : shards_) {
-        const std::lock_guard<std::mutex> lock(shp->mutex);
-        shp->input_closed = true;
-    }
+    SPECTRE_REQUIRE(owned_ != nullptr, "ShardedEngine::close_input needs an engine-owned store");
+    owned_->close();
+}
+
+event::Seq ShardedEngine::processed() const noexcept {
+    // seq_cst, like the cursor store: of two shards finishing concurrently,
+    // at least one reads the other's new cursor (§9 credit).
+    event::Seq lo = ~event::Seq{0};
+    for (const auto& sh : shards_)
+        lo = std::min(lo, sh->scanned.load(std::memory_order_seq_cst));
+    return lo;
 }
 
 bool ShardedEngine::shard_parkable(std::uint32_t s) const {
-    // Called after an idle step, so the task's batch is exhausted.
+    // Called after an idle step: the shard scanned everything it saw.
     const ShardState& sh = *shards_[s];
-    const std::lock_guard<std::mutex> lock(sh.mutex);
-    if (!sh.inbox.empty()) return false;  // published since the step
-    if (!sh.input_closed) return true;    // idle: publish/close will wake
-    return sh.eos_done;  // EOS work remains → keep running
+    if (sh.eos_started) return sh.eos_done;  // EOS work remains → keep running
+    return !input_->closed() && input_->size() == sh.next;
 }
 
 std::uint32_t ShardedEngine::key_count() const {
-    return static_cast<std::uint32_t>(key_shard_.size());
+    std::size_t keys = 0;
+    for (const auto& shp : shards_) keys += shp->lanes.size();
+    return static_cast<std::uint32_t>(keys);
 }
 
 ShardedEngine::LaneFootprint ShardedEngine::lane_footprint() const {
@@ -223,15 +162,24 @@ ShardedEngine::LaneFootprint ShardedEngine::lane_footprint() const {
 }
 
 std::size_t ShardedEngine::shard_queue_depth(std::uint32_t s) const {
-    return shards_[s]->depth.load(std::memory_order_relaxed);
+    // Cursor first: the frontier read after it is at least as far.
+    const event::Seq scanned = shards_[s]->scanned.load(std::memory_order_acquire);
+    return input_->size() - scanned;
 }
 
-void ShardedEngine::process_event(ShardState& sh, Pending&& p) {
-    std::unique_ptr<KeyLane>& slot = sh.lanes[p.key];
-    if (!slot) slot = std::make_unique<KeyLane>(cq_, cfg_, sh, obs_);
+void ShardedEngine::process_event(ShardState& sh, const event::Event& e, std::uint64_t bits,
+                                  event::Seq g) {
+    KeyLane*& slot = sh.by_bits[bits];
+    if (!slot) {
+        // A key's id is its first global seq: ascending ids are the
+        // first-appearance order the reference drains in at end-of-stream.
+        auto lane = std::make_unique<KeyLane>(cq_, cfg_, sh, obs_, g);
+        slot = lane.get();
+        sh.lanes.emplace(g, std::move(lane));
+    }
     KeyLane& lane = *slot;
-    sh.current_tag = MergeTag{p.g, p.key};
-    lane.store.append_mapped(std::move(p.e), p.g);
+    sh.current_tag = MergeTag{g, lane.key};
+    lane.store.append_mapped(e, g);
     // Drain to quiescence, emitting every window this arrival completed.
     while (lane.engine.step() == engine::LaneEngine::Step::Busy) {
     }
@@ -268,117 +216,74 @@ void ShardedEngine::eos_step(ShardState& sh, std::size_t& budget) {
     }
 }
 
-bool ShardedEngine::take_inbox(ShardState& sh) {
-    sh.batch.clear();
-    sh.batch_pos = 0;
-    const std::lock_guard<std::mutex> lock(sh.mutex);
-    if (sh.inbox.empty()) return false;
-    // The swap hands the inbox our spent batch's capacity: steady state
-    // allocates nothing.
-    sh.batch.swap(sh.inbox);
-    // Visible to the merger in the same critical section the entries leave
-    // the inbox: results for the batch stay pending until this advances.
-    sh.inflight = MergeTag{sh.batch.front().g, 0};
-    return true;
-}
-
 ShardedEngine::StepResult ShardedEngine::step_shard(std::uint32_t s,
                                                     std::size_t max_events) {
     StepResult r;
     ShardState& sh = *shards_[s];
-    std::size_t budget = max_events > 0 ? max_events : 1;
-    while (budget > 0) {
-        if (sh.batch_pos < sh.batch.size() || take_inbox(sh)) {
-            process_event(sh, std::move(sh.batch[sh.batch_pos]));
-            ++sh.batch_pos;
-            ++r.events;
-            --budget;
-            continue;
+    std::size_t budget = std::max<std::size_t>(max_events, 1);
+    if (!sh.eos_started) {
+        // Closed before the frontier: once closed() is seen, the size read
+        // after it is the stream's final length.
+        const bool closed = input_->closed();
+        const event::Seq frontier = input_->size();
+        // Skipping another shard's event is cheap but not free: the scan
+        // stops after S events per unit of budget.
+        const event::Seq end = std::min<event::Seq>(frontier, sh.next + budget * cfg_.shards);
+        if (sh.next < end) {
+            const auto& part = cq_->query().partition;
+            const event::Seq first = sh.next;
+            const event::EventRange span = input_->range(first, end - 1);
+            for (; sh.next < end && budget > 0; ++sh.next) {
+                const event::Event& e = span[sh.next - first];
+                const std::uint64_t bits = key_bits(e, part);
+                if (shard_of(bits) != s) continue;
+                process_event(sh, e, bits, sh.next);
+                --budget;
+            }
         }
-        if (!input_closed()) {
-            r.idle = true;
-            break;
+        if (sh.next == frontier) {
+            if (closed) {
+                const std::lock_guard<std::mutex> lock(sh.mutex);
+                sh.eos_started = true;
+            } else {
+                r.idle = true;
+            }
         }
-        bool done = false;
-        bool can_eos = false;
-        bool inbox_empty = true;
-        {
-            const std::lock_guard<std::mutex> lock(sh.mutex);
-            done = sh.eos_done;
-            inbox_empty = sh.inbox.empty();
-            // The per-shard gate, not the engine-level flag, authorizes the
-            // EOS drain: once it is set (under this lock) no publish can
-            // reach here, so an EOS tag can never be followed by a smaller
-            // arrival tag.
-            can_eos = sh.input_closed && inbox_empty;
-            if (!done && can_eos) sh.eos_started = true;
-        }
-        if (done) break;
-        if (!can_eos) {
-            if (!inbox_empty) continue;  // raced-in work — go take it
-            r.idle = true;  // close in flight, gate not set yet — re-run on notify
-            break;
-        }
-        eos_step(sh, budget);
     }
+    if (sh.eos_started) eos_step(sh, budget);
     // Publish the step's progress once: the merger's bound for this shard
-    // moves to the next unprocessed entry, and the backlog counters drop by
-    // what the step processed.
+    // and the engine's credit move to the cursor.
     {
         const std::lock_guard<std::mutex> lock(sh.mutex);
-        sh.inflight = sh.batch_pos < sh.batch.size()
-                          ? MergeTag{sh.batch[sh.batch_pos].g, 0}
-                          : kInfTag;
+        sh.scanned.store(sh.next, std::memory_order_seq_cst);
     }
-    if (r.events > 0) {
-        sh.depth.fetch_sub(r.events, std::memory_order_relaxed);
-        queued_.fetch_sub(r.events, std::memory_order_seq_cst);
-    }
+    r.shard_finished = sh.eos_done;
     merge_locked(r);
-    {
-        const std::lock_guard<std::mutex> lock(sh.mutex);
-        r.shard_finished = sh.eos_done;
-    }
     return r;
 }
 
 void ShardedEngine::merge_locked(StepResult& r) {
     const std::lock_guard<std::mutex> merge_lock(merge_mutex_);
-    // Frontier before inboxes: an event published before this load is
-    // either still in an inbox or a batch (bounding below) or fully
-    // processed (its results already pushed).
-    const event::Seq frontier = frontier_.load(std::memory_order_acquire);
     const std::size_t span = shards_.size();
-    const bool closed = input_closed();
 
-    // One lock round per shard: compute its lower bound AND splice off the
-    // releasable prefix of its result buffer (tags within a shard ascend, so
-    // the prefix below the eventual min bound is contiguous). Splicing the
-    // whole buffer here and merging locally keeps the release loop lock-free
-    // — O(results) work under merge_mutex_ only, not O(results × shards)
-    // lock traffic.
+    // One lock round per shard: read its lower bound AND splice off its
+    // result buffer (tags within a shard ascend, so the prefix below the
+    // eventual min bound is contiguous). Splicing the whole buffer here and
+    // merging locally keeps the release loop lock-free — O(results) work
+    // under merge_mutex_ only, not O(results × shards) lock traffic.
     auto& pending = merge_scratch_;
     MergeTag min_bound = kInfTag;
-    bool eos_all_done = closed;
+    bool eos_all_done = true;
     for (std::size_t i = 0; i < span; ++i) {
         ShardState& t = *shards_[i];
         MergeTag b = kInfTag;
         const std::lock_guard<std::mutex> lock(t.mutex);
-        if (t.eos_done) {
-            b = kInfTag;
-        } else if (t.eos_started) {
-            // Sound only because eos_started is gated on the shard's
-            // input_closed flag: no arrival tag can follow.
-            b = MergeTag{kEosG, t.eos_key};
+        if (!t.eos_done) {
             eos_all_done = false;
-        } else {
-            if (!t.inbox.empty()) b = MergeTag{t.inbox.front().g, 0};
-            if (t.inflight < b) b = t.inflight;
-            // Even after close a not-yet-EOS shard is bounded by the
-            // frontier, not by the EOS band — a trailing arrival may still
-            // be racing the close gate.
-            if (b == kInfTag) b = MergeTag{frontier, 0};
-            eos_all_done = false;
+            // Results pushed before the cursor was published are in the
+            // buffer; every later one is tagged at or above the cursor.
+            b = t.eos_started ? MergeTag{kEosG, t.eos_key}
+                              : MergeTag{t.scanned.load(std::memory_order_relaxed), 0};
         }
         if (b < min_bound) min_bound = b;
         pending[i].swap(t.results);
@@ -396,7 +301,6 @@ void ShardedEngine::merge_locked(StepResult& r) {
         if (best == span || !(pending[best].front().tag < min_bound)) break;
         TaggedResult tr = std::move(pending[best].front());
         pending[best].pop_front();
-        emitted_.fetch_add(1, std::memory_order_relaxed);
         sink_(std::move(tr.ce));
     }
     bool buffers_empty = true;

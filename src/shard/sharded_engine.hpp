@@ -11,31 +11,34 @@
 // byte-identical to the unsharded sequential run of the same input for every
 // shard count and every schedule.
 //
+// Every shard reads one input EventStore — a server session's store, or the
+// engine's own — from its own scan cursor, keeps the events whose key hashes
+// to it and appends them to their key lanes. Nothing is routed or handed
+// over: the store is the splitter, as in the paper's Fig. 2.
+//
 // Determinism comes from merge tags. The single-threaded reference
 // (reference_partitioned_run) processes arrivals in global order: append
 // event g to its key's lane, drain that lane to quiescence (emitting every
 // window the arrival completed), move to g+1; at end-of-stream it drains the
 // lanes in key-first-appearance order. Every emitted complex event therefore
 // has a well-defined *trigger tag*: (g, key) for an arrival-driven emission,
-// (EOS, key) for an end-of-stream one. A sharded run produces the exact same
-// tagged results per key (same lane code, same sub-stream); the merger
-// releases a result only once no shard can still produce a smaller tag —
-// tracked by per-shard lower bounds (head of the shard's inbox, the first
-// unprocessed tag of the task's batch, the router frontier for an idle shard,
-// the EOS key cursor) —
-// and emits in ascending tag order. Constituent seqs are translated back to
-// global stream positions on the way out (event::MappedStore), so the output
-// is indistinguishable from an engine that saw the whole stream.
+// (EOS, key) for an end-of-stream one, where a key's id is its first global
+// seq (so ascending ids are first-appearance order). A sharded run produces
+// the exact same tagged results per key (same lane code, same sub-stream);
+// the merger releases a result only once no shard can still produce a
+// smaller tag — tracked by per-shard lower bounds (the scan cursor a shard
+// published at the end of its last step, or its EOS key cursor once the
+// input closed and it scanned all of it) — and emits in ascending tag order.
+// Constituent seqs are translated back to global stream positions on the way
+// out (event::MappedStore), so the output is indistinguishable from an engine
+// that saw the whole stream.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "detect/compiled_query.hpp"
@@ -58,9 +61,11 @@ public:
     // `cq` must outlive the engine and its query must declare a partition
     // key. `sink` receives the merged result stream (called under the merge
     // lock, from whichever shard task merges; it must not re-enter the
-    // engine).
+    // engine). The shards read `input`, which must outlive the engine, and
+    // whose single writer must free no chunk at or above processed(). With
+    // no `input` the engine owns its store and ingest() feeds it.
     ShardedEngine(const detect::CompiledQuery* cq, ShardedConfig cfg,
-                  event::ResultSink sink);
+                  event::ResultSink sink, const event::EventStore* input = nullptr);
     ~ShardedEngine();
 
     ShardedEngine(const ShardedEngine&) = delete;
@@ -68,79 +73,50 @@ public:
 
     std::uint32_t shards() const noexcept { return cfg_.shards; }
 
-    // --- feeder side (exactly one thread) -----------------------------------
+    // --- feeder side of an owned store (exactly one thread) -----------------
 
     struct IngestInfo {
-        std::uint32_t shard = 0;  // where the event was routed
-        // Routed but not yet processed after this call, summed over every
-        // shard and counting the events still staged (ingest backpressure).
-        std::size_t queued = 0;
-        // The benign abort-race drop: input closed under the feeder, the
-        // event was NOT staged. Callers must skip arrival-stamp and
-        // backpressure bookkeeping for this event.
-        bool dropped = false;
+        std::uint32_t shard = 0;  // the shard that will read the event
     };
-    // Routes one event: assigns its global seq g, looks up its key's shard
-    // and appends it to that shard's feeder-private staging batch. Nothing
-    // reaches a shard task until publish(). Must not be called after
-    // close_input().
-    IngestInfo route(event::Event e);
-    // Hands every staged batch over: one lock per touched shard, whose inbox
-    // takes the batch whole, then one queued_total() add and one frontier
-    // release. Wakes each touched shard once through the shard waker.
-    // Returns the events handed over (staged events that met a closed shard
-    // gate are dropped instead).
-    std::size_t publish();
-    // route() then publish() — one hand-off per event (tests, PooledShardRun).
+    // Appends one event to the owned store and frees its chunks below
+    // processed(). The driver then wakes the shard tasks. Must not be called
+    // after close_input(), nor on an engine built over a caller's store.
     IngestInfo ingest(event::Event e);
-
-    // Publishes end-of-stream (idempotent). Callers then notify every shard
-    // task so parked ones run their end-of-stream drains.
+    // Closes the owned store: end-of-stream (idempotent). Callers then
+    // notify every shard task so parked ones run their end-of-stream drains.
     void close_input();
-    bool input_closed() const noexcept {
-        return closed_.load(std::memory_order_acquire);
-    }
 
-    // Events published but not yet processed, over every shard (ingest
-    // backpressure; staged events are not in it). seq_cst, like the step's
-    // subtract: the server's pause double-check is a store-load pair
-    // (ServerSession::set_read_paused).
-    std::size_t queued_total() const noexcept {
-        return queued_.load(std::memory_order_seq_cst);
-    }
-
-    // Called when publish() hands shard `s` arrivals (feeder thread): the
-    // driver must wake shard `s`'s task. Set before the shard tasks start.
-    void set_shard_waker(std::function<void(std::uint32_t)> waker) {
-        waker_ = std::move(waker);
-    }
+    // Events every shard has scanned (the §9 ingest credit and the input's
+    // reclaim floor): the minimum over the shards' published cursors. Only
+    // grows.
+    event::Seq processed() const noexcept;
 
     // --- shard task side (one logical caller per shard) ---------------------
 
     struct StepResult {
-        std::size_t events = 0;      // arrivals processed this call
         bool idle = false;           // nothing to do until woken
         bool shard_finished = false; // this shard fully drained incl. EOS
         bool all_finished = false;   // every shard done and every result merged
     };
-    // One bounded quantum of shard `s`: process up to `max_events` arrivals
-    // of the task's batch (append to lane, drain lane to quiescence, tag
-    // results) — taking the whole inbox in one swap whenever the batch runs
-    // out — run the end-of-stream drains once the input closed, publish
-    // progress, then merge. Never blocks on I/O; serialize calls per shard
-    // (the pool's task state machine already does).
+    // One bounded quantum of shard `s`: scan the input from the shard's
+    // cursor (at most `max_events` × S events), processing up to
+    // `max_events` of its own (append to lane, drain lane to quiescence,
+    // tag results); once the input closed and is fully scanned run the
+    // end-of-stream drains; publish the cursor, then merge. Never blocks on
+    // I/O; serialize calls per shard (the pool's task state machine
+    // already does).
     StepResult step_shard(std::uint32_t s, std::size_t max_events);
 
     // Park predicate for shard `s`'s task (call from that task): nothing to
-    // do until a publish or a close arrives.
+    // do until the input grows or closes. The caller orders it against the
+    // feeder's wake (§9 barrier).
     bool shard_parkable(std::uint32_t s) const;
 
     bool finished() const noexcept {
         return all_finished_.load(std::memory_order_acquire);
     }
-    std::uint64_t results_emitted() const noexcept {
-        return emitted_.load(std::memory_order_relaxed);
-    }
+    // Keys seen so far. Reads task-private state: call only while no shard
+    // task runs (between the steps of an inline driver, or once finished()).
     std::uint32_t key_count() const;
 
     // --- observability (DESIGN.md §12) --------------------------------------
@@ -148,13 +124,12 @@ public:
     // Metrics plane: when bound, every speculative lane runtime created from
     // here on publishes its per-step stat deltas into `shard`, and every
     // sequential lane its reclaimed store chunks (shard_chunks_reclaimed).
-    // Call before the first ingest; the shard must outlive the engine.
+    // Call before the first step; the shard must outlive the engine.
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
 
     // Test hook: what the key lanes hold right now — store chunks not yet
-    // reclaimed and seq-mapping rows, summed over every lane. Reads
-    // task-private state: call only while no shard task runs (between the
-    // steps of an inline driver, or once finished()).
+    // reclaimed and seq-mapping rows, summed over every lane. Same calling
+    // rule as key_count().
     struct LaneFootprint {
         std::size_t lanes = 0;
         std::size_t resident_chunks = 0;
@@ -162,34 +137,31 @@ public:
     };
     LaneFootprint lane_footprint() const;
 
-    // Arrivals published to shard `s` and not yet processed (the live
-    // lane-depth signal). Updated once per publish and once per step, so it
-    // counts a task's batch too.
+    // Input events shard `s` has not scanned yet, as of its last step (the
+    // live lane-depth signal).
     std::size_t shard_queue_depth(std::uint32_t s) const;
 
 private:
     // Merge tag: (g, key) for arrival-driven emissions, (kEosG, key) for
-    // end-of-stream drains, kInfTag = "nothing further".
+    // end-of-stream drains, kInfTag = "nothing further". A key is its first
+    // global seq.
     struct MergeTag {
-        std::uint64_t g = 0;
-        std::uint32_t key = 0;
+        event::Seq g = 0;
+        event::Seq key = 0;
         bool operator<(const MergeTag& o) const {
             return g != o.g ? g < o.g : key < o.key;
         }
-        bool operator==(const MergeTag&) const = default;
     };
-    static constexpr std::uint64_t kEosG = ~std::uint64_t{0} - 1;
-    static constexpr MergeTag kInfTag{~std::uint64_t{0}, ~std::uint32_t{0}};
+    static constexpr event::Seq kEosG = ~event::Seq{0} - 1;
+    static constexpr MergeTag kInfTag{~event::Seq{0}, ~event::Seq{0}};
 
     struct KeyLane;
-    struct Pending;
     struct TaggedResult;
     struct ShardState;
 
-    void process_event(ShardState& sh, Pending&& p);
-    // Task side: swaps the shard's inbox into the exhausted batch under one
-    // lock. False when nothing was published.
-    bool take_inbox(ShardState& sh);
+    std::uint32_t shard_of(std::uint64_t key_bits) const;
+    void process_event(ShardState& sh, const event::Event& e, std::uint64_t bits,
+                       event::Seq g);
     // Runs end-of-stream lane drains, one engine step per budget unit.
     void eos_step(ShardState& sh, std::size_t& budget);
     void merge_locked(StepResult& r);
@@ -198,22 +170,9 @@ private:
     const ShardedConfig cfg_;
     event::ResultSink sink_;
     obs::Shard* obs_ = nullptr;
+    std::unique_ptr<event::EventStore> owned_;  // the input when none was given
+    const event::EventStore* input_;
     std::vector<std::unique_ptr<ShardState>> shards_;
-    std::function<void(std::uint32_t)> waker_;
-
-    // Feeder-private router state.
-    std::unordered_map<std::uint64_t, std::uint32_t> key_index_;  // bits → dense
-    std::vector<std::uint32_t> key_shard_;                        // dense → shard
-    event::Seq next_g_ = 0;
-    std::vector<std::uint32_t> touched_;  // shards with a staged batch
-    std::size_t staged_ = 0;              // events staged over all shards
-
-    // Published router frontier: every event with g < frontier_ is visible in
-    // its shard's inbox (or beyond); idle shards can produce nothing below it.
-    std::atomic<event::Seq> frontier_{0};
-    std::atomic<bool> closed_{false};
-    std::atomic<std::size_t> queued_{0};
-    std::atomic<std::uint64_t> emitted_{0};
     std::atomic<bool> all_finished_{false};
 
     std::mutex merge_mutex_;

@@ -678,9 +678,10 @@ TEST_P(ShardedLaneBound, HotLaneStreamsInFlatMemory) {
 INSTANTIATE_TEST_SUITE_P(Instances, ShardedLaneBound, ::testing::Values(0u, 3u), k_name);
 
 // The same bound through a real sharded k = 0 server session: the lanes free
-// behind their watermarks while the session streams, the reclaimed chunks
-// show in the session's own metrics scope mid-stream (§12), and the merged
-// RESULT stream stays byte-identical to the partitioned oracle.
+// behind their watermarks while the session streams, and so does the
+// session's own store behind its shards' scan cursors (§10). Both show in
+// the session's metrics scope mid-stream (§12), and the merged RESULT stream
+// stays byte-identical to the partitioned oracle.
 TEST(ServerReclaim, ShardedSequentialSessionStreamsInFlatMemory) {
     if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
     constexpr std::size_t kChunk = event::EventStore::kChunkSize;
@@ -728,10 +729,12 @@ TEST(ServerReclaim, ShardedSequentialSessionStreamsInFlatMemory) {
     const std::string& j = out.stats_json.front();
     const auto scope = j.find("\"session\":{");
     ASSERT_NE(scope, std::string::npos);
-    const std::string key = "\"shard_chunks_reclaimed\":";
-    const auto at = j.find(key, scope);
-    ASSERT_NE(at, std::string::npos) << j.substr(0, 200);
-    EXPECT_GT(std::strtoull(j.c_str() + at + key.size(), nullptr, 10), 0u);
+    for (const std::string series : {"shard_chunks_reclaimed", "store_chunks_reclaimed"}) {
+        const std::string key = "\"" + series + "\":";
+        const auto at = j.find(key, scope);
+        ASSERT_NE(at, std::string::npos) << series << ": " << j.substr(0, 200);
+        EXPECT_GT(std::strtoull(j.c_str() + at + key.size(), nullptr, 10), 0u) << series;
+    }
 
     srv.stop();
     EXPECT_GE(counter(srv.registry().snapshot(), obs::sid::kShardChunksReclaimed),

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
 
-#include "data/csv.hpp"
 #include "data/nyse_synth.hpp"
 #include "data/rand_stream.hpp"
 
@@ -153,42 +151,3 @@ TEST(RandStream, DeterministicForSeed) {
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
-TEST(Csv, RoundTripPreservesEvents) {
-    const auto v = vocab();
-    NyseSynthConfig cfg;
-    cfg.events = 200;
-    cfg.symbols = 10;
-    const auto events = generate_nyse(v, cfg);
-
-    std::stringstream ss;
-    write_csv(ss, v, events);
-    const auto back = read_csv(ss, v);
-    ASSERT_EQ(back.size(), events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(back[i].ts, events[i].ts);
-        EXPECT_EQ(back[i].subject, events[i].subject);
-        EXPECT_DOUBLE_EQ(back[i].attr(v.open_slot), events[i].attr(v.open_slot));
-        EXPECT_DOUBLE_EQ(back[i].attr(v.close_slot), events[i].attr(v.close_slot));
-    }
-}
-
-TEST(Csv, MalformedRowsRejected) {
-    const auto v = vocab();
-    std::stringstream ss("ts,symbol,open,close,volume\n1,IBM,1.0\n");
-    EXPECT_THROW(read_csv(ss, v), std::runtime_error);
-    std::stringstream ss2("1,IBM,x,2.0,3.0\n");
-    EXPECT_THROW(read_csv(ss2, v), std::runtime_error);
-}
-
-TEST(Csv, FileRoundTrip) {
-    const auto v = vocab();
-    NyseSynthConfig cfg;
-    cfg.events = 50;
-    cfg.symbols = 5;
-    const auto events = generate_nyse(v, cfg);
-    const std::string path = ::testing::TempDir() + "spectre_csv_test.csv";
-    write_csv_file(path, v, events);
-    const auto back = read_csv_file(path, v);
-    EXPECT_EQ(back.size(), events.size());
-    EXPECT_THROW(read_csv_file("/nonexistent/nope.csv", v), std::runtime_error);
-}

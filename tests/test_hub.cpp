@@ -184,6 +184,74 @@ TEST(StreamHub, SpeculativeSubscriberBesideSequentialReclaimsMidStream) {
     check_reclaims_mid_stream({0, 3});
 }
 
+// A subscriber may partition and shard (DESIGN.md §10/§15): its S shard
+// tasks read the published store like any other reader, through the
+// session's one pin. Sharded subscribers at S ∈ {1, 3} × k ∈ {0, 2} beside
+// an unpartitioned sibling each match their oracle byte for byte, and the
+// shared store frees chunks behind all of them before the publisher's BYE.
+TEST(StreamHub, PartitionedSubscribersMatchOracleAndReclaimMidStream) {
+    const char* kPartitionedRising =
+        "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, R2 AS R2.close > R2.open "
+        "WITHIN 40 EVENTS FROM EVERY 10 EVENTS PARTITION BY SUBJECT CONSUME ALL";
+    server::CepServer srv;
+    srv.start();
+    // 110 store chunks (chunk = 1024 events), all published before the BYE.
+    const auto wire = wire_events(110 * 1024, 4404);
+
+    harness::PublisherClient pub("127.0.0.1", srv.port(), "keyed");
+    ASSERT_TRUE(pub.ok()) << pub.error();
+    std::vector<harness::SubscriberClient::Spec> specs;
+    for (const std::uint32_t shards : {1u, 3u}) {
+        for (const std::uint32_t k : {0u, 2u}) {
+            harness::SubscriberClient::Spec spec;
+            spec.stream = "keyed";
+            spec.instances = k;
+            spec.shards = shards;
+            // S = 3 partitions through the HELLO field, S = 1 by query text.
+            spec.query = shards == 3 ? kRisingPairQuery : kPartitionedRising;
+            if (shards == 3) spec.partition_by = "SUBJECT";
+            specs.push_back(spec);
+        }
+    }
+    specs.push_back(sub_spec("keyed", 0));  // the unpartitioned k = 0 sibling
+    std::vector<std::unique_ptr<harness::SubscriberClient>> subs;
+    for (const auto& spec : specs) {
+        subs.push_back(std::make_unique<harness::SubscriberClient>("127.0.0.1", srv.port(),
+                                                                   spec));
+        ASSERT_TRUE(subs.back()->ok()) << subs.back()->error();
+    }
+    std::vector<harness::LoadGenOutcome> outcomes(subs.size());
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < subs.size(); ++i)
+        readers.emplace_back([&, i] { outcomes[i] = subs[i]->run(); });
+
+    pub.publish(wire);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (counter(srv.registry().snapshot(), obs::sid::kHubChunksReclaimed) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(counter(srv.registry().snapshot(), obs::sid::kHubChunksReclaimed), 0u)
+        << "no chunk reclaimed before the publisher's BYE";
+
+    EXPECT_TRUE(pub.finish()) << pub.error();
+    for (auto& t : readers) t.join();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto& spec = specs[i];
+        const std::string label = "subscriber S=" + std::to_string(spec.shards) +
+                                  " k=" + std::to_string(spec.instances) +
+                                  (spec.shards == 0 ? " unpartitioned" : "");
+        EXPECT_TRUE(outcomes[i].error.empty()) << label << ": " << outcomes[i].error;
+        EXPECT_TRUE(outcomes[i].completed) << label;
+        expect_byte_identical(
+            spec.shards == 0
+                ? sequential_ground_truth(spec.query, wire)
+                : harness::partitioned_oracle(spec.query, wire, spec.partition_by),
+            outcomes[i].results, label);
+    }
+    srv.stop();
+    EXPECT_EQ(srv.stats().sessions_failed, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Isolation: a stalled slow subscriber parks only its own engine task (§9).
 // The publisher and every other subscriber finish while it reads nothing;
@@ -248,7 +316,9 @@ TEST(StreamHub, StalledSubscriberBlocksNeitherPublisherNorPeers) {
 // rounds that close the stream at the same instant) the engine finishing and
 // sending a BYE of its own — the client sees exactly one BYE, as the last
 // frame, counting the RESULT frames before it; the session counts completed
-// exactly once and never failed.
+// exactly once and never failed. Every fifth round's subscriber runs three
+// shard lanes, and the BYE must release all of them while the stream is
+// still open.
 // ---------------------------------------------------------------------------
 
 TEST(StreamHub, EarlyUnsubscribeSealsEgressWithOneBye) {
@@ -266,8 +336,17 @@ TEST(StreamHub, EarlyUnsubscribeSealsEgressWithOneBye) {
         net::Hello2Frame hello;
         hello.set("role", "subscribe");
         hello.set("stream", stream);
-        hello.set("query", subscriber_query(static_cast<std::size_t>(round)));
         if (round % 3 == 1) hello.set("instances", "2");
+        if (round % 5 == 2) {
+            // A sharded subscriber, whose BYE must release every lane. Its
+            // 24-event windows complete per key mid-stream (~37 events a
+            // key), so RESULTs flow before the stream closes.
+            hello.set("query", kFallingPairQuery);
+            hello.set("partition_by", "SUBJECT");
+            hello.set("shards", "3");
+        } else {
+            hello.set("query", subscriber_query(static_cast<std::size_t>(round)));
+        }
         std::vector<std::uint8_t> buf;
         net::encode_frame(net::SessionFrame{std::move(hello)}, buf);
         conn.send_raw(buf.data(), buf.size());
@@ -377,42 +456,21 @@ TEST(StreamHub, HandshakeRejectsBadRolesStreamsAndQueries) {
         EXPECT_FALSE(s.ok());
         EXPECT_NE(s.error().find("unknown stream"), std::string::npos) << s.error();
     }
-    {  // subscribers cannot shard/partition — the engine would re-materialize
-       // the stream per key, defeating the shared store
+    {  // a subscriber's shard count is capped like a standalone session's
         auto spec = sub_spec("taken", 0);
-        spec.query = "PATTERN (R1 R2) DEFINE R1 AS R1.close > R1.open, "
-                     "R2 AS R2.close > R2.open WITHIN 40 EVENTS FROM EVERY 10 EVENTS "
-                     "PARTITION BY SUBJECT CONSUME ALL";
+        spec.partition_by = "SUBJECT";
+        spec.shards = 1000;
         harness::SubscriberClient s("127.0.0.1", srv.port(), spec);
         EXPECT_FALSE(s.ok());
-        EXPECT_NE(s.error().find("PARTITION BY"), std::string::npos) << s.error();
+        EXPECT_NE(s.error().find("shards exceed server limit"), std::string::npos)
+            << s.error();
     }
-    {  // HELLO-field sharding is rejected for subscribers too (raw frames:
-       // the client API deliberately doesn't expose shards on subscribe)
-        net::TcpClient conn("127.0.0.1", srv.port(), 0);
-        net::Hello2Frame h;
-        h.set("role", "subscribe");
-        h.set("stream", "taken");
-        h.set("query", kRisingPairQuery);
-        h.set("shards", "2");
-        std::vector<std::uint8_t> buf;
-        net::encode_frame(net::SessionFrame{std::move(h)}, buf);
-        conn.send_raw(buf.data(), buf.size());
-        net::FrameReader reader;
-        std::string error;
-        std::uint8_t chunk[4096];
-        for (bool done = false; !done;) {
-            const ssize_t n = net::read_some(conn.fd(), chunk, sizeof(chunk));
-            if (n <= 0) break;
-            reader.feed(chunk, static_cast<std::size_t>(n));
-            while (auto f = reader.poll()) {
-                if (auto* e = std::get_if<net::ErrorFrame>(&*f)) {
-                    error = e->message;
-                    done = true;
-                }
-            }
-        }
-        EXPECT_NE(error.find("cannot shard or partition"), std::string::npos) << error;
+    {  // sharding needs a partition key, on a subscriber too
+        auto spec = sub_spec("taken", 0);
+        spec.shards = 2;
+        harness::SubscriberClient s("127.0.0.1", srv.port(), spec);
+        EXPECT_FALSE(s.ok());
+        EXPECT_NE(s.error().find("needs a partition key"), std::string::npos) << s.error();
     }
     {  // malformed query text still names the parse failure
         auto spec = sub_spec("taken", 0);

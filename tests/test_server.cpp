@@ -655,11 +655,11 @@ TEST(CepServer, MaxShardsBeyondTheSeriesTableIsRejected) {
                  std::invalid_argument);
 }
 
-// One hand-off per read (§10): the reactor routes a read view's DATA frames
-// into per-shard staging batches and publishes them once, waking each lane
-// it handed work to once. The pool then runs a bounded number of quanta per
-// read — not one wakeup per routed event, which a lane that keeps up with
-// its share of the stream would turn into one quantum per event.
+// One wakeup per read (§10): the reactor appends a read view's DATA frames
+// to the session's store and publishes them once, waking each shard lane
+// once. The pool then runs a bounded number of quanta per read — not one
+// wakeup per event, which a lane that keeps up with its share of the stream
+// would turn into one quantum per event.
 TEST(CepServer, ShardedSessionWakesEachLaneOncePerRead) {
     if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
     constexpr std::uint64_t kEvents = 40000;
@@ -699,10 +699,10 @@ TEST(CepServer, ShardedSessionWakesEachLaneOncePerRead) {
     EXPECT_LE(quanta, 4 * reads * kShards + 16) << "quanta=" << quanta << " reads=" << reads;
 }
 
-// The lane-depth series stay meaningful with task-private batches (§12): a
-// shard's depth counts what was published to it and not yet processed,
-// batch included, observed once per publish. Mid-stream, the hot shard's
-// peak is live and bounded by the ingest watermark plus one read view.
+// The lane-depth series stay meaningful (§12): a shard's depth counts the
+// input it has not scanned yet, observed once per publish. Mid-stream, the
+// hot shard's peak is live and bounded by the ingest watermark plus one read
+// view.
 TEST(CepServer, ShardedLaneDepthPeakIsLiveAndBounded) {
     if (!obs::enabled()) GTEST_SKIP() << "metrics disabled via SPECTRE_OBS_OFF";
     constexpr std::size_t kCap = 1024;
