@@ -4,7 +4,7 @@
 // stream's store is written by one publisher session and read by many
 // subscriber engines, each at its own pace; a standalone session's private
 // store is read by that session alone, through one pin. The store's chunk
-// directory makes reclamation natural — a 1024-event chunk can be freed once every
+// directory makes reclamation natural — a 128-event chunk can be freed once every
 // reader has moved past it — but the store itself must stay lock-free on the
 // hot paths, so the bookkeeping lives here, in a sidecar beside the store
 // (server::StreamEntry):

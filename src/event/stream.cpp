@@ -1,11 +1,32 @@
 #include "event/stream.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/assert.hpp"
 
 namespace spectre::event {
+
+namespace {
+
+// The message of the REQUIRE that stops the writer at event `n` when the
+// ring slot it needs still holds the page kMaxPages behind.
+std::string live_span_exceeded(std::size_t n) {
+    constexpr std::size_t kPageEvents = EventStore::kPageSize * EventStore::kChunkSize;
+    const std::size_t oldest = (n / kPageEvents - EventStore::kMaxPages) * kPageEvents;
+    return std::string("EventStore live span exceeded: event ")
+        .append(std::to_string(n))
+        .append(" needs the directory slot of events [")
+        .append(std::to_string(oldest))
+        .append(", ")
+        .append(std::to_string(oldest + kPageEvents))
+        .append("), which are not yet released; a store holds at most ")
+        .append(std::to_string(EventStore::kMaxChunks * EventStore::kChunkSize))
+        .append(" events between its oldest unreleased chunk and its frontier");
+}
+
+}  // namespace
 
 EventStore::~EventStore() { free_chunks(); }
 
@@ -52,16 +73,19 @@ Event& EventStore::append_slot() {
     SPECTRE_REQUIRE(!closed(), "append on a closed EventStore");
     const std::size_t n = size_.load(std::memory_order_relaxed) + pending_;  // writer-owned
     const std::size_t chunk_index = n >> kChunkShift;
-    SPECTRE_REQUIRE(chunk_index < kMaxChunks, "EventStore capacity exceeded");
-    std::atomic<Page*>& page_ptr = pages_[chunk_index >> kPageShift];
-    Page* page = page_ptr.load(std::memory_order_relaxed);
-    if (page == nullptr) {
-        page = new Page{};
-        page_ptr.store(page, std::memory_order_relaxed);
+    const bool new_chunk = (n & (kChunkSize - 1)) == 0;
+    std::atomic<Page*>& page_ptr = pages_[page_slot(chunk_index)];
+    if (new_chunk && (chunk_index & (kPageSize - 1)) == 0) {
+        // First event of a page: its ring slot is free again once the
+        // releaser has freed the page kMaxPages behind.
+        SPECTRE_REQUIRE(page_ptr.load(std::memory_order_relaxed) == nullptr,
+                        live_span_exceeded(n));
+        page_ptr.store(new Page{}, std::memory_order_relaxed);
     }
-    std::atomic<Event*>& chunk_ptr = page->chunks[chunk_index & (kPageSize - 1)];
+    std::atomic<Event*>& chunk_ptr =
+        page_ptr.load(std::memory_order_relaxed)->chunks[chunk_index & (kPageSize - 1)];
     Event* chunk = chunk_ptr.load(std::memory_order_relaxed);
-    if (chunk == nullptr) {
+    if (new_chunk) {
         chunk = new Event[kChunkSize];
         chunk_ptr.store(chunk, std::memory_order_relaxed);
     }
@@ -89,13 +113,15 @@ std::size_t EventStore::release_chunks_below(Seq seq) noexcept {
     // Resume at the cursor: a per-quantum call costs O(chunks freed), not
     // O(chunks ever appended). Every chunk below the frontier was allocated.
     for (std::size_t i = released_; i < limit; ++i) {
-        Page* page = pages_[i >> kPageShift].load(std::memory_order_relaxed);
-        delete[] page->chunks[i & (kPageSize - 1)].exchange(nullptr,
-                                                            std::memory_order_relaxed);
+        std::atomic<Page*>& page_ptr = pages_[page_slot(i)];
+        delete[] page_ptr.load(std::memory_order_relaxed)
+            ->chunks[i & (kPageSize - 1)]
+            .exchange(nullptr, std::memory_order_relaxed);
         // The page's last chunk just went: the page itself is below the
-        // frontier page, so neither the writer nor a reader touches it again.
+        // frontier page, so no reader touches it again, and nulling its slot
+        // hands the slot to the writer's page kMaxPages ahead.
         if ((i & (kPageSize - 1)) == kPageSize - 1)
-            delete pages_[i >> kPageShift].exchange(nullptr, std::memory_order_relaxed);
+            delete page_ptr.exchange(nullptr, std::memory_order_relaxed);
     }
     const std::size_t freed = limit - released_;
     released_ = limit;

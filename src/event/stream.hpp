@@ -86,7 +86,10 @@ private:
 // kPageSize chunk pointers, each chunk kChunkSize events. The writer
 // allocates a page and a chunk when the first event lands in it, so an empty
 // store owns only its 2 KiB top array and a one-event store one 4 KiB page
-// plus one 56 KiB chunk.
+// plus one 7 KiB chunk (~13 KiB). The top array is a ring: page p lives in
+// slot p mod kMaxPages, and the writer reuses a slot once the releaser has
+// freed the page that held it, so the kMaxChunks cap bounds the live span
+// (oldest unreleased chunk to frontier), not the stream's length.
 //
 // Concurrency contract (single writer, many readers, no locks):
 //   * append() never moves an already-published event, so `&at(seq)` is
@@ -99,12 +102,12 @@ private:
 //     the next size() it reads is the stream's final length.
 class EventStore {
 public:
-    // 1024-event chunks (56 KiB: below glibc's mmap threshold, so a freed
-    // chunk is recycled by the next allocation instead of faulted in anew),
-    // 512 chunk pointers per 4 KiB directory page, 256 pages: one store
-    // holds up to kMaxChunks * kChunkSize (~134M) events — plenty above the
-    // paper's largest replayed day, and loud (SPECTRE_REQUIRE) when exceeded.
-    static constexpr std::size_t kChunkShift = 10;
+    // 128-event chunks (7 KiB: a PARTITION BY key lane's store costs one,
+    // and a freed chunk is recycled by the next allocation), 512 chunk
+    // pointers per 4 KiB directory page, 256 pages in the ring: a store's
+    // live span holds up to kMaxChunks * kChunkSize (~16.7M) events — loud
+    // (SPECTRE_REQUIRE) when a reader lags that far behind the writer.
+    static constexpr std::size_t kChunkShift = 7;
     static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
     static constexpr std::size_t kPageShift = 9;
     static constexpr std::size_t kPageSize = std::size_t{1} << kPageShift;
@@ -157,8 +160,9 @@ public:
     // enforces it for every session store, MappedStore::release_below for a
     // key lane's): calls are serialized, and no reader will ever again
     // address a seq below `seq` — the "addresses stable" guarantee narrows
-    // to the unreclaimed suffix. The writer is unaffected: it only touches
-    // the frontier chunk and its page, which are never below the frontier.
+    // to the unreclaimed suffix. The writer only touches the frontier chunk
+    // and its page, which are never below the frontier, plus the ring slot
+    // of a freed page, which it reuses once this call has nulled it.
     std::size_t release_chunks_below(Seq seq) noexcept;
 
     // Chunks freed so far (releaser side: the thread that calls
@@ -166,7 +170,7 @@ public:
     std::size_t released_chunks() const noexcept { return released_; }
 
     // Test hook: bytes of chunk directory this store owns — the inline top
-    // array plus every allocated page. O(KiB) until the stream is long.
+    // array plus every allocated page. O(KiB) until the live span is long.
     std::size_t directory_bytes() const noexcept;
 
     // Range [first, last] inclusive; valid across concurrent append().
@@ -183,10 +187,14 @@ private:
         // frontier ordered the page pointer, the chunk pointer and the
         // event bytes.
         const std::size_t chunk = seq >> kChunkShift;
-        return pages_[chunk >> kPageShift]
+        return pages_[page_slot(chunk)]
             .load(std::memory_order_relaxed)
             ->chunks[chunk & (kPageSize - 1)]
             .load(std::memory_order_relaxed)[seq & (kChunkSize - 1)];
+    }
+    // The top-array ring slot of the page holding chunk `chunk`.
+    static constexpr std::size_t page_slot(std::size_t chunk) noexcept {
+        return (chunk >> kPageShift) & (kMaxPages - 1);
     }
     void free_chunks() noexcept;
     void take(EventStore& other) noexcept;

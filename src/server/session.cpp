@@ -265,7 +265,8 @@ SessionStatus ServerSession::ingest(event::Event&& ev) {
     ++unpublished_;
     // A published stream is unpaced (§15): each subscriber reads
     // at its own frontier, and a lagging one must never stall the publisher
-    // or its siblings. The store capacity (SPECTRE_REQUIRE) is the hard stop.
+    // or its siblings. The store's live-span cap (SPECTRE_REQUIRE, §6) is the
+    // hard stop.
     if (role_ == SessionRole::Publisher) return SessionStatus::Open;
     stamp_arrival();
     if (st.size() + st.pending_appends() - accepted_.load(std::memory_order_relaxed) >=

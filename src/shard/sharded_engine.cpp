@@ -153,9 +153,12 @@ ShardedEngine::LaneFootprint ShardedEngine::lane_footprint() const {
             const std::size_t chunks =
                 (store.size() + event::EventStore::kChunkSize - 1) >>
                 event::EventStore::kChunkShift;
+            const std::size_t resident = chunks - store.released_chunks();
             ++f.lanes;
-            f.resident_chunks += chunks - store.released_chunks();
+            f.resident_chunks += resident;
             f.parent_rows += lane->store.parent_rows();
+            f.store_bytes += store.directory_bytes() +
+                             resident * event::EventStore::kChunkSize * sizeof(event::Event);
         }
     }
     return f;

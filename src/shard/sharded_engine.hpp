@@ -128,12 +128,14 @@ public:
     void bind_obs(obs::Shard* shard) noexcept { obs_ = shard; }
 
     // Test hook: what the key lanes hold right now — store chunks not yet
-    // reclaimed and seq-mapping rows, summed over every lane. Same calling
-    // rule as key_count().
+    // reclaimed, seq-mapping rows, and the store bytes (chunk directory plus
+    // resident chunks), summed over every lane. Same calling rule as
+    // key_count().
     struct LaneFootprint {
         std::size_t lanes = 0;
         std::size_t resident_chunks = 0;
         std::size_t parent_rows = 0;
+        std::size_t store_bytes = 0;
     };
     LaneFootprint lane_footprint() const;
 

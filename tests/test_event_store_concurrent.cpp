@@ -6,7 +6,10 @@
 // acquired frontier, so any racy access is a real bug, not test noise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -147,7 +150,35 @@ TEST(EventStoreDirectory, EmptyStoreOwnsOnlyKilobytes) {
     // The first event brings one page and one chunk, not a whole directory.
     append_n(store, 1);
     EXPECT_EQ(store.directory_bytes(), kTopBytes + kPageBytes);
-    EXPECT_LE(store.directory_bytes() + kChunk * sizeof(event::Event), 64u * 1024);
+    EXPECT_LE(store.directory_bytes() + kChunk * sizeof(event::Event), 16u * 1024);
+}
+
+// The top array is a ring over live pages: a writer that frees behind itself
+// streams past kMaxChunks chunks, the old lifetime cap, in a directory of at
+// most two pages, and reads stay correct across the wrap.
+TEST(EventStoreDirectory, StreamsPastTheOldLifetimeCapInFlatMemory) {
+    constexpr std::size_t kOldCap = event::EventStore::kMaxChunks * kChunk;
+    constexpr std::size_t kTotal = kOldCap + 2 * kPageEvents + 7;
+    constexpr std::size_t kLag = 3 * kChunk + 5;  // live events kept behind the frontier
+    event::EventStore store;
+    while (store.size() < kTotal) {
+        append_n(store, std::min(kChunk, kTotal - store.size()));
+        const std::size_t floor = store.size() - std::min(store.size(), kLag);
+        store.release_chunks_below(floor);
+        ASSERT_EQ(store.released_chunks(), floor / kChunk) << "size " << store.size();
+        ASSERT_LE(store.directory_bytes(), kTopBytes + 2 * kPageBytes) << "size " << store.size();
+        std::size_t i = floor;
+        for (const auto& e : store.range(floor, store.size() - 1)) {
+            ASSERT_EQ(e.seq, i) << "size " << store.size();
+            ASSERT_EQ(e.ts, static_cast<event::Timestamp>(i));
+            ++i;
+        }
+        const std::size_t last = store.size() - 1;
+        ASSERT_EQ(store.at(floor).ts, static_cast<event::Timestamp>(floor));
+        ASSERT_EQ(store.at(last).seq, last);
+    }
+    EXPECT_EQ(store.size(), kTotal);
+    EXPECT_EQ(store.released_chunks(), (kTotal - kLag) / kChunk);
 }
 
 TEST(EventStoreDirectory, MovedFromStoreIsEmptyAndCheap) {
@@ -197,6 +228,66 @@ TEST(EventStoreConcurrent, ChasingReleaserAcrossAPageBoundary) {
     append_n(store, kTotal);
     store.close();
     reader.join();
+    EXPECT_FALSE(failed.load());
+    EXPECT_EQ(freed, (kTotal - 1) / kChunk);
+    EXPECT_EQ(store.directory_bytes(), kTopBytes + kPageBytes);
+}
+
+// The chasing reader/releaser of the page-boundary case, run past the ring's
+// wrap: the writer reuses each top-array slot the releaser has just freed,
+// and under TSan that slot hand-off is ordered by the store alone. The
+// writer stays within a few pages of the reader, as a session's ingest
+// credit keeps it, so the live span never nears the cap.
+TEST(EventStoreConcurrent, ChasingReleaserAcrossTheRingWrap) {
+    event::EventStore store;
+    constexpr std::size_t kTotal =
+        event::EventStore::kMaxChunks * kChunk + kPageEvents + 3 * kChunk + 11;
+    constexpr std::size_t kMaxLead = 4 * kPageEvents;
+    std::atomic<std::size_t> progress{0};
+    std::atomic<bool> failed{false};
+    std::size_t freed = 0;
+    std::thread reader([&] {
+        std::size_t seen = 0;
+        while (seen < kTotal && !failed.load(std::memory_order_relaxed)) {
+            const std::size_t frontier = store.size();
+            if (frontier == seen) {
+                std::this_thread::yield();
+                continue;
+            }
+            // One frontier read per batch: the reader does not contend for
+            // the writer's size_ line on every event.
+            std::size_t i = seen;
+            for (const auto& e : store.range(seen, frontier - 1)) {
+                if (e.seq != i || e.ts != static_cast<event::Timestamp>(i)) {
+                    failed.store(true, std::memory_order_relaxed);
+                    return;
+                }
+                ++i;
+            }
+            seen = frontier;
+            freed += store.release_chunks_below(seen - 1);
+            progress.store(seen, std::memory_order_relaxed);
+        }
+    });
+    std::string writer_error;  // a throwing append must not skip the join
+    try {
+        for (std::size_t i = 0; i < kTotal && !failed.load(std::memory_order_relaxed);) {
+            if (i >= progress.load(std::memory_order_relaxed) + kMaxLead) {
+                std::this_thread::yield();
+                continue;
+            }
+            // One publish per chunk, as the scatter-decode ingest path batches.
+            for (const std::size_t end = std::min(kTotal, i + kChunk); i < end; ++i)
+                store.append_slot().ts = static_cast<event::Timestamp>(i);
+            store.publish_appends();
+        }
+    } catch (const std::exception& e) {
+        writer_error = e.what();
+        failed.store(true, std::memory_order_relaxed);
+    }
+    store.close();
+    reader.join();
+    EXPECT_EQ(writer_error, "");
     EXPECT_FALSE(failed.load());
     EXPECT_EQ(freed, (kTotal - 1) / kChunk);
     EXPECT_EQ(store.directory_bytes(), kTopBytes + kPageBytes);
